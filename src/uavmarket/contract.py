@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import Subregion
 from .economics import ContractItem, EconomyParams
 
@@ -83,12 +85,13 @@ class ContractSchedule:
             raise ValueError("ladder and items must have equal length")
         object.__setattr__(self, "ladder", tuple(self.ladder))
         object.__setattr__(self, "items", tuple(self.items))
+        # reversed, so a repeated id keeps its first (cheapest) rank
+        object.__setattr__(
+            self, "_ranks", {aux.uav_id: aux.rank for aux in reversed(self.ladder)}
+        )
 
     def rank_of(self, uav_id: str) -> int | None:
-        for aux in self.ladder:
-            if aux.uav_id == uav_id:
-                return aux.rank
-        return None
+        return self._ranks.get(uav_id)
 
     def item_for(self, uav_id: str) -> ContractItem | None:
         rank = self.rank_of(uav_id)
@@ -128,26 +131,22 @@ def sort_ladder(announcements: Sequence[Announcement], phi: float) -> list[Auxil
     """
     if not announcements:
         raise ValueError("at least one announcement is required")
+    # the position i is unique, so the announcement itself is never compared
     keyed = sorted(
-        enumerate(announcements),
-        key=lambda pair: (
-            marginal_cost(pair[1].alpha, pair[1].beta, phi),
-            pair[1].psi,
-            pair[1].zeta,
-            pair[0],
-        ),
+        (marginal_cost(a.alpha, a.beta, phi), a.psi, a.zeta, i, a)
+        for i, a in enumerate(announcements)
     )
     return [
         AuxiliaryType(
-            rank=i + 1,
+            rank=rank,
             uav_id=a.uav_id,
             alpha=a.alpha,
             beta=a.beta,
-            upsilon=marginal_cost(a.alpha, a.beta, phi),
+            upsilon=upsilon,
             psi=a.psi,
             zeta=a.zeta,
         )
-        for i, (_, a) in enumerate(keyed)
+        for rank, (upsilon, _, _, _, a) in enumerate(keyed, start=1)
     ]
 
 
@@ -242,26 +241,29 @@ def _audit(
     tolerance: float,
 ) -> AuditReport:
     n = len(ladder)
-    own = [items[i].coverage_reward - ladder[i].upsilon * items[i].theta for i in range(n)]
-    ir_ok = all(u >= -tolerance for u in own)
-    worst = 0.0 if n <= 1 else -float("inf")
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue
-            cross = items[k].coverage_reward - ladder[i].upsilon * items[k].theta
-            worst = max(worst, cross - own[i])
-    thetas = [item.theta for item in items]
-    rewards = [item.coverage_reward for item in items]
-    monotone_ok = all(
-        b <= a + tolerance for a, b in zip(thetas, thetas[1:])
-    ) and all(b <= a + tolerance for a, b in zip(rewards, rewards[1:]))
+    upsilons = np.array([aux.upsilon for aux in ladder], dtype=float)
+    thetas = np.array([item.theta for item in items], dtype=float)
+    rewards = np.array([item.coverage_reward for item in items], dtype=float)
+    # payoff[i, k]: coverage-linked payoff of the type at rank i + 1
+    # taking the item meant for rank k + 1; the diagonal is its own item
+    payoff = rewards[None, :] - upsilons[:, None] * thetas[None, :]
+    own = payoff.diagonal()
+    if n <= 1:
+        worst = 0.0
+    else:
+        gain = payoff - own[:, None]
+        np.fill_diagonal(gain, -np.inf)
+        worst = float(gain.max())
+    monotone_ok = bool(
+        np.all(thetas[1:] <= thetas[:-1] + tolerance)
+        and np.all(rewards[1:] <= rewards[:-1] + tolerance)
+    )
     return AuditReport(
-        ir_ok=ir_ok,
+        ir_ok=bool(np.all(own >= -tolerance)),
         ic_ok=worst <= tolerance,
         monotone_ok=monotone_ok,
         worst_ic_violation=worst,
-        binding_ir_rank=min(range(1, n + 1), key=lambda r: own[r - 1]) if n else 0,
+        binding_ir_rank=int(np.argmin(own)) + 1 if n else 0,
     )
 
 

@@ -154,6 +154,10 @@ class FlHyperParams:
             _require(self.rounds_override > 0, "rounds_override must be a positive integer")
 
 
+_COST_FIELDS = ("alpha", "beta", "psi", "zeta", "traversal_time_full",
+                "computation_time_full", "transmission_time")
+
+
 @dataclass(frozen=True)
 class CostVector:
     """Per-(UAV, subregion) cost quadruple plus full-coverage durations.
@@ -174,10 +178,12 @@ class CostVector:
     transmission_time: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "psi", "zeta", "traversal_time_full",
-                     "computation_time_full", "transmission_time"):
-            v = getattr(self, name)
-            _require(v >= 0 and math.isfinite(v), f"cost vector field {name} must be finite and >= 0")
+        values = (self.alpha, self.beta, self.psi, self.zeta, self.traversal_time_full,
+                  self.computation_time_full, self.transmission_time)
+        for name, v in zip(_COST_FIELDS, values):
+            # one comparison chain per field: false for negatives, inf and NaN
+            if not 0 <= v < math.inf:
+                raise ValueError(f"cost vector field {name} must be finite and >= 0")
 
     @classmethod
     def declared(cls, alpha: float, beta: float, psi: float, zeta: float) -> "CostVector":

@@ -84,15 +84,29 @@ def revised_utility(item: ContractItem, alpha: float, beta: float, phi: float) -
 
 
 def uav_utility(item: ContractItem, costs: CostVector, econ: EconomyParams) -> float:
-    """Full payoff of a UAV that signs ``item`` for the pair priced by ``costs``.
+    """Full payoff of a UAV that signs ``item`` for the pair priced by ``costs``."""
+    return payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, econ.phi)
 
-    Computed as the revised utility plus the fixed-cost settlement, which
-    equals reward minus the total energy bill.
+
+def payoff(
+    theta: float,
+    coverage_reward: float,
+    fixed_reward: float,
+    costs: CostVector,
+    phi: float,
+) -> float:
+    """UAV payoff from an item's parts: ``(R - phi(alpha+beta)theta) + fixed - phi(psi+zeta)``.
+
+    The revised utility plus the fixed-cost settlement, which equals reward
+    minus the total energy bill. Taking the parts instead of a
+    ``ContractItem`` lets the live market price calibrated rewards without
+    building an item per query.
     """
     return (
-        revised_utility(item, costs.alpha, costs.beta, econ.phi)
-        + item.fixed_reward
-        - econ.phi * (costs.psi + costs.zeta)
+        coverage_reward
+        - phi * (costs.alpha + costs.beta) * theta
+        + fixed_reward
+        - phi * (costs.psi + costs.zeta)
     )
 
 

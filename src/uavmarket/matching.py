@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from .contract import Announcement, ContractSchedule, sort_ladder
 from .core import CostVector
-from .economics import ContractItem, EconomyParams, uav_utility
+from .economics import ContractItem, EconomyParams, payoff
 from .errors import UnresolvedTieError
 
 UPSILON_TIE_TOLERANCE = 0.0  # marginal costs tie only on exact equality
@@ -40,11 +40,16 @@ class PreferenceList:
         object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
         if len(self.ranked) != len(self.scores):
             raise ValueError("ranked and scores must have equal length")
-        if len(set(self.ranked)) != len(self.ranked):
+        index = {c: i for i, c in enumerate(self.ranked)}
+        if len(index) != len(self.ranked):
             raise ValueError(f"duplicate entries in preference list of {self.owner!r}")
+        object.__setattr__(self, "_index", index)
+
+    def __contains__(self, counterpart: str) -> bool:
+        return counterpart in self._index
 
     def score_of(self, counterpart: str) -> float:
-        return self.scores[self.ranked.index(counterpart)]
+        return self.scores[self._index[counterpart]]
 
 
 @dataclass(frozen=True)
@@ -135,10 +140,18 @@ class Market:
 
     def utility(self, uav_id: str, sub_id: str) -> float:
         """Hypothetical payoff of ``uav_id`` serving ``sub_id`` at current rewards."""
-        item = self.item_for(uav_id, sub_id)
-        if item is None:
+        schedule = self.schedules[sub_id]
+        rank = schedule.rank_of(uav_id)
+        if rank is None:
             raise KeyError(f"uav {uav_id!r} is not on the ladder of {sub_id!r}")
-        return uav_utility(item, self.costs[uav_id][sub_id], self.econ)
+        item = schedule.items[rank - 1]
+        return payoff(
+            item.theta,
+            self._rewards[sub_id][rank - 1],
+            item.fixed_reward,
+            self.costs[uav_id][sub_id],
+            self.econ.phi,
+        )
 
     def reduce_rewards(self, sub_id: str, policy: CalibrationPolicy) -> None:
         vector = self._rewards[sub_id]
@@ -314,7 +327,8 @@ def gs_match(
 
     def outside_for(uav: str, sub: str) -> float:
         best = 0.0
-        for alt in uav_prefs.get(uav, PreferenceList(uav, (), ())).ranked:
+        pref = uav_prefs.get(uav)
+        for alt in pref.ranked if pref is not None else ():
             if alt == sub or uav not in remaining.get(alt, ()):
                 continue
             best = max(best, live_utility(uav, alt))
@@ -410,7 +424,7 @@ def stability_audit(
         for uav in pref.ranked:
             if uav == current:
                 continue
-            if sub not in uav_prefs.get(uav, PreferenceList(uav, (), ())).ranked:
+            if uav not in uav_prefs or sub not in uav_prefs[uav]:
                 continue
             # subregion side: strictly cheaper than its current partner
             if current_score is not None and pref.score_of(uav) >= current_score:

@@ -181,6 +181,22 @@ def build_preferences(
     return sub_prefs, uav_prefs
 
 
+def _final_uav_prefs(
+    scenario: Scenario,
+    market: Market,
+    state: MatchState,
+    uav_prefs: dict[str, PreferenceList],
+) -> dict[str, PreferenceList]:
+    """UAV preference lists at the rewards on offer after matching.
+
+    Rewards move only through calibration, so without a calibration event
+    the lists built before matching are already the final ones.
+    """
+    if not state.calibration_log:
+        return uav_prefs
+    return {uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs}
+
+
 def run_contract(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
     """Build every subregion's menu and emit the contract-side artifacts."""
     setup = prepare(scenario)
@@ -202,9 +218,7 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
     final_schedules = market.final_schedules()
 
     # audit stability against the rewards actually on offer at the end
-    final_uav_prefs = {
-        uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs
-    }
+    final_uav_prefs = _final_uav_prefs(scenario, market, state, uav_prefs)
     blocking = stability_audit(state, sub_prefs, final_uav_prefs)
 
     econ = scenario.economy
@@ -300,9 +314,7 @@ def run_verify(
     market = make_market(setup)
     sub_prefs, uav_prefs = build_preferences(setup, market)
     state = gs_match(sub_prefs, uav_prefs, scenario.calibration, market)
-    final_uav_prefs = {
-        uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs
-    }
+    final_uav_prefs = _final_uav_prefs(scenario, market, state, uav_prefs)
     blocking = stability_audit(state, sub_prefs, final_uav_prefs)
     report.checks.append(
         VerifyCheck(
@@ -420,7 +432,7 @@ def run_sweep(
             responders = sum(
                 1
                 for uav in scenario.uavs
-                if sub.id in uav_prefs[uav.id].ranked
+                if sub.id in uav_prefs[uav.id]
             )
             rows.append((value, f"responders[{sub.id}]", float(responders)))
         state = gs_match(sub_prefs, uav_prefs, scenario.calibration, market)

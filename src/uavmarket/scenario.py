@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .core import FlHyperParams, Position, Subregion, UavProfile
 from .economics import EconomyParams
@@ -108,6 +109,24 @@ class Scenario:
         raise KeyError(sub_id)
 
 
+def _number_error(raw: Any) -> str | None:
+    """Why ``raw`` is not a finite JSON number, or None when it is one.
+
+    Python's JSON reader accepts ``NaN``, ``Infinity`` and ``-Infinity``;
+    they are rejected here so that they never reach the model as numbers.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return f"expected a number, got {type(raw).__name__}"
+    try:
+        finite = math.isfinite(raw)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        shown = repr(raw) if isinstance(raw, float) else "an out-of-range integer"
+        return f"expected a finite number, got {shown}"
+    return None
+
+
 class _Node:
     """A mapping under validation: tracks consumed keys and problems."""
 
@@ -142,8 +161,9 @@ class _Node:
         if key not in self.mapping:
             return self._absent(key, default)
         raw = self.take(key)
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            self.error(f"expected a number, got {type(raw).__name__}", key)
+        problem = _number_error(raw)
+        if problem:
+            self.error(problem, key)
             return None
         return float(raw)
 
@@ -174,9 +194,9 @@ def _position(raw: Any, path: str, problems: list) -> Position | None:
     if (
         not isinstance(raw, (list, tuple))
         or not 2 <= len(raw) <= 3
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
+        or any(_number_error(v) for v in raw)
     ):
-        problems.append((path, "expected [x, y] or [x, y, z] numbers"))
+        problems.append((path, "expected [x, y] or [x, y, z] finite numbers"))
         return None
     coords = [float(v) for v in raw] + [0.0] * (3 - len(raw))
     try:
@@ -193,8 +213,9 @@ def _number_or_map(node: _Node, key: str, sub_ids: list[str], default: Any = _MI
     if isinstance(raw, Mapping):
         out = {}
         for sub_id, v in raw.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                node.error(f"expected a number for subregion {sub_id!r}", key)
+            problem = _number_error(v)
+            if problem:
+                node.error(f"subregion {sub_id!r}: {problem}", key)
                 return None
             out[str(sub_id)] = float(v)
         missing = [s for s in sub_ids if s not in out]
@@ -206,6 +227,10 @@ def _number_or_map(node: _Node, key: str, sub_ids: list[str], default: Any = _MI
         return None if (missing or unknown) else out
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         node.error(f"expected a number or per-subregion map, got {type(raw).__name__}", key)
+        return None
+    problem = _number_error(raw)
+    if problem:
+        node.error(problem, key)
         return None
     return float(raw)
 
@@ -344,8 +369,9 @@ def scenario_from_dict(data: Any) -> Scenario:
                     values = None
                 else:
                     for sid, v in values_raw.items():
-                        if isinstance(v, bool) or not isinstance(v, (int, float)):
-                            node.error(f"expected a number for {sid!r}", "values")
+                        problem = _number_error(v)
+                        if problem:
+                            node.error(f"{sid!r}: {problem}", "values")
                         elif sid not in sub_ids:
                             node.error(f"unknown subregion id {sid!r}", "values")
                         else:
@@ -408,12 +434,11 @@ def scenario_from_dict(data: Any) -> Scenario:
                     if (
                         not isinstance(coeffs_raw, list)
                         or len(coeffs_raw) != 2
-                        or any(
-                            isinstance(v, bool) or not isinstance(v, (int, float))
-                            for v in coeffs_raw
-                        )
+                        or any(_number_error(v) for v in coeffs_raw)
                     ):
-                        node.error("expected [c_drag, c_lift]", "power_coefficients")
+                        node.error(
+                            "expected [c_drag, c_lift] finite numbers", "power_coefficients"
+                        )
                     else:
                         coeffs = (float(coeffs_raw[0]), float(coeffs_raw[1]))
                 kwargs = dict(
@@ -434,6 +459,7 @@ def scenario_from_dict(data: Any) -> Scenario:
                     kwargs["cpu_frequency"],
                     kwargs["capacitance"],
                     kwargs["transmit_power"],
+                    kwargs["energy_capacity"],
                 )
                 if None not in required:
                     try:

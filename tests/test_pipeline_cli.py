@@ -235,6 +235,18 @@ class TestCli:
         assert code == 1
         assert "invalid scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["match", "verify"])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, command):
+        doc = json.loads(fixture_path("fig6.scn").read_text(encoding="utf-8"))
+        doc["economy"]["sigma"] = float("nan")
+        bad = tmp_path / "nan.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([command, "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "$.economy.sigma: expected a finite number, got nan" in captured.err
+        assert captured.out == ""
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("not json")

@@ -150,6 +150,117 @@ class TestValidation:
             scenario_from_dict([1, 2, 3])
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def load_json_fixture(name):
+    return json.loads(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def physical_doc():
+    return load_json_fixture("physical.scn")
+
+
+def with_calibration():
+    return minimal_doc(calibration={"delta_value": 0.01})
+
+
+def with_reward_hat_values():
+    return minimal_doc(reward_hat_policy={"mode": "fixed", "values": {"s1": 1.0}})
+
+
+# (document builder, where the bad value goes, reported field path)
+NON_FINITE_SITES = [
+    (minimal_doc, ("economy", "sigma"), "$.economy.sigma"),
+    (minimal_doc, ("theta_hat",), "$.theta_hat"),
+    (minimal_doc, ("subregions", 0, "deadline"), "$.subregions[0].deadline"),
+    (minimal_doc, ("subregions", 0, "data_volume"), "$.subregions[0].data_volume"),
+    (minimal_doc, ("subregions", 0, "center", 1), "$.subregions[0].center"),
+    (minimal_doc, ("uavs", 0, "alpha"), "$.uavs[0].alpha"),
+    (minimal_doc, ("uavs", 0, "psi"), "$.uavs[0].psi"),
+    (with_calibration, ("calibration", "delta_value"), "$.calibration.delta_value"),
+    (with_reward_hat_values, ("reward_hat_policy", "values", "s1"), "$.reward_hat_policy.values"),
+    (physical_doc, ("uavs", 0, "energy_capacity"), "$.uavs[0].energy_capacity"),
+    (physical_doc, ("uavs", 0, "base", 0), "$.uavs[0].base"),
+    (physical_doc, ("uavs", 0, "velocity"), "$.uavs[0].velocity"),
+]
+
+
+def _plant(builder, where, value):
+    doc = builder()
+    node = doc
+    for part in where[:-1]:
+        node = node[part]
+    node[where[-1]] = value
+    return doc
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "builder,where,field", NON_FINITE_SITES, ids=[site[2] for site in NON_FINITE_SITES]
+    )
+    def test_rejected_with_field_path(self, builder, where, field, value):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(_plant(builder, where, value))
+        assert field in [path for path, _ in err.value.problems]
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "psi", "zeta"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_rejected_inside_per_subregion_maps(self, name, value):
+        doc = minimal_doc()
+        doc["uavs"][0][name] = {"s1": value}
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        expected = (f"$.uavs[0].{name}", f"subregion 's1': expected a finite number, got {value!r}")
+        assert expected in err.value.problems
+
+    def test_power_coefficients_rejected(self):
+        doc = physical_doc()
+        entry = doc["uavs"][0]
+        del entry["power"]
+        entry["power_coefficients"] = [0.5, math.nan]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert "$.uavs[0].power_coefficients" in [path for path, _ in err.value.problems]
+
+    def test_integer_beyond_float_range_rejected(self):
+        doc = minimal_doc()
+        doc["economy"]["sigma"] = 10**400
+        with pytest.raises(ScenarioError, match="out-of-range integer"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_load_scenario_rejects_json_constants(self, tmp_path, value):
+        # Python's JSON writer and reader both accept NaN and +-Infinity
+        doc = load_json_fixture("fig6.scn")
+        doc["economy"]["sigma"] = value
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.problems == [
+            ("$.economy.sigma", f"expected a finite number, got {value!r}")
+        ]
+
+    def test_invalid_energy_capacity_is_reported_not_raised(self):
+        doc = physical_doc()
+        doc["uavs"][0]["energy_capacity"] = "full"
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert [path for path, _ in err.value.problems] == ["$.uavs[0].energy_capacity"]
+
+    def test_omitted_deadline_and_capacity_still_default_to_infinity(self):
+        doc = physical_doc()
+        for sub in doc["subregions"]:
+            sub.pop("deadline", None)
+        for uav in doc["uavs"]:
+            uav.pop("energy_capacity", None)
+        scenario = scenario_from_dict(doc)
+        assert all(math.isinf(sub.deadline) for sub in scenario.subregions)
+        assert all(math.isinf(uav.energy_capacity) for uav in scenario.uavs)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_write_then_load_is_identity(self, tmp_path, name):
