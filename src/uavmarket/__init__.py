@@ -13,13 +13,11 @@ from .contract import (
     AuditReport,
     AuxiliaryType,
     ContractSchedule,
-    audit_schedule,
     build_schedule,
     iron_schedule,
     marginal_cost,
     optimal_coverage,
     reward_schedule,
-    select_winner,
     sort_ladder,
 )
 from .core import (
@@ -42,7 +40,6 @@ from .economics import (
     EconomyParams,
     model_accuracy,
     owner_profit,
-    revised_utility,
     uav_utility,
 )
 from .errors import ScenarioError, UavMarketError, UnresolvedTieError

@@ -228,13 +228,6 @@ def build_schedule(
     )
 
 
-def menu_utility(schedule: ContractSchedule, rank: int, item_rank: int) -> float:
-    """Coverage-linked payoff of the type at ``rank`` taking the item at ``item_rank``."""
-    aux = schedule.ladder[rank - 1]
-    item = schedule.items[item_rank - 1]
-    return item.coverage_reward - aux.upsilon * item.theta
-
-
 def _audit(
     ladder: Sequence[AuxiliaryType],
     items: Sequence[ContractItem],
@@ -245,7 +238,9 @@ def _audit(
     thetas = np.array([item.theta for item in items], dtype=float)
     rewards = np.array([item.coverage_reward for item in items], dtype=float)
     # payoff[i, k]: coverage-linked payoff of the type at rank i + 1
-    # taking the item meant for rank k + 1; the diagonal is its own item
+    # taking the item meant for rank k + 1; the diagonal is its own item.
+    # Every item carries the same fixed reward, so it cancels out of each
+    # comparison and is left out.
     payoff = rewards[None, :] - upsilons[:, None] * thetas[None, :]
     own = payoff.diagonal()
     if n <= 1:
@@ -265,26 +260,3 @@ def _audit(
         worst_ic_violation=worst,
         binding_ir_rank=int(np.argmin(own)) + 1 if n else 0,
     )
-
-
-def audit_schedule(schedule: ContractSchedule, tolerance: float = AUDIT_TOLERANCE) -> AuditReport:
-    """Check participation, self-selection, and monotonicity of a menu.
-
-    Self-selection is checked over the full rank-by-item matrix, not just
-    adjacent rungs. Fixed rewards are identical across items, so they
-    cancel out of every comparison and the check runs on coverage-linked
-    payoffs alone.
-    """
-    return _audit(schedule.ladder, schedule.items, tolerance)
-
-
-def select_winner(schedule: ContractSchedule) -> list[AuxiliaryType]:
-    """The cheapest rung(s) of the ladder.
-
-    Normally a single entry; all entries tied at the minimum marginal cost
-    are surfaced so the matching layer can resolve them by calibration.
-    """
-    if not schedule.ladder:
-        raise ValueError("schedule has an empty ladder")
-    best = schedule.ladder[0].upsilon
-    return [aux for aux in schedule.ladder if aux.upsilon == best]

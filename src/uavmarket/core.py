@@ -65,15 +65,12 @@ class Subregion:
     data_volume: float
     rate_factor: float
     deadline: float = math.inf
-    nodes: tuple[Position, ...] | None = None
 
     def __post_init__(self):
         _require(self.full_distance > 0, f"subregion {self.id}: full_distance must be > 0")
         _require(self.data_volume > 0, f"subregion {self.id}: data_volume must be > 0")
         _require(self.rate_factor > 0, f"subregion {self.id}: rate_factor must be > 0")
         _require(self.deadline > 0, f"subregion {self.id}: deadline must be > 0")
-        if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -154,32 +151,25 @@ class FlHyperParams:
             _require(self.rounds_override > 0, "rounds_override must be a positive integer")
 
 
-_COST_FIELDS = ("alpha", "beta", "psi", "zeta", "traversal_time_full",
-                "computation_time_full", "transmission_time")
+_COST_FIELDS = ("alpha", "beta", "psi", "zeta")
 
 
 @dataclass(frozen=True)
 class CostVector:
-    """Per-(UAV, subregion) cost quadruple plus full-coverage durations.
+    """Per-(UAV, subregion) cost quadruple.
 
     ``alpha`` and ``beta`` are joules per unit coverage (sensing flight and
     computation); ``psi`` and ``zeta`` are the coverage-independent joules
-    for base-to-subregion traversal and for parameter upload. Durations
-    are seconds at full coverage. Declared-type vectors carry zero
-    durations because no physical profile exists to derive them from.
+    for base-to-subregion traversal and for parameter upload.
     """
 
     alpha: float
     beta: float
     psi: float
     zeta: float
-    traversal_time_full: float = 0.0
-    computation_time_full: float = 0.0
-    transmission_time: float = 0.0
 
     def __post_init__(self):
-        values = (self.alpha, self.beta, self.psi, self.zeta, self.traversal_time_full,
-                  self.computation_time_full, self.transmission_time)
+        values = (self.alpha, self.beta, self.psi, self.zeta)
         for name, v in zip(_COST_FIELDS, values):
             # one comparison chain per field: false for negatives, inf and NaN
             if not 0 <= v < math.inf:
@@ -189,10 +179,6 @@ class CostVector:
     def declared(cls, alpha: float, beta: float, psi: float, zeta: float) -> "CostVector":
         """Wrap directly declared type values, passed through unchanged."""
         return cls(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
-
-    def energy(self, theta: float) -> float:
-        """Total energy at coverage ``theta``: (alpha + beta) linear part plus fixed costs."""
-        return self.alpha * theta + self.psi + self.beta * theta + self.zeta
 
 
 @dataclass(frozen=True)
@@ -322,15 +308,7 @@ def derive_cost_vector(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -
     trav = traversal_phase(1.0, sub, profile)
     comp = computation_phase(1.0, sub, profile, fl)
     tx = transmission_phase(sub, profile, fl)
-    return CostVector(
-        alpha=trav.alpha,
-        beta=comp.beta,
-        psi=trav.psi,
-        zeta=tx.zeta,
-        traversal_time_full=trav.duration,
-        computation_time_full=comp.duration,
-        transmission_time=tx.duration,
-    )
+    return CostVector(alpha=trav.alpha, beta=comp.beta, psi=trav.psi, zeta=tx.zeta)
 
 
 def check_feasibility(

@@ -74,15 +74,6 @@ def _log(x: float, base: str) -> float:
     return math.log2(x) if base == "base2" else math.log(x)
 
 
-def revised_utility(item: ContractItem, alpha: float, beta: float, phi: float) -> float:
-    """Payoff net of coverage-linked costs only: ``R - phi*(alpha+beta)*theta``.
-
-    This is the quantity the self-selection analysis runs on; the fixed
-    traversal and upload legs are settled separately.
-    """
-    return item.coverage_reward - phi * (alpha + beta) * item.theta
-
-
 def uav_utility(item: ContractItem, costs: CostVector, econ: EconomyParams) -> float:
     """Full payoff of a UAV that signs ``item`` for the pair priced by ``costs``."""
     return payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, econ.phi)

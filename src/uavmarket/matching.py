@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .contract import Announcement, ContractSchedule, sort_ladder
+from .contract import ContractSchedule
 from .core import CostVector
 from .economics import ContractItem, EconomyParams, payoff
 from .errors import UnresolvedTieError
@@ -180,22 +180,16 @@ class Market:
         return out
 
 
-def build_subregion_preferences(
-    sub_id: str, announcements: Sequence[Announcement], phi: float
-) -> PreferenceList:
+def build_subregion_preferences(schedule: ContractSchedule) -> PreferenceList:
     """Candidate list of one subregion over the UAVs that passed screening.
 
-    Ascending marginal cost, same tie-break as the contract ladder. An
-    empty announcement set yields an empty list (the subregion will simply
-    exhaust immediately).
+    It is the menu's ladder as it stands: ascending marginal cost, with
+    the ladder's tie-break, scored by each rung's upsilon.
     """
-    if not announcements:
-        return PreferenceList(owner=sub_id, ranked=(), scores=())
-    ladder = sort_ladder(announcements, phi)
     return PreferenceList(
-        owner=sub_id,
-        ranked=tuple(aux.uav_id for aux in ladder),
-        scores=tuple(aux.upsilon for aux in ladder),
+        owner=schedule.subregion_id,
+        ranked=tuple(aux.uav_id for aux in schedule.ladder),
+        scores=tuple(aux.upsilon for aux in schedule.ladder),
     )
 
 

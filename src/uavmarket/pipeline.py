@@ -71,7 +71,10 @@ class RunReport:
     setup: MarketSetup
     schedules: dict[str, ContractSchedule]
     sub_prefs: dict[str, PreferenceList] = field(default_factory=dict)
+    # UAV lists at the rewards paid after calibration, and at the menus
+    # as published; the two differ only after a calibration event
     uav_prefs: dict[str, PreferenceList] = field(default_factory=dict)
+    published_uav_prefs: dict[str, PreferenceList] = field(default_factory=dict)
     match: MatchState | None = None
     blocking_pairs: list[tuple[str, str]] = field(default_factory=list)
     owner_profit: float | None = None
@@ -158,45 +161,6 @@ def prepare(scenario: Scenario) -> MarketSetup:
     )
 
 
-def make_market(setup: MarketSetup) -> Market:
-    costs = {
-        uav_id: {s: v for s, v in by_sub.items() if s in setup.schedules}
-        for uav_id, by_sub in setup.costs.items()
-    }
-    return Market(setup.schedules, costs, setup.scenario.economy)
-
-
-def build_preferences(
-    setup: MarketSetup, market: Market
-) -> tuple[dict[str, PreferenceList], dict[str, PreferenceList]]:
-    phi = setup.scenario.economy.phi
-    sub_prefs = {
-        sub.id: build_subregion_preferences(sub.id, setup.announcements[sub.id], phi)
-        for sub in setup.scenario.subregions
-        if sub.id in setup.schedules
-    }
-    uav_prefs = {
-        uav.id: build_uav_preferences(uav.id, market) for uav in setup.scenario.uavs
-    }
-    return sub_prefs, uav_prefs
-
-
-def _final_uav_prefs(
-    scenario: Scenario,
-    market: Market,
-    state: MatchState,
-    uav_prefs: dict[str, PreferenceList],
-) -> dict[str, PreferenceList]:
-    """UAV preference lists at the rewards on offer after matching.
-
-    Rewards move only through calibration, so without a calibration event
-    the lists built before matching are already the final ones.
-    """
-    if not state.calibration_log:
-        return uav_prefs
-    return {uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs}
-
-
 def run_contract(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
     """Build every subregion's menu and emit the contract-side artifacts."""
     setup = prepare(scenario)
@@ -207,19 +171,34 @@ def run_contract(scenario: Scenario, out_dir: str | Path | None = None) -> RunRe
 
 
 def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
-    """Run the full pipeline through assignment and emit match artifacts."""
+    """Run one market pass: menus, deferred acceptance, audit and payouts.
+
+    This is the only place the chain runs. Without ``out_dir`` it is the
+    library entry point and writes nothing; ``run_verify`` and
+    ``run_sweep`` read their checks and rows off the report it returns.
+    """
     setup = prepare(scenario)
-    market = make_market(setup)
-    sub_prefs, uav_prefs = build_preferences(setup, market)
-    state = gs_match(sub_prefs, uav_prefs, scenario.calibration, market)
+    market = Market(setup.schedules, setup.costs, scenario.economy)
+    sub_prefs = {
+        sub_id: build_subregion_preferences(schedule)
+        for sub_id, schedule in setup.schedules.items()
+    }
+    published_uav_prefs = {
+        uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs
+    }
+    state = gs_match(sub_prefs, published_uav_prefs, scenario.calibration, market)
     silent = {sub.id for sub in scenario.subregions if sub.id not in setup.schedules}
     state.unmatched_subregions |= silent
     state.exhausted |= silent
     final_schedules = market.final_schedules()
 
-    # audit stability against the rewards actually on offer at the end
-    final_uav_prefs = _final_uav_prefs(scenario, market, state, uav_prefs)
-    blocking = stability_audit(state, sub_prefs, final_uav_prefs)
+    # audit stability against the rewards actually on offer at the end;
+    # rewards move only through calibration, so without a calibration
+    # event the published lists are already the final ones
+    uav_prefs = published_uav_prefs
+    if state.calibration_log:
+        uav_prefs = {uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs}
+    blocking = stability_audit(state, sub_prefs, uav_prefs)
 
     econ = scenario.economy
     coverages: dict[str, float] = {}
@@ -247,7 +226,8 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
         setup=setup,
         schedules=final_schedules,
         sub_prefs=sub_prefs,
-        uav_prefs=final_uav_prefs,
+        uav_prefs=uav_prefs,
+        published_uav_prefs=published_uav_prefs,
         match=state,
         blocking_pairs=blocking,
         owner_profit=profit,
@@ -270,7 +250,8 @@ def run_verify(
     """Certify the scenario's analytic outputs against the brute-force oracles."""
     used_seed = scenario.seed if seed is None else seed
     report = VerifyReport(seed=used_seed)
-    setup = prepare(scenario)
+    run = run_match(scenario)
+    setup = run.setup
     econ = scenario.economy
     step = config.grid_step
 
@@ -311,11 +292,8 @@ def run_verify(
         )
     )
 
-    market = make_market(setup)
-    sub_prefs, uav_prefs = build_preferences(setup, market)
-    state = gs_match(sub_prefs, uav_prefs, scenario.calibration, market)
-    final_uav_prefs = _final_uav_prefs(scenario, market, state, uav_prefs)
-    blocking = stability_audit(state, sub_prefs, final_uav_prefs)
+    state, sub_prefs, final_uav_prefs = run.match, run.sub_prefs, run.uav_prefs
+    blocking = run.blocking_pairs
     report.checks.append(
         VerifyCheck(
             name="no_blocking_pairs",
@@ -419,43 +397,19 @@ def run_sweep(
     for value in values:
         doc = copy.deepcopy(raw_scenario)
         _assign_path(doc, param, value)
-        scenario = scenario_from_dict(doc)
-        setup = prepare(scenario)
-        market = make_market(setup)
-        sub_prefs, uav_prefs = build_preferences(setup, market)
+        run = run_match(scenario_from_dict(doc))
+        scenario, published = run.scenario, run.published_uav_prefs
         for uav in scenario.uavs:
-            for sub_id, score in zip(
-                uav_prefs[uav.id].ranked, uav_prefs[uav.id].scores
-            ):
+            for sub_id, score in zip(published[uav.id].ranked, published[uav.id].scores):
                 rows.append((value, f"utility[{uav.id},{sub_id}]", score))
         for sub in scenario.subregions:
-            responders = sum(
-                1
-                for uav in scenario.uavs
-                if sub.id in uav_prefs[uav.id]
-            )
+            responders = sum(1 for uav in scenario.uavs if sub.id in published[uav.id])
             rows.append((value, f"responders[{sub.id}]", float(responders)))
-        state = gs_match(sub_prefs, uav_prefs, scenario.calibration, market)
-        rows.append((value, "matched_count", float(len(state.assignment))))
+        assignment = run.match.assignment
+        rows.append((value, "matched_count", float(len(assignment))))
         for uav in scenario.uavs:
-            rows.append(
-                (value, f"matched[{uav.id}]", 1.0 if uav.id in state.assignment else 0.0)
-            )
-        final = market.final_schedules()
-        assigned = state.subregion_assignment()
-        coverages, rewards = [], []
-        for sub in scenario.subregions:
-            uav_id = assigned.get(sub.id)
-            if uav_id is None:
-                coverages.append((0.0, sub.data_volume))
-                rewards.append(0.0)
-                continue
-            item = final[sub.id].item_for(uav_id)
-            coverages.append((item.theta, sub.data_volume))
-            rewards.append(item.total_reward)
-        rows.append(
-            (value, "owner_profit", owner_profit(coverages, rewards, scenario.economy))
-        )
+            rows.append((value, f"matched[{uav.id}]", 1.0 if uav.id in assignment else 0.0))
+        rows.append((value, "owner_profit", run.owner_profit))
     if out_path is not None:
         _write_csv(Path(out_path), ("param_value", "metric", "value"), rows)
     return rows

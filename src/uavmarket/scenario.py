@@ -206,6 +206,17 @@ def _position(raw: Any, path: str, problems: list) -> Position | None:
         return None
 
 
+def _reward_number(node: _Node, key: str) -> float | None:
+    """A ``reward_hat_policy`` number: optional, 0 by default, never below 0.
+
+    A negative fixed reward could push an item's total reward below 0.
+    """
+    value = node.number(key, 0.0)
+    if value is not None and value < 0:
+        node.error("must be >= 0", key)
+    return value
+
+
 def _number_or_map(node: _Node, key: str, sub_ids: list[str], default: Any = _MISSING):
     if key not in node.mapping:
         return node._absent(key, default)
@@ -273,17 +284,6 @@ def scenario_from_dict(data: Any) -> Scenario:
             data_volume = node.number("data_volume")
             rate_factor = node.number("rate_factor")
             deadline = node.number("deadline", math.inf)
-            nodes_raw = node.take("nodes", None)
-            nodes = None
-            if nodes_raw is not None:
-                if not isinstance(nodes_raw, list):
-                    node.error("expected a list of positions", "nodes")
-                else:
-                    parsed = [
-                        _position(p, f"{path}.nodes[{k}]", problems)
-                        for k, p in enumerate(nodes_raw)
-                    ]
-                    nodes = tuple(p for p in parsed if p is not None)
             node.close()
             if None in (sid, center, full_distance, data_volume, rate_factor, deadline):
                 continue
@@ -295,7 +295,6 @@ def scenario_from_dict(data: Any) -> Scenario:
                     data_volume=data_volume,
                     rate_factor=rate_factor,
                     deadline=deadline,
-                    nodes=nodes,
                 )
             except ValueError as exc:
                 problems.append((path, str(exc)))
@@ -359,7 +358,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         node = _Node(policy_raw, "$.reward_hat_policy", problems)
         mode = node.string("mode", "fixed")
         if mode == "fixed":
-            value = node.number("value", 0.0)
+            value = _reward_number(node, "value")
             values_raw = node.take("values", None)
             values = None
             if values_raw is not None:
@@ -375,6 +374,8 @@ def scenario_from_dict(data: Any) -> Scenario:
                         elif sid not in sub_ids:
                             node.error(f"unknown subregion id {sid!r}", "values")
                         else:
+                            if v < 0:
+                                node.error(f"{sid!r}: must be >= 0", "values")
                             values[str(sid)] = float(v)
                     if values is not None and set(values) != set(sub_ids):
                         missing = sorted(set(sub_ids) - set(values))
@@ -382,8 +383,8 @@ def scenario_from_dict(data: Any) -> Scenario:
                             node.error(f"missing value for subregion(s) {missing}", "values")
             reward_policy = RewardHatPolicy(mode="fixed", value=value or 0.0, values=values)
         elif mode == "reference":
-            psi_ref = node.number("psi_ref", 0.0)
-            zeta_ref = node.number("zeta_ref", 0.0)
+            psi_ref = _reward_number(node, "psi_ref")
+            zeta_ref = _reward_number(node, "zeta_ref")
             reward_policy = RewardHatPolicy(
                 mode="reference", psi_ref=psi_ref or 0.0, zeta_ref=zeta_ref or 0.0
             )
@@ -612,8 +613,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         }
         if math.isfinite(sub.deadline):
             entry["deadline"] = sub.deadline
-        if sub.nodes is not None:
-            entry["nodes"] = [[p.x, p.y, p.z] for p in sub.nodes]
         out["subregions"].append(entry)
     out["uavs"] = []
     for uav in scenario.uavs:

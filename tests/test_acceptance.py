@@ -19,7 +19,7 @@ from uavmarket.contract import Announcement, build_schedule, optimal_coverage
 from uavmarket.core import FlHyperParams, fl_rounds
 from uavmarket.economics import owner_profit
 from uavmarket.matching import gs_match, stability_audit
-from uavmarket.pipeline import build_preferences, make_market, prepare, run_match
+from uavmarket.pipeline import run_match
 from uavmarket.scenario import fixture_path, load_scenario
 from uavmarket.verification import (
     OracleConfig,
@@ -125,10 +125,7 @@ def test_criterion_08_larger_fleet_displacement():
 
 
 def test_criterion_09_preference_table_reproduced():
-    scenario = load_scenario(fixture_path("table3.scn"))
-    setup = prepare(scenario)
-    market = make_market(setup)
-    _, uav_prefs = build_preferences(setup, market)
+    uav_prefs = run_match(load_scenario(fixture_path("table3.scn"))).published_uav_prefs
     expected = {
         "u1": ("s2", "s3", "s1"),
         "u2": ("s1", "s3", "s2"),

@@ -13,15 +13,27 @@ from conftest import demo_econ, demo_subregion, grid_announcements, random_sched
 from uavmarket.contract import (
     Announcement,
     AuxiliaryType,
+    ContractSchedule,
     build_schedule,
     iron_schedule,
     marginal_cost,
-    menu_utility,
     optimal_coverage,
     reward_schedule,
-    select_winner,
     sort_ladder,
 )
+
+
+def menu_utility(schedule: ContractSchedule, rank: int, item_rank: int) -> float:
+    """Coverage-linked payoff of the type at ``rank`` taking the item at ``item_rank``."""
+    aux = schedule.ladder[rank - 1]
+    item = schedule.items[item_rank - 1]
+    return item.coverage_reward - aux.upsilon * item.theta
+
+
+def select_winner(schedule: ContractSchedule) -> list[AuxiliaryType]:
+    """The cheapest rung(s) of the ladder: every rung tied at the minimum upsilon."""
+    best = schedule.ladder[0].upsilon
+    return [aux for aux in schedule.ladder if aux.upsilon == best]
 
 
 def two_type_schedule(reward_hat=0.0):

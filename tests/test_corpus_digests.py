@@ -1,0 +1,258 @@
+"""Golden digests of the CLI output on a corpus of generated scenarios.
+
+The six bundled fixtures share one subregion order and barely calibrate,
+so their digests cannot see a change to rejection chains, tie handling
+or calibration. The 15 files under ``tests/corpus/`` can: five families
+at 20 UAVs x 20 subregions, seeds 0-2. Each case pins the exit code and
+the sha256 of stdout, stderr and every CSV that ``match`` and ``verify``
+write. A deliberate change to the outputs must update these digests in
+the same commit and say why.
+
+The files were written once with the benchmark's seeded generator
+(``benchmarks/gen.py``, which is not imported here) as
+``gen.write(doc, path)`` with ``N = 20``:
+
+* ``direct-<seed>.scn``    ``gen.direct(N, N, seed)``
+* ``ties-abs-<seed>.scn``  ``gen.ties(N, N, seed)``: exact twins,
+  absolute calibration steps of 0.1
+* ``ties-rel-<seed>.scn``  ``gen.ties(N, N, seed)`` with ``calibration``
+  set to ``gen._RELATIVE_STEPS`` (relative steps of 1 %). Every one of
+  them ends in an unresolved tie (exit 3), which is pinned as it is.
+* ``physical-<seed>.scn``  ``gen.physical(N, N, seed)``: hardware
+  profiles, about 5 % of pairs pass screening
+* ``hetero-<seed>.scn``    ``gen.direct(N, N, seed)``, then, drawing from
+  ``random.Random(f"hetero:{N}x{N}:{seed}")`` UAV by UAV in file order,
+  ``alpha`` becomes a per-subregion map ``round(alpha * U(0.5, 1.5), 3)``
+  and each ``psi`` entry becomes ``round(psi * U(0, 2), 3)``, subregion
+  by subregion. Each subregion then ranks the UAVs in its own order.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from uavmarket.cli import main
+
+CORPUS = Path(__file__).parent / "corpus"
+
+DIGESTS = {
+    ("direct-0.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "fdf842d23b6f9981082fdae2e016539b561aa4f5fccabbe7892a8a1119138701",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "358835c833b83cb19de318401c2792a2cc2613b360fbd843e7b86fa2c6ef0e97",
+    },
+    ("direct-0.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "86c0176d2e8e924d3412003041b12cfd5fa5a5dfa012b820d9455cfaf4f9b409",
+        "verify.csv": "05415ebf038c946e057e69b52601bb8dcb6b0b26be6cb74cae23667e5c931861",
+    },
+    ("direct-1.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "8ff0f3c3b43e6b2d90efed2f64521705cf313b55be024379469a98fa26c14136",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "eef2db3883dedeb279e312e4d397b42118e8d9ab49e1f6d61c38991c6f6e5b66",
+    },
+    ("direct-1.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "f49f73f83957bb8d0c9f8241c9a85f9d492d9db943b5047d3696c60db1de9e68",
+        "verify.csv": "5ba853910c2ea023d299008d6de2a1b688daf36464d55f3518e7e6a2d3f46db7",
+    },
+    ("direct-2.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "72f39e4d444c748a6a7cbc1756abecf832058685e7bc97284f632c2093620897",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "ea0352ae0a904a61c7ec1fd6cbb92b66472ef6b557b24acbd95ed158c31daad1",
+    },
+    ("direct-2.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "77c3acd830df33ed328cedc99cb0a5270942248800b5c0ac434ffb440bc38e2a",
+        "verify.csv": "3b62c920a4d1fd806898c3aac499b181f7af8175aa8739d8212f58bcbfb4c03f",
+    },
+    ("hetero-0.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "10dc0615c4db977730a18c0f7140d0bc0aa4cc293855682670fe1564c77736a5",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "dab6005cdca0b3e723663b86cb24702907c6cc69965aee96375210f82ea2d3cb",
+    },
+    ("hetero-0.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "26622e01f121368041606955d9b4f30bd797c7cfc1d6c2413888192c114c4075",
+        "verify.csv": "7b7263d152adcd92f8f1e5bc8223074209d60a185fd74f0afe4cbc191f5aaada",
+    },
+    ("hetero-1.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "08e9e4cd4ea7e96ba9d6b8ddc6add9b56913d79708b13a832f1c8ec90d8958a9",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "0f7b29fa1644f9c0fa348645e941755ab65fad96d9b8d87426165c9ebbfc6579",
+    },
+    ("hetero-1.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "08d2b8c0dd1cf2c7d4363dc6c1cb0106881a83dfb4b3bfaffa7cd334b0e29bba",
+        "verify.csv": "5c787e79f7beeff913e9ee3906951037b32b7d4bfff52618575ed38dd132c37e",
+    },
+    ("hetero-2.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "8396eb94d19221850f75ff6700f3d8545c300120e3810fb7715bcd9cb94aaeb0",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "bacff03a346253279f8924f2f7ba7bcff76264210173712097f8223d13c40de0",
+    },
+    ("hetero-2.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "ebf895f96d01b807cf37ecee5a316047cae939e5cdabcc1e99c26e2d9445a2d4",
+        "verify.csv": "b9f14943acda99adbcefabc6d3983bc1759a35ab17a8d76f8e9dc902c6b26eeb",
+    },
+    ("physical-0.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "e52ad231c002eab11dbeb27f46be315835738113c7c10e86ed8e14ec06384ca7",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "957ec1165a2affaa4fee419ebfc421a5abc5229b0236c72ab6d7b754767f663c",
+    },
+    ("physical-0.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "42de4b6f1729621e33763717499ac5900570de68ebbbb3662de6fc3a660aa19b",
+        "verify.csv": "368cee79e7b6cc5567be88195f720c9ea22e0d3a2e75b37ed807e370ea9b4f6c",
+    },
+    ("physical-1.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "04a56c7bca54f808e42afb6053491ffbb27d10297889557e6f888e5859ff6f2b",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "0459eadbcef0680ce99db329fd1aaff6af3d58081c23872f653499664a791d1b",
+    },
+    ("physical-1.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "63d86f9a53048117ecd47db1129d7a7c9e155922a4b390a1af575c7acf0d3c48",
+        "verify.csv": "672d7632a60acf435824002a48bcf5f600d128c0b9385c1b437760919afddbb8",
+    },
+    ("physical-2.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "ff917f8de7d75253e7484fdb74cc8e09e2e2e194c7ada2327f3434b0db82ee2a",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "ade7539fae289118589b5ed7b7627cde0d126201dcb0af96b1c36fab8aa6a9b7",
+    },
+    ("physical-2.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "e9fc246653607bdd21bb531f0038d743dd1bf3f088950b6164ed740d18429514",
+        "verify.csv": "e150140bb7040f02e307055f3e4dda01d7b56cb4d86650579a7106e33aebda9a",
+    },
+    ("ties-abs-0.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "189957dcd9c03886083e7e985b3eda079a0e055bd011e90b6137cd47a38acc98",
+        "calibration.csv": "3ca8a8438334d12b24243752683713a9fa994e822887bbd6e298a79665703944",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "26cf32df940e68ef4f07af574726602981415999504497fb1a2bd014ab87efef",
+    },
+    ("ties-abs-0.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "513a00becd375994fa205ef7cc3d54ef306cbfdca9abb8b0a91358c1170f2921",
+        "verify.csv": "5d24df8ea4940f24dded3562a868dfcdc786b7466b5153318139e266396bdb08",
+    },
+    ("ties-abs-1.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "fab364b8457a91849c1a0b3e286ba899e48a68c088f6186a959cec69c8fc33fa",
+        "calibration.csv": "edcd5ec01888522a21c96207bc585ee4cef8648c46e9b86cbd5c7e9126228cd2",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "af1bd7e98742d56a633207e2e4e82d659dd0f25b0dc719106a2c735929dbd577",
+    },
+    ("ties-abs-1.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "f19eca214ed4586e76cacb6adc963d2692c6cf60ec2521a2a359dc3cbea99739",
+        "verify.csv": "57f1d7bd3579384569b3db58e39d23f9811291b10dfdca7efe08259c04f24753",
+    },
+    ("ties-abs-2.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "aed7f4d957e33eb3256b31cb1891dd451fe24e04161867d46c586cccde41093e",
+        "calibration.csv": "21ff274ba1128ff5bb920bb8a5350bf354ba502a01e987d39e97352b8b55cc95",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "14f997a52b12152b695e6413d4a0cfbfdfded6aa0b9a24154c2e66d28fa4b974",
+    },
+    ("ties-abs-2.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c223a8b03b1977faae64a79e48cd5983f73f30c626a926ea1e5812fb36aa0d16",
+        "verify.csv": "2fa09658fdbffa00e671e7e13c0a7c60e27f1c37ee6487a688557782087b95b5",
+    },
+    ("ties-rel-0.scn", "match"): {
+        "exit": 3,
+        "stderr": "bcaae0ab7fc0aaa893f5eda063a8b5fa0bcca6fd96858373e31610157f48dce4",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-0.scn", "verify"): {
+        "exit": 3,
+        "stderr": "bcaae0ab7fc0aaa893f5eda063a8b5fa0bcca6fd96858373e31610157f48dce4",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-1.scn", "match"): {
+        "exit": 3,
+        "stderr": "d75aa06a340145d1264bc443b6665aede20f0a5fb22c86f0f2219946ac543fe7",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-1.scn", "verify"): {
+        "exit": 3,
+        "stderr": "d75aa06a340145d1264bc443b6665aede20f0a5fb22c86f0f2219946ac543fe7",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-2.scn", "match"): {
+        "exit": 3,
+        "stderr": "59ede650dee2b4ddf0145570edca2797531b672a8169e75bf34b0c35c229bab9",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-2.scn", "verify"): {
+        "exit": 3,
+        "stderr": "59ede650dee2b4ddf0145570edca2797531b672a8169e75bf34b0c35c229bab9",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+}
+
+
+def sha256(text_or_bytes) -> str:
+    if isinstance(text_or_bytes, str):
+        text_or_bytes = text_or_bytes.encode("utf-8")
+    return hashlib.sha256(text_or_bytes).hexdigest()
+
+
+def test_corpus_holds_exactly_the_pinned_scenarios():
+    assert sorted(p.name for p in CORPUS.glob("*.scn")) == sorted({s for s, _ in DIGESTS})
+
+
+@pytest.mark.parametrize("scenario,command", sorted(DIGESTS))
+def test_corpus_outputs_match_golden_digests(scenario, command, tmp_path, capsys):
+    code = main([command, "--scenario", str(CORPUS / scenario), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    produced = {"exit": code, "stdout": sha256(captured.out), "stderr": sha256(captured.err)}
+    for path in tmp_path.iterdir():
+        produced[path.name] = sha256(path.read_bytes())
+    assert produced == DIGESTS[(scenario, command)]

@@ -11,9 +11,18 @@ from uavmarket.economics import (
     EconomyParams,
     model_accuracy,
     owner_profit,
-    revised_utility,
     uav_utility,
 )
+
+
+def revised_utility(item: ContractItem, alpha: float, beta: float, phi: float) -> float:
+    """Payoff net of coverage-linked costs only: ``R - phi*(alpha+beta)*theta``.
+
+    This is the quantity the self-selection analysis runs on; the fixed
+    traversal and upload legs are settled separately.
+    """
+    return item.coverage_reward - phi * (alpha + beta) * item.theta
+
 
 ECON = EconomyParams(phi=0.05, mu=1.0, sigma=100.0, n_subregions=1)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_matching_instance
+from conftest import demo_econ, demo_subregion, random_matching_instance
 from uavmarket.contract import Announcement, build_schedule
 from uavmarket.core import CostVector, Position, Subregion
 from uavmarket.economics import EconomyParams
@@ -77,13 +77,11 @@ class TestPreferenceBuilders:
             Announcement("far", 250.0, 20.0, psi=50.0),
             Announcement("near", 250.0, 20.0, psi=5.0),
         ]
-        pref = build_subregion_preferences("s1", announcements, phi=0.05)
+        schedule = build_schedule(announcements, demo_subregion(), demo_econ())
+        pref = build_subregion_preferences(schedule)
+        assert pref.owner == "s1"
         assert pref.ranked == ("near", "far", "slow")
         assert pref.scores == pytest.approx((13.5, 13.5, 27.0))
-
-    def test_empty_announcements_allowed(self):
-        pref = build_subregion_preferences("s1", [], phi=0.05)
-        assert pref.ranked == ()
 
     def test_uav_preferences_rank_by_payoff_and_drop_negative(self):
         market = tie_market(
@@ -235,15 +233,7 @@ class TestRewardsCalibration:
             {("a", "s1"): 10.0, ("b", "s1"): 12.0, ("a", "s2"): 5.0, ("b", "s2"): 400.0},
             reward_hat=2.0,
         )
-        sub_prefs = {
-            s: build_subregion_preferences(
-                s,
-                [Announcement(u, 250.0, 20.0, psi=market.costs[u][s].psi)
-                 for u in ("a", "b")],
-                0.05,
-            )
-            for s in ("s1", "s2")
-        }
+        sub_prefs = {s: build_subregion_preferences(market.schedules[s]) for s in ("s1", "s2")}
         uav_prefs = {u: build_uav_preferences(u, market) for u in ("a", "b")}
         state = gs_match(sub_prefs, uav_prefs, CalibrationPolicy(), market)
         assert state.assignment == {"a": "s2", "b": "s1"}

@@ -9,8 +9,6 @@ from uavmarket.economics import model_accuracy
 from uavmarket.pipeline import (
     VerifyCheck,
     VerifyReport,
-    build_preferences,
-    make_market,
     prepare,
     run_contract,
     run_match,
@@ -99,10 +97,8 @@ class TestRunMatch:
         assert not setup.feasibility["u3"]["s2"].time_ok
         announced_s2 = [a.uav_id for a in setup.announcements["s2"]]
         assert "u3" not in announced_s2 and "u1" in announced_s2
-        market = make_market(setup)
-        sub_prefs, _ = build_preferences(setup, market)
-        assert "u3" not in sub_prefs["s2"].ranked
         report = run_match(scenario)
+        assert "u3" not in report.sub_prefs["s2"].ranked
         assert report.match.assignment == {"u1": "s1", "u2": "s2"}
         assert report.realized_utilities["u3"] == 0.0
         # u1's fixed costs equal the reference-priced fixed reward, so it
@@ -245,6 +241,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert "$.economy.sigma: expected a finite number, got nan" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["match", "verify"])
+    @pytest.mark.parametrize(
+        "policy,field",
+        [
+            ({"mode": "fixed", "value": -50}, "value"),
+            ({"mode": "reference", "psi_ref": -5000}, "psi_ref"),
+        ],
+        ids=["value", "psi_ref"],
+    )
+    def test_negative_fixed_reward_exits_one(self, tmp_path, capsys, policy, field, command):
+        doc = json.loads(fixture_path("fig6.scn").read_text(encoding="utf-8"))
+        doc["reward_hat_policy"] = policy
+        bad = tmp_path / "negative.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([command, "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"$.reward_hat_policy.{field}: must be >= 0" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_parse_error_exits_one(self, tmp_path, capsys):

@@ -90,6 +90,13 @@ class TestValidation:
         paths = [path for path, _ in err.value.problems]
         assert "$.mystery" in paths and "$.economy.bonus" in paths
 
+    def test_subregion_nodes_is_an_unknown_field(self):
+        doc = minimal_doc()
+        doc["subregions"][0]["nodes"] = [[0.0, 0.0, 0.0]]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [("$.subregions[0].nodes", "unknown field")]
+
     def test_all_violations_collected(self):
         doc = minimal_doc()
         doc["theta_hat"] = 2.0
@@ -259,6 +266,35 @@ class TestNonFiniteNumbers:
         scenario = scenario_from_dict(doc)
         assert all(math.isinf(sub.deadline) for sub in scenario.subregions)
         assert all(math.isinf(uav.energy_capacity) for uav in scenario.uavs)
+
+
+class TestRewardHatPolicy:
+    @pytest.mark.parametrize(
+        "policy,field,message",
+        [
+            ({"mode": "fixed", "value": -50.0}, "value", "must be >= 0"),
+            ({"mode": "fixed", "values": {"s1": -0.5}}, "values", "'s1': must be >= 0"),
+            ({"mode": "reference", "psi_ref": -5000.0}, "psi_ref", "must be >= 0"),
+            ({"mode": "reference", "zeta_ref": -1.0}, "zeta_ref", "must be >= 0"),
+        ],
+        ids=["value", "values", "psi_ref", "zeta_ref"],
+    )
+    def test_negative_number_rejected_with_field_path(self, policy, field, message):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(minimal_doc(reward_hat_policy=policy))
+        assert err.value.problems == [(f"$.reward_hat_policy.{field}", message)]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"mode": "fixed", "value": 0.0},
+            {"mode": "fixed", "values": {"s1": 0}},
+            {"mode": "reference", "psi_ref": 0.0, "zeta_ref": 0.0},
+        ],
+    )
+    def test_zero_accepted(self, policy):
+        scenario = scenario_from_dict(minimal_doc(reward_hat_policy=policy))
+        assert scenario.reward_hat_policy.reward_hat_for("s1", 0.05) == 0.0
 
 
 class TestRoundTrip:
