@@ -9,7 +9,6 @@ rule. A verification layer re-derives the analytic pieces by brute force.
 """
 
 from .contract import (
-    Announcement,
     AuditReport,
     AuxiliaryType,
     ContractSchedule,

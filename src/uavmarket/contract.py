@@ -12,38 +12,27 @@ that leaves the costliest type exactly at break-even.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Subregion
+from .core import CostVector, Subregion
 from .economics import ContractItem, EconomyParams
 
 AUDIT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class Announcement:
-    """The cost type one UAV reports to one subregion after screening."""
-
-    uav_id: str
-    alpha: float
-    beta: float
-    psi: float = 0.0
-    zeta: float = 0.0
-
-
-@dataclass(frozen=True)
 class AuxiliaryType:
-    """A ladder rung: one announcer at its position in the marginal-cost order."""
+    """A ladder rung: one announcer at its position in the marginal-cost order.
+
+    ``costs`` is the cost vector the UAV announced to this subregion.
+    """
 
     rank: int            # 1-based, 1 = cheapest coverage
     uav_id: str
-    alpha: float
-    beta: float
     upsilon: float
-    psi: float = 0.0
-    zeta: float = 0.0
+    costs: CostVector
 
     def __post_init__(self):
         if self.upsilon <= 0:
@@ -123,38 +112,35 @@ def marginal_cost(alpha: float, beta: float, phi: float) -> float:
     return phi * (alpha + beta)
 
 
-def sort_ladder(announcements: Sequence[Announcement], phi: float) -> list[AuxiliaryType]:
+def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[AuxiliaryType]:
     """Order announcers by ascending marginal cost of coverage.
 
-    Ties are broken by lower traversal cost, then lower upload cost, then
-    announcement order, so ladders are deterministic.
+    ``announcements`` maps each UAV id to the costs it announced, in
+    announcement order. Ties are broken by lower traversal cost, then
+    lower upload cost, then the mapping's order, so ladders are
+    deterministic.
     """
     if not announcements:
         raise ValueError("at least one announcement is required")
-    # the position i is unique, so the announcement itself is never compared
+    # the position i is unique, so the ids and vectors are never compared
     keyed = sorted(
-        (marginal_cost(a.alpha, a.beta, phi), a.psi, a.zeta, i, a)
-        for i, a in enumerate(announcements)
+        (marginal_cost(c.alpha, c.beta, phi), c.psi, c.zeta, i, uav_id, c)
+        for i, (uav_id, c) in enumerate(announcements.items())
     )
     return [
-        AuxiliaryType(
-            rank=rank,
-            uav_id=a.uav_id,
-            alpha=a.alpha,
-            beta=a.beta,
-            upsilon=upsilon,
-            psi=a.psi,
-            zeta=a.zeta,
-        )
-        for rank, (upsilon, _, _, _, a) in enumerate(keyed, start=1)
+        AuxiliaryType(rank=rank, uav_id=uav_id, upsilon=upsilon, costs=c)
+        for rank, (upsilon, _, _, _, uav_id, c) in enumerate(keyed, start=1)
     ]
 
 
 def optimal_coverage(aux: AuxiliaryType, sub: Subregion, econ: EconomyParams) -> float:
-    """Profit-maximising coverage for this rung, clamped into [0, 1].
+    """Closed-form coverage target for this rung, clamped into [0, 1].
 
-    Closed form: ``(sigma / (N * upsilon) - 1) / (mu * data_volume)``;
-    cheap types are asked to cover more.
+    ``(sigma / (N * upsilon) - 1) / (mu * D)``, with ``D`` the subregion's
+    data volume, maximises the owner's per-subregion coverage payoff
+    ``sigma / (N * mu * D) * ln(1 + mu * theta * D) - upsilon * theta``
+    (the objective ``verification.coverage_payoff`` scans), not
+    ``economics.owner_profit``; cheap types are asked to cover more.
     """
     raw = (econ.sigma / (econ.n_subregions * aux.upsilon) - 1.0) / (econ.mu * sub.data_volume)
     return min(1.0, max(0.0, raw))
@@ -210,7 +196,7 @@ def reward_schedule(
 
 
 def build_schedule(
-    announcements: Sequence[Announcement],
+    announcements: Mapping[str, CostVector],
     sub: Subregion,
     econ: EconomyParams,
     reward_hat: float = 0.0,

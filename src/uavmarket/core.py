@@ -175,11 +175,6 @@ class CostVector:
             if not 0 <= v < math.inf:
                 raise ValueError(f"cost vector field {name} must be finite and >= 0")
 
-    @classmethod
-    def declared(cls, alpha: float, beta: float, psi: float, zeta: float) -> "CostVector":
-        """Wrap directly declared type values, passed through unchanged."""
-        return cls(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

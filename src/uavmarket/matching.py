@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .contract import ContractSchedule
-from .core import CostVector
 from .economics import ContractItem, EconomyParams, payoff
 from .errors import UnresolvedTieError
 
@@ -101,20 +100,14 @@ class MatchState:
 class Market:
     """Live pricing view used while a match runs.
 
-    Holds the built schedules, each UAV's cost vector per subregion, and
-    the current (possibly calibrated-down) reward vectors. Utilities are
-    always computed against the current vectors, so every participant sees
-    a reduction as soon as it happens.
+    Holds the built schedules, whose ladders carry each announcer's cost
+    vector, and the current (possibly calibrated-down) reward vectors.
+    Utilities are always computed against the current vectors, so every
+    participant sees a reduction as soon as it happens.
     """
 
-    def __init__(
-        self,
-        schedules: Mapping[str, ContractSchedule],
-        costs: Mapping[str, Mapping[str, CostVector]],
-        econ: EconomyParams,
-    ):
+    def __init__(self, schedules: Mapping[str, ContractSchedule], econ: EconomyParams):
         self.schedules = dict(schedules)
-        self.costs = {u: dict(by_sub) for u, by_sub in costs.items()}
         self.econ = econ
         self._rewards: dict[str, list[float]] = {
             sub_id: list(s.coverage_rewards()) for sub_id, s in self.schedules.items()
@@ -123,9 +116,6 @@ class Market:
 
     def subregion_ids(self) -> list[str]:
         return list(self.schedules)
-
-    def uav_ids(self) -> list[str]:
-        return list(self.costs)
 
     def coverage_rewards(self, sub_id: str) -> tuple[float, ...]:
         return tuple(self._rewards[sub_id])
@@ -149,7 +139,7 @@ class Market:
             item.theta,
             self._rewards[sub_id][rank - 1],
             item.fixed_reward,
-            self.costs[uav_id][sub_id],
+            schedule.ladder[rank - 1].costs,
             self.econ.phi,
         )
 
@@ -251,7 +241,7 @@ def rewards_calibration(
         return market.utility(uav, sub_id) - outside[uav]
 
     def fallback_key(uav: str):
-        return (ladder[uav].psi, ladder[uav].zeta, order[uav])
+        return (ladder[uav].costs.psi, ladder[uav].costs.zeta, order[uav])
 
     before = market.coverage_rewards(sub_id)
     rounds = 0

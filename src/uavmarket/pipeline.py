@@ -15,12 +15,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .contract import (
-    Announcement,
-    ContractSchedule,
-    build_schedule,
-    optimal_coverage,
-)
+from .contract import ContractSchedule, build_schedule, optimal_coverage
 from .core import (
     CostVector,
     FeasibilityReport,
@@ -56,9 +51,9 @@ class MarketSetup:
     """Everything derived from a scenario before any matching runs."""
 
     scenario: Scenario
-    costs: dict[str, dict[str, CostVector]]
     feasibility: dict[str, dict[str, FeasibilityReport]]
-    announcements: dict[str, list[Announcement]]
+    # subregion -> uav -> announced costs, in announcement order
+    announcements: dict[str, dict[str, CostVector]]
     reward_hats: dict[str, float]
     schedules: dict[str, ContractSchedule]
 
@@ -109,37 +104,23 @@ def prepare(scenario: Scenario) -> MarketSetup:
     assumed feasible everywhere.
     """
     econ = scenario.economy
-    costs: dict[str, dict[str, CostVector]] = {}
     feasibility: dict[str, dict[str, FeasibilityReport]] = {}
-    announcements: dict[str, list[Announcement]] = {s.id: [] for s in scenario.subregions}
+    announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in scenario.subregions}
     for uav in scenario.uavs:
-        costs[uav.id] = {}
         if isinstance(uav, UavProfile):
             feasibility[uav.id] = {}
         for sub in scenario.subregions:
             if isinstance(uav, UavProfile):
-                vector = derive_cost_vector(sub, uav, scenario.fl)
+                # a pair that fails the screen never announces, so its
+                # cost vector is derived only once it passes
                 report = check_feasibility(sub, uav, scenario.fl, scenario.theta_hat)
                 feasibility[uav.id][sub.id] = report
                 if not report.feasible:
                     continue
+                vector = derive_cost_vector(sub, uav, scenario.fl)
             else:
-                vector = CostVector.declared(
-                    alpha=uav.value_for("alpha", sub.id),
-                    beta=uav.value_for("beta", sub.id),
-                    psi=uav.psi_for(sub),
-                    zeta=uav.value_for("zeta", sub.id),
-                )
-            costs[uav.id][sub.id] = vector
-            announcements[sub.id].append(
-                Announcement(
-                    uav_id=uav.id,
-                    alpha=vector.alpha,
-                    beta=vector.beta,
-                    psi=vector.psi,
-                    zeta=vector.zeta,
-                )
-            )
+                vector = uav.costs_for(sub)
+            announcements[sub.id][uav.id] = vector
     reward_hats = {
         sub.id: scenario.reward_hat_policy.reward_hat_for(sub.id, econ.phi)
         for sub in scenario.subregions
@@ -153,7 +134,6 @@ def prepare(scenario: Scenario) -> MarketSetup:
         )
     return MarketSetup(
         scenario=scenario,
-        costs=costs,
         feasibility=feasibility,
         announcements=announcements,
         reward_hats=reward_hats,
@@ -178,7 +158,7 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
     ``run_sweep`` read their checks and rows off the report it returns.
     """
     setup = prepare(scenario)
-    market = Market(setup.schedules, setup.costs, scenario.economy)
+    market = Market(setup.schedules, scenario.economy)
     sub_prefs = {
         sub_id: build_subregion_preferences(schedule)
         for sub_id, schedule in setup.schedules.items()
@@ -213,7 +193,7 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
         item = final_schedules[sub.id].item_for(uav_id)
         coverages[sub.id] = item.theta
         paid[sub.id] = item.total_reward
-        realized[uav_id] = uav_utility(item, setup.costs[uav_id][sub.id], econ)
+        realized[uav_id] = uav_utility(item, setup.announcements[sub.id][uav_id], econ)
     accuracy_terms = [
         (coverages[sub.id], sub.data_volume) for sub in scenario.subregions
     ]

@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .core import FlHyperParams, Position, Subregion, UavProfile
+from .core import CostVector, FlHyperParams, Position, Subregion, UavProfile
 from .economics import EconomyParams
 from .errors import ScenarioError
 from .matching import CalibrationPolicy
@@ -52,18 +52,18 @@ class DirectUavTypes:
     velocity: float | None = None
     power: float | None = None
 
-    def value_for(self, name: str, sub_id: str) -> float:
-        v = getattr(self, name)
-        if isinstance(v, Mapping):
-            return float(v[sub_id])
-        return float(v)
+    def costs_for(self, sub: Subregion) -> CostVector:
+        """The cost vector this UAV announces to ``sub``."""
 
-    def psi_for(self, sub: Subregion) -> float:
+        def value(v: float | Mapping[str, float]) -> float:
+            return float(v[sub.id]) if isinstance(v, Mapping) else float(v)
+
         if self.psi is not None:
-            return self.value_for("psi", sub.id)
-        # derived traversal: fly the base-to-center leg at cruise power
-        distance = self.base.distance_to(sub.center)
-        return self.power * distance / self.velocity
+            psi = value(self.psi)
+        else:
+            # derived traversal: fly the base-to-center leg at cruise power
+            psi = self.power * self.base.distance_to(sub.center) / self.velocity
+        return CostVector(value(self.alpha), value(self.beta), psi, value(self.zeta))
 
 
 @dataclass(frozen=True)

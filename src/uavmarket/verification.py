@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .contract import AuxiliaryType, ContractSchedule
-from .core import Position, Subregion
+from .core import CostVector, Position, Subregion
 from .economics import EconomyParams
 from .matching import PreferenceList
 
@@ -222,7 +222,7 @@ def random_coverage_draw(
     target = rng.uniform(0.02, 0.95)
     sigma = n_subregions * upsilon * (1.0 + mu * volume * target)
     aux = AuxiliaryType(
-        rank=1, uav_id="draw", alpha=alpha, beta=beta, upsilon=upsilon
+        rank=1, uav_id="draw", upsilon=upsilon, costs=CostVector(alpha, beta, 0.0, 0.0)
     )
     sub = Subregion(
         id="draw",

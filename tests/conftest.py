@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from uavmarket.contract import Announcement, build_schedule
-from uavmarket.core import Position, Subregion
+from uavmarket.contract import build_schedule
+from uavmarket.core import CostVector, Position, Subregion
 from uavmarket.economics import EconomyParams
 from uavmarket.matching import PreferenceList
 
@@ -27,10 +27,10 @@ def demo_econ(sigma=100.0, n_subregions=1, mu=1.0, phi=0.05):
 
 
 def grid_announcements():
-    return [
-        Announcement(uav_id=f"u{k + 1}", alpha=a, beta=b)
+    return {
+        f"u{k + 1}": CostVector(a, b, 0.0, 0.0)
         for k, (a, b) in enumerate(zip(GRID_ALPHAS, GRID_BETAS))
-    ]
+    }
 
 
 @pytest.fixture
@@ -46,16 +46,15 @@ def random_schedule(rng: np.random.Generator, reward_hat=0.0):
     while len(np.unique(upsilons)) != m:
         upsilons = np.sort(rng.uniform(1.0, 60.0, size=m))
     phi = 0.05
-    announcements = [
-        Announcement(
-            uav_id=f"u{i}",
+    announcements = {
+        f"u{i}": CostVector(
             alpha=float(u / phi - 10.0),
             beta=10.0,
             psi=float(rng.uniform(0.0, 500.0)),
             zeta=float(rng.uniform(0.0, 500.0)),
         )
         for i, u in enumerate(upsilons)
-    ]
+    }
     volume = float(rng.uniform(1.0, 50.0))
     mu = float(rng.uniform(0.1, 5.0))
     sigma = float(upsilons[-1] * rng.uniform(1.05, 4.0))

@@ -15,7 +15,7 @@ from conftest import (
     random_matching_instance,
     random_schedule,
 )
-from uavmarket.contract import Announcement, build_schedule, optimal_coverage
+from uavmarket.contract import build_schedule, optimal_coverage
 from uavmarket.core import FlHyperParams, fl_rounds
 from uavmarket.economics import owner_profit
 from uavmarket.matching import gs_match, stability_audit
@@ -183,10 +183,7 @@ def test_criterion_13_fixed_reward_invariance():
     rng = np.random.default_rng(31)
     for _ in range(20):
         base_schedule, sub, econ = random_schedule(rng, reward_hat=0.0)
-        announcements = [
-            Announcement(aux.uav_id, aux.alpha, aux.beta, aux.psi, aux.zeta)
-            for aux in base_schedule.ladder
-        ]
+        announcements = {aux.uav_id: aux.costs for aux in base_schedule.ladder}
         reference = None
         for rhat in (0.0, 1.0, 1e3):
             schedule = build_schedule(announcements, sub, econ, reward_hat=rhat)

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from conftest import demo_econ, demo_subregion, grid_announcements, random_schedule
 from uavmarket.contract import (
-    Announcement,
     AuxiliaryType,
     ContractSchedule,
     build_schedule,
@@ -21,6 +20,7 @@ from uavmarket.contract import (
     reward_schedule,
     sort_ladder,
 )
+from uavmarket.core import CostVector
 
 
 def menu_utility(schedule: ContractSchedule, rank: int, item_rank: int) -> float:
@@ -37,10 +37,10 @@ def select_winner(schedule: ContractSchedule) -> list[AuxiliaryType]:
 
 
 def two_type_schedule(reward_hat=0.0):
-    announcements = [
-        Announcement(uav_id="cheap", alpha=250.0, beta=20.0),
-        Announcement(uav_id="dear", alpha=875.0, beta=70.0),
-    ]
+    announcements = {
+        "cheap": CostVector(250.0, 20.0, 0.0, 0.0),
+        "dear": CostVector(875.0, 70.0, 0.0, 0.0),
+    }
     return build_schedule(announcements, demo_subregion(), demo_econ(), reward_hat)
 
 
@@ -53,7 +53,7 @@ class TestMarginalCost:
         with pytest.raises(ValueError):
             marginal_cost(0.0, 20.0, 0.05)
         with pytest.raises(ValueError):
-            AuxiliaryType(rank=1, uav_id="x", alpha=1.0, beta=1.0, upsilon=0.0)
+            AuxiliaryType(rank=1, uav_id="x", upsilon=0.0, costs=CostVector(1.0, 1.0, 0.0, 0.0))
 
 
 class TestSortLadder:
@@ -66,34 +66,47 @@ class TestSortLadder:
         assert [aux.uav_id for aux in ladder] == [f"u{k}" for k in range(1, 7)]
 
     def test_single_announcer(self):
-        ladder = sort_ladder([Announcement("only", 100.0, 10.0)], phi=0.05)
+        ladder = sort_ladder({"only": CostVector(100.0, 10.0, 0.0, 0.0)}, phi=0.05)
         assert len(ladder) == 1 and ladder[0].rank == 1
 
     def test_tie_broken_by_traversal_cost(self):
-        near = Announcement("near", 100.0, 10.0, psi=5.0)
-        far = Announcement("far", 100.0, 10.0, psi=50.0)
-        ladder = sort_ladder([far, near], phi=0.05)
+        # traversal cost decides before upload cost
+        near = CostVector(100.0, 10.0, 5.0, 9.0)
+        far = CostVector(100.0, 10.0, 50.0, 0.0)
+        ladder = sort_ladder({"far": far, "near": near}, phi=0.05)
         assert [aux.uav_id for aux in ladder] == ["near", "far"]
+        assert [aux.costs for aux in ladder] == [near, far]
+
+    def test_full_tie_broken_by_mapping_order(self):
+        same = CostVector(100.0, 10.0, 5.0, 1.0)
+        ladder = sort_ladder({"b": same, "a": same}, phi=0.05)
+        assert [aux.uav_id for aux in ladder] == ["b", "a"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            sort_ladder([], phi=0.05)
+            sort_ladder({}, phi=0.05)
 
 
 class TestOptimalCoverage:
     def test_cheap_type(self):
-        aux = AuxiliaryType(rank=1, uav_id="x", alpha=250.0, beta=20.0, upsilon=13.5)
+        aux = AuxiliaryType(
+            rank=1, uav_id="x", upsilon=13.5, costs=CostVector(250.0, 20.0, 0.0, 0.0)
+        )
         value = optimal_coverage(aux, demo_subregion(), demo_econ())
         assert value == pytest.approx((100.0 / 13.5 - 1.0) / 10.0)
         assert value == pytest.approx(0.64074, abs=1e-5)
 
     def test_dear_type(self):
-        aux = AuxiliaryType(rank=6, uav_id="y", alpha=875.0, beta=70.0, upsilon=47.25)
+        aux = AuxiliaryType(
+            rank=6, uav_id="y", upsilon=47.25, costs=CostVector(875.0, 70.0, 0.0, 0.0)
+        )
         value = optimal_coverage(aux, demo_subregion(), demo_econ())
         assert value == pytest.approx(0.11164, abs=1e-5)
 
     def test_clamping(self):
-        aux = AuxiliaryType(rank=1, uav_id="x", alpha=250.0, beta=20.0, upsilon=13.5)
+        aux = AuxiliaryType(
+            rank=1, uav_id="x", upsilon=13.5, costs=CostVector(250.0, 20.0, 0.0, 0.0)
+        )
         assert optimal_coverage(aux, demo_subregion(), demo_econ(sigma=10.0)) == 0.0
         assert optimal_coverage(aux, demo_subregion(), demo_econ(sigma=1e6)) == 1.0
 
@@ -134,11 +147,12 @@ class TestRewardSchedule:
         assert [item.coverage_reward for item in schedule.items] == pytest.approx(expected)
 
     def test_single_type_break_even(self):
-        ladder = sort_ladder([Announcement("only", 250.0, 20.0)], phi=0.05)
+        only = {"only": CostVector(250.0, 20.0, 0.0, 0.0)}
+        ladder = sort_ladder(only, phi=0.05)
         items = reward_schedule(ladder, [0.4], reward_hat=0.0)
         assert items[0].coverage_reward == pytest.approx(13.5 * 0.4)
         assert menu_utility(
-            build_schedule([Announcement("only", 250.0, 20.0)], demo_subregion(), demo_econ()),
+            build_schedule(only, demo_subregion(), demo_econ()),
             1,
             1,
         ) == pytest.approx(0.0, abs=1e-12)
@@ -150,7 +164,7 @@ class TestRewardSchedule:
         assert len(rewards) == 1
 
     def test_non_monotone_rejected(self):
-        ladder = sort_ladder(grid_announcements()[:2], phi=0.05)
+        ladder = sort_ladder(grid_announcements(), phi=0.05)[:2]
         with pytest.raises(ValueError):
             reward_schedule(ladder, [0.2, 0.5], reward_hat=0.0)
 
@@ -234,11 +248,11 @@ class TestSelectWinner:
         assert winners[0].uav_id == "u1" and winners[0].upsilon == pytest.approx(13.5)
 
     def test_tied_winners_surfaced(self):
-        announcements = [
-            Announcement("a", 250.0, 20.0, psi=1.0),
-            Announcement("b", 250.0, 20.0, psi=2.0),
-            Announcement("c", 500.0, 40.0),
-        ]
+        announcements = {
+            "a": CostVector(250.0, 20.0, 1.0, 0.0),
+            "b": CostVector(250.0, 20.0, 2.0, 0.0),
+            "c": CostVector(500.0, 40.0, 0.0, 0.0),
+        }
         schedule = build_schedule(announcements, demo_subregion(), demo_econ())
         winners = select_winner(schedule)
         assert [w.uav_id for w in winners] == ["a", "b"]

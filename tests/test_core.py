@@ -23,6 +23,7 @@ from uavmarket.core import (
     transmission_phase,
     traversal_phase,
 )
+from uavmarket.scenario import DirectUavTypes
 
 
 def make_profile(**overrides):
@@ -215,12 +216,13 @@ class TestCostVector:
         assert far.zeta == near.zeta
 
     def test_declared_values_pass_through(self):
-        vector = CostVector.declared(alpha=250.0, beta=20.0, psi=100.0, zeta=50.0)
+        uav = DirectUavTypes(id="d", alpha=250.0, beta={"s1": 20.0}, psi=100.0, zeta=50.0)
+        vector = uav.costs_for(make_sub())
         assert (vector.alpha, vector.beta, vector.psi, vector.zeta) == (250.0, 20.0, 100.0, 50.0)
 
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
-            CostVector.declared(alpha=-1.0, beta=20.0, psi=0.0, zeta=0.0)
+            CostVector(alpha=-1.0, beta=20.0, psi=0.0, zeta=0.0)
 
     def test_ranking_preserved_across_subregions(self):
         profiles = [

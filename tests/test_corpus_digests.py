@@ -4,9 +4,10 @@ The six bundled fixtures share one subregion order and barely calibrate,
 so their digests cannot see a change to rejection chains, tie handling
 or calibration. The 15 files under ``tests/corpus/`` can: five families
 at 20 UAVs x 20 subregions, seeds 0-2. Each case pins the exit code and
-the sha256 of stdout, stderr and every CSV that ``match`` and ``verify``
-write. A deliberate change to the outputs must update these digests in
-the same commit and say why.
+the sha256 of stdout, stderr and every CSV that ``contract``, ``match``
+and ``verify`` write; the ``contract`` cases pin the menus themselves
+(ladder order, coverage, rewards, misreport matrix). A deliberate change
+to the outputs must update these digests in the same commit and say why.
 
 The files were written once with the benchmark's seeded generator
 (``benchmarks/gen.py``, which is not imported here) as
@@ -37,6 +38,15 @@ from uavmarket.cli import main
 CORPUS = Path(__file__).parent / "corpus"
 
 DIGESTS = {
+    ("direct-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "adc1fcec8e5be6290e853f23a82fdca7b4efaecba8cb053aeb300daea1cf936c",
+        "ic_matrix.csv": "983390623ae5036e9703d89ac62174c17c03e2140155998bba9b6f1cbb4570a6",
+        "profit.csv": "3744830914bc038327414af74ce2c3534e3b74a4e13024aa16747313b55f5d18",
+        "rewards.csv": "92be896efc84a24de36dc36c1a43f7b179f46b934b559d355d876aed5812e1a3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
     ("direct-0.scn", "match"): {
         "exit": 0,
         "assignment.csv": "fdf842d23b6f9981082fdae2e016539b561aa4f5fccabbe7892a8a1119138701",
@@ -50,6 +60,15 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "86c0176d2e8e924d3412003041b12cfd5fa5a5dfa012b820d9455cfaf4f9b409",
         "verify.csv": "05415ebf038c946e057e69b52601bb8dcb6b0b26be6cb74cae23667e5c931861",
+    },
+    ("direct-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "1b94c8af07aef0f4eff19b3234847ae9b46ed48a904c45501311c94d7b20c314",
+        "ic_matrix.csv": "70feaa17d24ca62fd014dae2510fa1f4124901f9c92a5a82e4990b6c0f612629",
+        "profit.csv": "3efcad86f97db40827b3843431879fd05d165991a776ddb966f494751153e3b5",
+        "rewards.csv": "d7177f956c67531ad48e3280869c7af0940dadae78168fbddacf4b27567b43e3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
     },
     ("direct-1.scn", "match"): {
         "exit": 0,
@@ -65,6 +84,15 @@ DIGESTS = {
         "stdout": "f49f73f83957bb8d0c9f8241c9a85f9d492d9db943b5047d3696c60db1de9e68",
         "verify.csv": "5ba853910c2ea023d299008d6de2a1b688daf36464d55f3518e7e6a2d3f46db7",
     },
+    ("direct-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "f18d6f5c7aeca8995941327effeab4193909b74ef88c41ad1eb0cd18c7904781",
+        "ic_matrix.csv": "8a32e15c2325cc0b784fadd10847cd399605d50b81db6cd9dcc0dbe2320c496f",
+        "profit.csv": "044a2bbcec274ec65df51a26e947eb6375ed2d956b13af6834f88d24e9fa51fb",
+        "rewards.csv": "c1c271662896f2019a3ac8ba5f9de5078b154e651f8963ca7457e21d1c8e5e5a",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
     ("direct-2.scn", "match"): {
         "exit": 0,
         "assignment.csv": "72f39e4d444c748a6a7cbc1756abecf832058685e7bc97284f632c2093620897",
@@ -78,6 +106,15 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "77c3acd830df33ed328cedc99cb0a5270942248800b5c0ac434ffb440bc38e2a",
         "verify.csv": "3b62c920a4d1fd806898c3aac499b181f7af8175aa8739d8212f58bcbfb4c03f",
+    },
+    ("hetero-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "792b984f01967177d97018ab1aa297f9d9deeac5c893fe098ed7de979df787c8",
+        "ic_matrix.csv": "ee6002c77874b08f161524fe35ebc40f5be02873fd42084d05bdc2fff5f73b1c",
+        "profit.csv": "af5f76316b4e207a883c25e159128414197e9a124e38affa96b34924bfff7a54",
+        "rewards.csv": "fa99406579c911f2511765d472ae2b0f1f249688f550e684a788ff88047a7e34",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
     },
     ("hetero-0.scn", "match"): {
         "exit": 0,
@@ -93,6 +130,15 @@ DIGESTS = {
         "stdout": "26622e01f121368041606955d9b4f30bd797c7cfc1d6c2413888192c114c4075",
         "verify.csv": "7b7263d152adcd92f8f1e5bc8223074209d60a185fd74f0afe4cbc191f5aaada",
     },
+    ("hetero-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "a6cc0d31255812066a9495e29118daff299403bcaf99b1f6771988e2ff1759c2",
+        "ic_matrix.csv": "0ab2adc7140ad54c998c21a531c3b34c4fe42fee26f0521d08b31029ca715309",
+        "profit.csv": "7f6e043071a9214a2658037516e9a4f391d29af4df9c4b80fb6b08490f6e5fd2",
+        "rewards.csv": "270fb0d77388fd9c32f682eaff2a0e6386e6822f2deed67b5dedd30ee1865150",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
     ("hetero-1.scn", "match"): {
         "exit": 0,
         "assignment.csv": "08e9e4cd4ea7e96ba9d6b8ddc6add9b56913d79708b13a832f1c8ec90d8958a9",
@@ -106,6 +152,15 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "08d2b8c0dd1cf2c7d4363dc6c1cb0106881a83dfb4b3bfaffa7cd334b0e29bba",
         "verify.csv": "5c787e79f7beeff913e9ee3906951037b32b7d4bfff52618575ed38dd132c37e",
+    },
+    ("hetero-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "9ab232d1236b198c586f5b609fe5ba72d76b96fb6e89d3e9562d0a26f5e15de3",
+        "ic_matrix.csv": "2d4af560925819b5e20920cea61deb1556ede4ac0a96ba677eb718736247e425",
+        "profit.csv": "49033a4931bbcce66c08c9921eecb948c2fd79cdb0c32e59af050b7672d47414",
+        "rewards.csv": "fe9b6e40eea3380c93b069b38bb8461c2d4db3b4daa238ece4dc1667cccfba0a",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
     },
     ("hetero-2.scn", "match"): {
         "exit": 0,
@@ -121,6 +176,15 @@ DIGESTS = {
         "stdout": "ebf895f96d01b807cf37ecee5a316047cae939e5cdabcc1e99c26e2d9445a2d4",
         "verify.csv": "b9f14943acda99adbcefabc6d3983bc1759a35ab17a8d76f8e9dc902c6b26eeb",
     },
+    ("physical-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "bafad1ab6ce171fe6c8a76824cc4e5cb93d696736d41dea18efc0c7bb68e6e2c",
+        "ic_matrix.csv": "527a5394db6dab563ea67fa8ba0eb053eb6f08cc3a3b6d6dc0dd2db69f0ab064",
+        "profit.csv": "33cba9dcf7f77268f4a7ea32ba5d22e17f1e5b5c407079725c01528e0f037351",
+        "rewards.csv": "31635713aa73f7f6f5b4cf24349e5f90b77814d7f39e5fa2b3716b22f619ca4e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "07ce110cfad6975cbd40ae2a2db13bfc214bbd5d30b396bff7140d44ccea0356",
+    },
     ("physical-0.scn", "match"): {
         "exit": 0,
         "assignment.csv": "e52ad231c002eab11dbeb27f46be315835738113c7c10e86ed8e14ec06384ca7",
@@ -134,6 +198,15 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "42de4b6f1729621e33763717499ac5900570de68ebbbb3662de6fc3a660aa19b",
         "verify.csv": "368cee79e7b6cc5567be88195f720c9ea22e0d3a2e75b37ed807e370ea9b4f6c",
+    },
+    ("physical-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "c4ebe7847f08bace77ecbca3b61a1f3023677f9ecce79981a49a0ab189a86a2d",
+        "ic_matrix.csv": "c9459220195074a8ef54fed51cb5638333676c6331ae8339795d211edab62c46",
+        "profit.csv": "2822a53411774fcc6602aa88af093763032b06fb3628a846099360799d0c7a5b",
+        "rewards.csv": "418c94f4d8e75a2b5a5573437e3367dee52eb3a25048d4a26e14a59f9b086064",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "3b80d99d460985717b1128bdaf50bbb03f5f4413c308aae7f0ae729b8bc4e319",
     },
     ("physical-1.scn", "match"): {
         "exit": 0,
@@ -149,6 +222,15 @@ DIGESTS = {
         "stdout": "63d86f9a53048117ecd47db1129d7a7c9e155922a4b390a1af575c7acf0d3c48",
         "verify.csv": "672d7632a60acf435824002a48bcf5f600d128c0b9385c1b437760919afddbb8",
     },
+    ("physical-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "b756c4db0b57e2359fccf445c54258ac47fe0cc1c20d3782fc782b83b76267cf",
+        "ic_matrix.csv": "cd8623358c54e016e50c3071a306a3f7244bf9459fe87ea4b6f8b2e9d6790120",
+        "profit.csv": "531e0c825ad528bfcf124d92a1dc5dee260541bacbe0691378860e5947318495",
+        "rewards.csv": "cdb6264fee7389b8063a6ea1a23c44c217a6901fe520a1dd9c8345b0be8aee1d",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "972d8e694931b518c3f4c6f079ccff8dee7a2715439de305c9288584a36f3830",
+    },
     ("physical-2.scn", "match"): {
         "exit": 0,
         "assignment.csv": "ff917f8de7d75253e7484fdb74cc8e09e2e2e194c7ada2327f3434b0db82ee2a",
@@ -162,6 +244,15 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "e9fc246653607bdd21bb531f0038d743dd1bf3f088950b6164ed740d18429514",
         "verify.csv": "e150140bb7040f02e307055f3e4dda01d7b56cb4d86650579a7106e33aebda9a",
+    },
+    ("ties-abs-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "f9ca520f1fbcf101a699816bdc388b4fd7b85b3902319728c5eb0f1ba362b08f",
+        "ic_matrix.csv": "c66ad38f5f153ca940869eead8171e2aa2eccf8b8b61f9b0bfad270a3f6bfd95",
+        "profit.csv": "be678511fefb500b06044d0ea7685386450d7c28515b0ee48e807fa9c20a5f2f",
+        "rewards.csv": "fe2d93d131c05217dea2b478eb2ae2697dcdebc9e28043c6f79766032c431952",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
     },
     ("ties-abs-0.scn", "match"): {
         "exit": 0,
@@ -177,6 +268,15 @@ DIGESTS = {
         "stdout": "513a00becd375994fa205ef7cc3d54ef306cbfdca9abb8b0a91358c1170f2921",
         "verify.csv": "5d24df8ea4940f24dded3562a868dfcdc786b7466b5153318139e266396bdb08",
     },
+    ("ties-abs-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "8c0118d0eabd87619f50bec9796d38f55629f260c3293d469e0a8c7bd32eb8a1",
+        "ic_matrix.csv": "7216650e1396ee63c33121a890647fadf7a1c6ed514faa9e90e1726f8ee14e86",
+        "profit.csv": "7ff1acb7ee99431cebf970ebdac3c8ad2afcf29d6671bded6bf2c7f5df1e681c",
+        "rewards.csv": "93656e710207c5b1b257c8c21a3bb78d399c8edc6e19e3449ce245cda2ef47b3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
     ("ties-abs-1.scn", "match"): {
         "exit": 0,
         "assignment.csv": "fab364b8457a91849c1a0b3e286ba899e48a68c088f6186a959cec69c8fc33fa",
@@ -190,6 +290,15 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "f19eca214ed4586e76cacb6adc963d2692c6cf60ec2521a2a359dc3cbea99739",
         "verify.csv": "57f1d7bd3579384569b3db58e39d23f9811291b10dfdca7efe08259c04f24753",
+    },
+    ("ties-abs-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "b0c61710a77550e4246532b16e7ffc2307f22b5c92e58444a0fffde700bb0227",
+        "ic_matrix.csv": "6eed94d97a8745ce713c4fea4de839738136442d5be88ea866e9254b783597bb",
+        "profit.csv": "15faa22456915e8d53cbe40e756fcac590f60812a2874384055d93521a35f171",
+        "rewards.csv": "7ad74972ef7a06d9ce634428d9434aa062037d736b170cf077549186588c5635",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
     },
     ("ties-abs-2.scn", "match"): {
         "exit": 0,
@@ -205,6 +314,15 @@ DIGESTS = {
         "stdout": "c223a8b03b1977faae64a79e48cd5983f73f30c626a926ea1e5812fb36aa0d16",
         "verify.csv": "2fa09658fdbffa00e671e7e13c0a7c60e27f1c37ee6487a688557782087b95b5",
     },
+    ("ties-rel-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "f9ca520f1fbcf101a699816bdc388b4fd7b85b3902319728c5eb0f1ba362b08f",
+        "ic_matrix.csv": "c66ad38f5f153ca940869eead8171e2aa2eccf8b8b61f9b0bfad270a3f6bfd95",
+        "profit.csv": "be678511fefb500b06044d0ea7685386450d7c28515b0ee48e807fa9c20a5f2f",
+        "rewards.csv": "fe2d93d131c05217dea2b478eb2ae2697dcdebc9e28043c6f79766032c431952",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
     ("ties-rel-0.scn", "match"): {
         "exit": 3,
         "stderr": "bcaae0ab7fc0aaa893f5eda063a8b5fa0bcca6fd96858373e31610157f48dce4",
@@ -215,6 +333,15 @@ DIGESTS = {
         "stderr": "bcaae0ab7fc0aaa893f5eda063a8b5fa0bcca6fd96858373e31610157f48dce4",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    ("ties-rel-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "8c0118d0eabd87619f50bec9796d38f55629f260c3293d469e0a8c7bd32eb8a1",
+        "ic_matrix.csv": "7216650e1396ee63c33121a890647fadf7a1c6ed514faa9e90e1726f8ee14e86",
+        "profit.csv": "7ff1acb7ee99431cebf970ebdac3c8ad2afcf29d6671bded6bf2c7f5df1e681c",
+        "rewards.csv": "93656e710207c5b1b257c8c21a3bb78d399c8edc6e19e3449ce245cda2ef47b3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
     ("ties-rel-1.scn", "match"): {
         "exit": 3,
         "stderr": "d75aa06a340145d1264bc443b6665aede20f0a5fb22c86f0f2219946ac543fe7",
@@ -224,6 +351,15 @@ DIGESTS = {
         "exit": 3,
         "stderr": "d75aa06a340145d1264bc443b6665aede20f0a5fb22c86f0f2219946ac543fe7",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "b0c61710a77550e4246532b16e7ffc2307f22b5c92e58444a0fffde700bb0227",
+        "ic_matrix.csv": "6eed94d97a8745ce713c4fea4de839738136442d5be88ea866e9254b783597bb",
+        "profit.csv": "15faa22456915e8d53cbe40e756fcac590f60812a2874384055d93521a35f171",
+        "rewards.csv": "7ad74972ef7a06d9ce634428d9434aa062037d736b170cf077549186588c5635",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
     },
     ("ties-rel-2.scn", "match"): {
         "exit": 3,

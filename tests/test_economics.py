@@ -32,18 +32,18 @@ finite = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 class TestUavUtility:
     def test_worked_example(self):
         # fixed reward priced exactly at the fixed costs, so they cancel
-        costs = CostVector.declared(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
+        costs = CostVector(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
         item = ContractItem(theta=0.6407, coverage_reward=12.416, fixed_reward=0.05 * 200.0)
         assert uav_utility(item, costs, ECON) == pytest.approx(12.416 - 0.05 * 270 * 0.6407)
         assert uav_utility(item, costs, ECON) == pytest.approx(3.76655)
 
     def test_pure_compensation_is_zero(self):
-        costs = CostVector.declared(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
+        costs = CostVector(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
         item = ContractItem(theta=0.0, coverage_reward=0.0, fixed_reward=0.05 * 200.0)
         assert uav_utility(item, costs, ECON) == 0.0
 
     def test_uncompensated_fixed_costs_bite(self):
-        costs = CostVector.declared(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
+        costs = CostVector(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
         theta = 0.5
         item = ContractItem(
             theta=theta, coverage_reward=0.05 * 270 * theta, fixed_reward=0.0
@@ -61,13 +61,13 @@ class TestUavUtility:
     )
     def test_decomposition_identity_exact(self, theta, reward, rhat, alpha, beta, psi, zeta):
         item = ContractItem(theta=theta, coverage_reward=reward, fixed_reward=rhat)
-        costs = CostVector.declared(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
+        costs = CostVector(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
         lhs = uav_utility(item, costs, ECON)
         rhs = revised_utility(item, alpha, beta, ECON.phi) + rhat - ECON.phi * (psi + zeta)
         assert lhs == rhs
 
     def test_fixed_terms_cancel_in_comparisons(self):
-        costs = CostVector.declared(alpha=300.0, beta=30.0, psi=250.0, zeta=40.0)
+        costs = CostVector(alpha=300.0, beta=30.0, psi=250.0, zeta=40.0)
         a = ContractItem(theta=0.7, coverage_reward=14.0, fixed_reward=5.0)
         b = ContractItem(theta=0.2, coverage_reward=4.0, fixed_reward=5.0)
         full_gap = uav_utility(a, costs, ECON) - uav_utility(b, costs, ECON)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import demo_subregion
 from uavmarket.contract import (
     AUDIT_TOLERANCE,
-    Announcement,
     AuditReport,
     AuxiliaryType,
     _audit,
@@ -66,16 +65,15 @@ costs_st = st.floats(1.0, 2000.0, allow_nan=False)
 def built_menus(draw):
     """A menu from ``build_schedule`` over 1..40 random declared types."""
     n = draw(st.integers(1, 40))
-    announcements = [
-        Announcement(
-            uav_id=f"u{i}",
+    announcements = {
+        f"u{i}": CostVector(
             alpha=draw(costs_st),
             beta=draw(costs_st),
             psi=draw(st.floats(0.0, 500.0)),
             zeta=draw(st.floats(0.0, 500.0)),
         )
         for i in range(n)
-    ]
+    }
     econ = EconomyParams(
         phi=PHI,
         mu=draw(st.floats(0.1, 5.0)),
@@ -141,7 +139,9 @@ class TestVectorisedAudit:
     def test_matches_reference_on_arbitrary_ladders(self, rows, tolerance):
         # no ordering at all: exercises the monotone_ok and ir_ok failures too
         ladder = [
-            AuxiliaryType(rank=i + 1, uav_id=f"u{i}", alpha=1.0, beta=1.0, upsilon=ups)
+            AuxiliaryType(
+                rank=i + 1, uav_id=f"u{i}", upsilon=ups, costs=CostVector(1.0, 1.0, 0.0, 0.0)
+            )
             for i, (ups, _, _) in enumerate(rows)
         ]
         items = [ContractItem(theta=theta, coverage_reward=r) for _, theta, r in rows]
@@ -150,7 +150,7 @@ class TestVectorisedAudit:
         )
 
     def test_reaudit_after_reward_change_matches_reference(self):
-        announcements = [Announcement(f"u{i}", 100.0 + 40.0 * i, 20.0) for i in range(12)]
+        announcements = {f"u{i}": CostVector(100.0 + 40.0 * i, 20.0, 0.0, 0.0) for i in range(12)}
         econ = EconomyParams(phi=PHI, mu=1.0, sigma=400.0, n_subregions=1)
         schedule = build_schedule(announcements, demo_subregion(), econ, 5.0)
         rewards = list(schedule.coverage_rewards())
@@ -174,52 +174,52 @@ class TestRankLookup:
 
 @st.composite
 def markets(draw):
-    """A market of 1..4 subregions over up to 12 declared UAVs, some screened out."""
+    """A market of 1..4 subregions over up to 12 declared UAVs, some screened out.
+
+    Returns the market and what was announced, subregion -> uav -> costs.
+    """
     n_subs = draw(st.integers(1, 4))
     n_uavs = draw(st.integers(1, 12))
     econ = EconomyParams(
         phi=PHI, mu=1.0, sigma=draw(st.floats(50.0, 5000.0)), n_subregions=n_subs
     )
-    schedules, costs = {}, {f"u{j}": {} for j in range(n_uavs)}
+    schedules, announced = {}, {}
     for s in range(n_subs):
         sub = demo_subregion(sub_id=f"s{s}", data_volume=draw(st.floats(1.0, 20.0)))
-        announcements = []
+        announcements = announced[sub.id] = {}
         for j in range(n_uavs):
             if not draw(st.booleans()) and j:
                 continue  # u0 always announces, so no menu is empty
-            vector = CostVector.declared(
+            announcements[f"u{j}"] = CostVector(
                 alpha=draw(costs_st),
                 beta=draw(costs_st),
                 psi=draw(st.floats(0.0, 500.0)),
                 zeta=draw(st.floats(0.0, 500.0)),
             )
-            costs[f"u{j}"][sub.id] = vector
-            announcements.append(
-                Announcement(f"u{j}", vector.alpha, vector.beta, vector.psi, vector.zeta)
-            )
         schedules[sub.id] = build_schedule(
             announcements, sub, econ, draw(st.floats(0.0, 40.0))
         )
-    return Market(schedules, costs, econ)
+    return Market(schedules, econ), announced
 
 
-def assert_utilities_match_items(market):
-    for uav_id, by_sub in market.costs.items():
+def assert_utilities_match_items(market, announced):
+    uav_ids = sorted({u for by_uav in announced.values() for u in by_uav}) + ["absent"]
+    for uav_id in uav_ids:
         for sub_id in market.subregion_ids():
-            if sub_id not in by_sub:
+            if uav_id not in announced[sub_id]:
                 assert market.item_for(uav_id, sub_id) is None
                 with pytest.raises(KeyError):
                     market.utility(uav_id, sub_id)
                 continue
             item = market.item_for(uav_id, sub_id)
-            expected = uav_utility(item, by_sub[sub_id], market.econ)
+            expected = uav_utility(item, announced[sub_id][uav_id], market.econ)
             assert market.utility(uav_id, sub_id) == expected
 
 
 class TestMarketUtility:
     @settings(max_examples=60, deadline=None)
     @given(
-        market=markets(),
+        built=markets(),
         steps=st.lists(
             st.tuples(
                 st.integers(0, 3),
@@ -229,10 +229,11 @@ class TestMarketUtility:
             max_size=8,
         ),
     )
-    def test_equals_uav_utility_of_the_live_item(self, market, steps):
-        assert_utilities_match_items(market)
+    def test_equals_uav_utility_of_the_live_item(self, built, steps):
+        market, announced = built
+        assert_utilities_match_items(market, announced)
         sub_ids = market.subregion_ids()
         for index, mode, delta in steps:
             policy = CalibrationPolicy(delta_mode=mode, delta_value=delta)
             market.reduce_rewards(sub_ids[index % len(sub_ids)], policy)
-            assert_utilities_match_items(market)
+            assert_utilities_match_items(market, announced)

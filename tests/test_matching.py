@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import demo_econ, demo_subregion, random_matching_instance
-from uavmarket.contract import Announcement, build_schedule
+from uavmarket.contract import build_schedule
 from uavmarket.core import CostVector, Position, Subregion
 from uavmarket.economics import EconomyParams
 from uavmarket.errors import UnresolvedTieError
@@ -57,26 +57,24 @@ def tie_market(psi_by_uav_sub, alpha=250.0, beta=20.0, reward_hat=0.0, sigma=100
                      data_volume=10.0, rate_factor=1.0)
         for s in sub_ids
     }
-    schedules, costs = {}, {u: {} for u in uav_ids}
+    schedules = {}
     for s in sub_ids:
-        announcements = []
-        for u in uav_ids:
-            if (u, s) not in psi_by_uav_sub:
-                continue
-            psi = psi_by_uav_sub[(u, s)]
-            announcements.append(Announcement(u, alpha, beta, psi=psi))
-            costs[u][s] = CostVector.declared(alpha, beta, psi, 0.0)
+        announcements = {
+            u: CostVector(alpha, beta, psi_by_uav_sub[(u, s)], 0.0)
+            for u in uav_ids
+            if (u, s) in psi_by_uav_sub
+        }
         schedules[s] = build_schedule(announcements, subs[s], econ, reward_hat)
-    return Market(schedules, costs, econ)
+    return Market(schedules, econ)
 
 
 class TestPreferenceBuilders:
     def test_subregion_preferences_ascend_with_tiebreak(self):
-        announcements = [
-            Announcement("slow", 500.0, 40.0),
-            Announcement("far", 250.0, 20.0, psi=50.0),
-            Announcement("near", 250.0, 20.0, psi=5.0),
-        ]
+        announcements = {
+            "slow": CostVector(500.0, 40.0, 0.0, 0.0),
+            "far": CostVector(250.0, 20.0, 50.0, 0.0),
+            "near": CostVector(250.0, 20.0, 5.0, 0.0),
+        }
         schedule = build_schedule(announcements, demo_subregion(), demo_econ())
         pref = build_subregion_preferences(schedule)
         assert pref.owner == "s1"
@@ -84,15 +82,13 @@ class TestPreferenceBuilders:
         assert pref.scores == pytest.approx((13.5, 13.5, 27.0))
 
     def test_uav_preferences_rank_by_payoff_and_drop_negative(self):
-        market = tie_market(
-            {("a", "s1"): 10.0, ("a", "s2"): 40.0, ("b", "s1"): 10.0, ("b", "s2"): 10.0},
-            reward_hat=3.0,
-        )
+        psi = {("a", "s1"): 10.0, ("a", "s2"): 40.0, ("b", "s1"): 10.0, ("b", "s2"): 10.0}
+        market = tie_market(psi, reward_hat=3.0)
         pref = build_uav_preferences("a", market)
         assert pref.ranked == ("s1", "s2")
         assert pref.scores[0] > pref.scores[1] >= 0.0
-        # push a's traversal cost at s2 high enough to go negative
-        market.costs["a"]["s2"] = CostVector.declared(250.0, 20.0, 500.0, 0.0)
+        # a's traversal cost at s2 high enough to go negative
+        market = tie_market({**psi, ("a", "s2"): 500.0}, reward_hat=3.0)
         pref = build_uav_preferences("a", market)
         assert pref.ranked == ("s1",)
 

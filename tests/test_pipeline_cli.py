@@ -95,7 +95,7 @@ class TestRunMatch:
         scenario = load_scenario(fixture_path("physical.scn"))
         setup = prepare(scenario)
         assert not setup.feasibility["u3"]["s2"].time_ok
-        announced_s2 = [a.uav_id for a in setup.announcements["s2"]]
+        announced_s2 = list(setup.announcements["s2"])
         assert "u3" not in announced_s2 and "u1" in announced_s2
         report = run_match(scenario)
         assert "u3" not in report.sub_prefs["s2"].ranked
@@ -105,6 +105,27 @@ class TestRunMatch:
         # accepts at exact break-even
         assert report.realized_utilities["u1"] == 0.0
         assert report.realized_utilities["u2"] > 0.0
+
+    def test_costs_derived_only_for_pairs_that_pass_screening(self, monkeypatch):
+        import uavmarket.pipeline as pipeline
+
+        derive = pipeline.derive_cost_vector
+        calls = []
+
+        def counting(sub, profile, fl):
+            calls.append((profile.id, sub.id))
+            return derive(sub, profile, fl)
+
+        monkeypatch.setattr(pipeline, "derive_cost_vector", counting)
+        setup = prepare(load_scenario(fixture_path("physical.scn")))
+        screened = [
+            (uav_id, sub_id)
+            for uav_id, by_sub in setup.feasibility.items()
+            for sub_id, report in by_sub.items()
+        ]
+        feasible = [(u, s) for u, s in screened if setup.feasibility[u][s].feasible]
+        assert len(feasible) < len(screened)
+        assert calls == feasible
 
     def test_profit_recomputable_from_parts(self):
         scenario = load_scenario(fixture_path("fig6.scn"))

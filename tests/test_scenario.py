@@ -65,7 +65,7 @@ class TestLoading:
         assert [u.id for u in scenario.uavs] == ["u1", "u2", "u3", "u4", "u5"]
         u5 = scenario.uavs[4]
         assert isinstance(u5, DirectUavTypes)
-        assert u5.psi_for(scenario.subregion("s3")) == pytest.approx(0.0)
+        assert u5.costs_for(scenario.subregion("s3")).psi == pytest.approx(0.0)
 
     def test_defaults_applied(self):
         scenario = scenario_from_dict(minimal_doc())
@@ -144,7 +144,7 @@ class TestValidation:
             scenario_from_dict(doc)
         doc["uavs"][0].update({"base": [0.0, 0.0, 0.0], "velocity": 10.0, "power": 5.0})
         scenario = scenario_from_dict(doc)
-        assert scenario.uavs[0].psi_for(scenario.subregions[0]) == pytest.approx(0.0)
+        assert scenario.uavs[0].costs_for(scenario.subregions[0]).psi == pytest.approx(0.0)
 
     def test_booleans_are_not_numbers(self):
         doc = minimal_doc()

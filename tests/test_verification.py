@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import demo_econ, demo_subregion, random_matching_instance, random_schedule
-from uavmarket.contract import Announcement, AuxiliaryType, build_schedule, optimal_coverage
+from uavmarket.contract import AuxiliaryType, build_schedule, optimal_coverage
+from uavmarket.core import CostVector
 from uavmarket.matching import PreferenceList, gs_match
 from uavmarket.verification import (
     OracleConfig,
@@ -20,7 +21,10 @@ from uavmarket.verification import (
 
 def aux(upsilon, rank=1):
     return AuxiliaryType(
-        rank=rank, uav_id=f"t{rank}", alpha=upsilon / 0.05 - 10.0, beta=10.0, upsilon=upsilon
+        rank=rank,
+        uav_id=f"t{rank}",
+        upsilon=upsilon,
+        costs=CostVector(upsilon / 0.05 - 10.0, 10.0, 0.0, 0.0),
     )
 
 
@@ -64,10 +68,10 @@ class TestGridOracle:
 
 class TestIcMatrix:
     def test_two_type_worked_matrix(self):
-        announcements = [
-            Announcement("cheap", 250.0, 20.0),
-            Announcement("dear", 875.0, 70.0),
-        ]
+        announcements = {
+            "cheap": CostVector(250.0, 20.0, 0.0, 0.0),
+            "dear": CostVector(875.0, 70.0, 0.0, 0.0),
+        }
         schedule = build_schedule(announcements, demo_subregion(), demo_econ())
         matrix = ic_matrix(schedule)
         assert matrix[0, 0] == pytest.approx(3.767857, abs=1e-6)
@@ -83,7 +87,7 @@ class TestIcMatrix:
 
     def test_single_item_matrix(self):
         schedule = build_schedule(
-            [Announcement("only", 250.0, 20.0)], demo_subregion(), demo_econ()
+            {"only": CostVector(250.0, 20.0, 0.0, 0.0)}, demo_subregion(), demo_econ()
         )
         matrix = ic_matrix(schedule)
         assert matrix.shape == (1, 1)
