@@ -9,6 +9,13 @@ from first principles, for one (UAV, subregion) pair at a time:
   linear in coverage: ``E = beta * theta``;
 * parameter-upload time / energy, independent of coverage.
 
+What depends on one side of a pair only is computed once, when that side
+is built: ``FlHyperParams`` holds its ``TrainingRounds`` and ``UavProfile``
+its cruise propulsion power and squared CPU frequency. Every per-pair
+formula is written once, in ``_pair_terms``; the screen
+``check_feasibility``, ``derive_cost_vector`` and the three public phase
+functions are views over it, so each gives bit-identical numbers.
+
 All functions are pure and all types are immutable after construction, so
 values can be shared freely across threads. Units are metres, seconds,
 joules, and watts throughout; data volume and upload size use whatever
@@ -18,7 +25,7 @@ data unit the scenario author picked, consistently per scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 DEFAULT_THETA_HAT = 0.8
@@ -80,7 +87,9 @@ class UavProfile:
     Propulsion is given either as a direct constant ``power`` in watts or
     as a coefficient pair ``power_coefficients = (c_drag, c_lift)`` from
     which the cruise power ``c_drag * v**3 + c_lift / v`` is computed.
-    Exactly one of the two must be set.
+    Exactly one of the two must be set. The resulting ``cruise_power`` and
+    ``cpu_frequency_sq`` are computed once here and must be positive and
+    finite.
     """
 
     id: str
@@ -93,6 +102,8 @@ class UavProfile:
     power: float | None = None
     power_coefficients: tuple[float, float] | None = None
     energy_capacity: float = math.inf
+    cruise_power: float = field(init=False, repr=False, compare=False)
+    cpu_frequency_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tag = f"uav {self.id}"
@@ -105,12 +116,23 @@ class UavProfile:
         if (self.power is None) == (self.power_coefficients is None):
             raise ValueError(f"{tag}: set exactly one of power / power_coefficients")
         if self.power is not None:
-            _require(self.power > 0, f"{tag}: power must be > 0")
+            p = self.power
         else:
-            c1, c2 = self.power_coefficients
-            object.__setattr__(self, "power_coefficients", (float(c1), float(c2)))
+            c1, c2 = (float(c) for c in self.power_coefficients)
+            object.__setattr__(self, "power_coefficients", (c1, c2))
             _require(c1 >= 0 and c2 >= 0, f"{tag}: power coefficients must be >= 0")
             _require(c1 > 0 or c2 > 0, f"{tag}: power coefficients must not both be zero")
+            try:
+                p = c1 * self.velocity**3 + c2 / self.velocity
+            except OverflowError:
+                raise ValueError(f"{tag}: propulsion power overflows") from None
+        # one comparison chain: false for <= 0 (0 also after an underflow), inf and NaN
+        _require(0 < p < math.inf, f"{tag}: propulsion power must be finite and > 0, got {p}")
+        object.__setattr__(self, "cruise_power", p)
+        try:
+            object.__setattr__(self, "cpu_frequency_sq", self.cpu_frequency**2)
+        except OverflowError:
+            raise ValueError(f"{tag}: cpu_frequency**2 overflows") from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +145,8 @@ class FlHyperParams:
     and ``delta`` are step-size constants constrained so the derived
     iteration counts are positive and finite. ``update_size`` is the
     per-round upload, in the scenario's data units. ``rounds_override``
-    pins the number of global rounds instead of deriving it.
+    pins the number of global rounds instead of deriving it. ``training``
+    holds the task's ``fl_rounds``, computed once here.
     """
 
     lipschitz: float
@@ -133,6 +156,7 @@ class FlHyperParams:
     local_accuracy: float
     update_size: float
     rounds_override: int | None = None
+    training: TrainingRounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require(self.lipschitz > 0, "lipschitz must be > 0")
@@ -143,10 +167,10 @@ class FlHyperParams:
             "xi must satisfy 0 < xi <= strong_convexity / lipschitz",
         )
         _require(self.update_size > 0, "update_size must be > 0")
-        if (2 - self.lipschitz * self.delta) * self.delta * self.strong_convexity <= 0:
-            raise ValueError(
-                "(2 - lipschitz*delta) * delta * strong_convexity must be > 0"
-            )
+        try:
+            object.__setattr__(self, "training", fl_rounds(self))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError("the training-round counts overflow") from None
         if self.rounds_override is not None:
             _require(self.rounds_override > 0, "rounds_override must be a positive integer")
 
@@ -176,8 +200,7 @@ class CostVector:
                 raise ValueError(f"cost vector field {name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Outcome of the screening a UAV runs before announcing its type."""
 
     time_ok: bool
@@ -218,31 +241,10 @@ def propulsion_power(profile: UavProfile) -> float:
     """Cruise propulsion power in watts.
 
     Direct mode returns the declared constant; coefficient mode evaluates
-    ``c_drag * v**3 + c_lift / v`` at the profile's cruise velocity.
+    ``c_drag * v**3 + c_lift / v`` at the profile's cruise velocity. Both
+    are computed once, when the profile is built.
     """
-    if profile.power is not None:
-        return profile.power
-    c1, c2 = profile.power_coefficients
-    p = c1 * profile.velocity**3 + c2 / profile.velocity
-    if p <= 0:
-        raise ValueError(f"uav {profile.id}: propulsion power must be > 0, got {p}")
-    return p
-
-
-def traversal_phase(theta: float, sub: Subregion, profile: UavProfile) -> TraversalPhase:
-    """Flight time and energy to reach the subregion and sense a fraction of it.
-
-    The flown distance is ``theta * full_distance + base_to_center`` and the
-    energy decomposes exactly as ``alpha * theta + psi`` with
-    ``alpha = p * full_distance / v`` and ``psi = p * base_to_center / v``.
-    """
-    _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
-    p = propulsion_power(profile)
-    base_leg = profile.base.distance_to(sub.center)
-    duration = (theta * sub.full_distance + base_leg) / profile.velocity
-    alpha = p * sub.full_distance / profile.velocity
-    psi = p * base_leg / profile.velocity
-    return TraversalPhase(duration=duration, energy=alpha * theta + psi, alpha=alpha, psi=psi)
+    return profile.cruise_power
 
 
 def fl_rounds(fl: FlHyperParams) -> TrainingRounds:
@@ -252,6 +254,7 @@ def fl_rounds(fl: FlHyperParams) -> TrainingRounds:
     ``2 / ((2 - L*delta) * delta * gamma)`` and the number of global rounds
     is ``ceil(round_scale / (1 - local_accuracy))`` with
     ``round_scale = 2 * L**2 / (gamma**2 * xi)``, unless overridden.
+    ``FlHyperParams`` stores the result as ``fl.training``.
     """
     L, gamma = fl.lipschitz, fl.strong_convexity
     denom = (2 - L * fl.delta) * fl.delta * gamma
@@ -266,44 +269,73 @@ def fl_rounds(fl: FlHyperParams) -> TrainingRounds:
     return TrainingRounds(local_iterations, round_scale, rounds)
 
 
+def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperParams | None):
+    """Every per-pair term of the cost model at coverage ``theta``, phase by phase.
+
+    Returns the flat tuple ``(traversal duration, energy, alpha, psi,
+    computation duration, energy, beta, transmission duration, zeta)``,
+    whose slices are the fields of ``TraversalPhase``, ``ComputationPhase``
+    and ``TransmissionPhase``; with ``fl=None`` only the four traversal
+    terms. Traversal flies ``theta * full_distance + base_to_center``
+    metres, so its energy is ``alpha * theta + psi`` with
+    ``alpha = p * full_distance / v`` and ``psi = p * base_to_center / v``.
+    Training processes ``theta * data_volume`` over the local iterations of
+    every round: time scales with the inverse CPU frequency, energy
+    ``beta * theta`` with its square. The per-round upload is fixed, so
+    transmission does not depend on coverage, and the transmit power
+    cancels out of ``zeta = rounds * update_size / rate_factor``.
+    """
+    v = profile.velocity
+    p = profile.cruise_power
+    base_leg = profile.base.distance_to(sub.center)
+    alpha = p * sub.full_distance / v
+    psi = p * base_leg / v
+    traversal = (
+        (theta * sub.full_distance + base_leg) / v,
+        alpha * theta + psi,
+        alpha,
+        psi,
+    )
+    if fl is None:
+        return traversal
+    v_iter, _, rounds = fl.training
+    cycles_full = (
+        profile.cycles_per_bit * sub.data_volume * v_iter * math.log2(1.0 / fl.local_accuracy)
+    )
+    beta = profile.capacitance * rounds * cycles_full * profile.cpu_frequency_sq
+    upload = rounds * fl.update_size
+    return traversal + (
+        rounds * cycles_full * theta / profile.cpu_frequency,
+        beta * theta,
+        beta,
+        upload / (sub.rate_factor * profile.transmit_power),
+        upload / sub.rate_factor,
+    )
+
+
+def traversal_phase(theta: float, sub: Subregion, profile: UavProfile) -> TraversalPhase:
+    """Flight time and energy to reach the subregion and sense a fraction of it."""
+    _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
+    return TraversalPhase(*_pair_terms(theta, sub, profile, None))
+
+
 def computation_phase(
     theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperParams
 ) -> ComputationPhase:
-    """On-board training time and energy for the data gathered at ``theta``.
-
-    Both scale with the processed data ``theta * data_volume`` and the local
-    iteration count; energy additionally scales with the square of the CPU
-    frequency, time with its inverse. The energy is exactly
-    ``beta * theta``.
-    """
+    """On-board training time and energy for the data gathered at ``theta``."""
     _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
-    v_iter, _, rounds = fl_rounds(fl)
-    work = fl.local_accuracy
-    cycles_full = profile.cycles_per_bit * sub.data_volume * v_iter * math.log2(1.0 / work)
-    duration = rounds * cycles_full * theta / profile.cpu_frequency
-    beta = profile.capacitance * rounds * cycles_full * profile.cpu_frequency**2
-    return ComputationPhase(duration=duration, energy=beta * theta, beta=beta)
+    return ComputationPhase(*_pair_terms(theta, sub, profile, fl)[4:7])
 
 
 def transmission_phase(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -> TransmissionPhase:
-    """Upload time and energy across all training rounds.
-
-    The upload size per round is fixed, so neither quantity depends on the
-    coverage fraction or the data volume; the transmit power cancels out of
-    the energy, leaving ``zeta = rounds * update_size / rate_factor``.
-    """
-    _, _, rounds = fl_rounds(fl)
-    duration = rounds * fl.update_size / (sub.rate_factor * profile.transmit_power)
-    zeta = rounds * fl.update_size / sub.rate_factor
-    return TransmissionPhase(duration=duration, zeta=zeta)
+    """Upload time and energy across all training rounds."""
+    return TransmissionPhase(*_pair_terms(1.0, sub, profile, fl)[7:])
 
 
 def derive_cost_vector(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -> CostVector:
     """Compose the three phases into one cost record for this pair."""
-    trav = traversal_phase(1.0, sub, profile)
-    comp = computation_phase(1.0, sub, profile, fl)
-    tx = transmission_phase(sub, profile, fl)
-    return CostVector(alpha=trav.alpha, beta=comp.beta, psi=trav.psi, zeta=tx.zeta)
+    _, _, alpha, psi, _, _, beta, _, zeta = _pair_terms(1.0, sub, profile, fl)
+    return CostVector(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
 
 
 def check_feasibility(
@@ -320,11 +352,11 @@ def check_feasibility(
     """
     if not 0.0 < theta_hat <= 1.0:
         raise ValueError(f"theta_hat must be in (0, 1], got {theta_hat}")
-    trav = traversal_phase(theta_hat, sub, profile)
-    comp = computation_phase(theta_hat, sub, profile, fl)
-    tx = transmission_phase(sub, profile, fl)
-    total_time = trav.duration + comp.duration + tx.duration
-    total_energy = trav.energy + comp.energy + tx.zeta
+    trav_time, trav_energy, _, _, comp_time, comp_energy, _, tx_time, zeta = _pair_terms(
+        theta_hat, sub, profile, fl
+    )
+    total_time = trav_time + comp_time + tx_time
+    total_energy = trav_energy + comp_energy + zeta
     return FeasibilityReport(
         time_ok=total_time <= sub.deadline,
         energy_ok=total_energy <= profile.energy_capacity,

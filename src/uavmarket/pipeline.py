@@ -107,20 +107,19 @@ def prepare(scenario: Scenario) -> MarketSetup:
     feasibility: dict[str, dict[str, FeasibilityReport]] = {}
     announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in scenario.subregions}
     for uav in scenario.uavs:
-        if isinstance(uav, UavProfile):
-            feasibility[uav.id] = {}
+        if not isinstance(uav, UavProfile):
+            for sub in scenario.subregions:
+                announcements[sub.id][uav.id] = uav.costs_for(sub)
+            continue
+        reports = feasibility[uav.id] = {}
         for sub in scenario.subregions:
-            if isinstance(uav, UavProfile):
-                # a pair that fails the screen never announces, so its
-                # cost vector is derived only once it passes
-                report = check_feasibility(sub, uav, scenario.fl, scenario.theta_hat)
-                feasibility[uav.id][sub.id] = report
-                if not report.feasible:
-                    continue
-                vector = derive_cost_vector(sub, uav, scenario.fl)
-            else:
-                vector = uav.costs_for(sub)
-            announcements[sub.id][uav.id] = vector
+            report = reports[sub.id] = check_feasibility(
+                sub, uav, scenario.fl, scenario.theta_hat
+            )
+            # a pair that fails the screen never announces, so its cost
+            # vector is derived only once it passes
+            if report.feasible:
+                announcements[sub.id][uav.id] = derive_cost_vector(sub, uav, scenario.fl)
     reward_hats = {
         sub.id: scenario.reward_hat_policy.reward_hat_for(sub.id, econ.phi)
         for sub in scenario.subregions

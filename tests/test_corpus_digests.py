@@ -2,8 +2,8 @@
 
 The six bundled fixtures share one subregion order and barely calibrate,
 so their digests cannot see a change to rejection chains, tie handling
-or calibration. The 15 files under ``tests/corpus/`` can: five families
-at 20 UAVs x 20 subregions, seeds 0-2. Each case pins the exit code and
+or calibration. The 20 files under ``tests/corpus/`` can: six families
+at 20 UAVs x 20 subregions. Each case pins the exit code and
 the sha256 of stdout, stderr and every CSV that ``contract``, ``match``
 and ``verify`` write; the ``contract`` cases pin the menus themselves
 (ladder order, coverage, rewards, misreport matrix). A deliberate change
@@ -19,8 +19,22 @@ The files were written once with the benchmark's seeded generator
 * ``ties-rel-<seed>.scn``  ``gen.ties(N, N, seed)`` with ``calibration``
   set to ``gen._RELATIVE_STEPS`` (relative steps of 1 %). Every one of
   them ends in an unresolved tie (exit 3), which is pinned as it is.
-* ``physical-<seed>.scn``  ``gen.physical(N, N, seed)``: hardware
-  profiles, about 5 % of pairs pass screening
+* ``physical-<seed>.scn``  ``gen.physical(N, N, seed)``, seeds 0-4:
+  hardware profiles, about 5 % of pairs pass screening. Every UAV has a
+  direct ``power`` and a 1e6 J battery, so only the deadline gate decides.
+* ``physical-tight-<seed>.scn``  ``gen.physical(N, N, seed)``, seeds
+  0-2, reshaped so that both screening gates bind. Drawing from
+  ``random.Random(f"tight:{N}x{N}:{seed}")``: ``fl.rounds_override``
+  is dropped (the rounds are derived, 60); every second UAV (odd file
+  index) replaces ``power = p`` by ``power_coefficients =
+  [p * s / v**3, p * (1 - s) * v]`` with ``s = U(0.3, 0.7)``, each
+  rounded to 6 significant digits; then, with the deadlines and
+  batteries removed, every pair is screened at ``theta_hat`` and each
+  subregion's ``deadline`` becomes ``round(median total_time over the
+  fleet * U(0.7, 1.3), 3)``, subregion by subregion, and each UAV's
+  ``energy_capacity`` becomes ``round(median total_energy over the
+  subregions * U(0.7, 1.3), 3)``, UAV by UAV. The deadline gate rejects
+  49-60 % of the pairs, the battery gate 44-54 %, and 30-41 % pass both.
 * ``hetero-<seed>.scn``    ``gen.direct(N, N, seed)``, then, drawing from
   ``random.Random(f"hetero:{N}x{N}:{seed}")`` UAV by UAV in file order,
   ``alpha`` becomes a per-subregion map ``round(alpha * U(0.5, 1.5), 3)``
@@ -244,6 +258,121 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "e9fc246653607bdd21bb531f0038d743dd1bf3f088950b6164ed740d18429514",
         "verify.csv": "e150140bb7040f02e307055f3e4dda01d7b56cb4d86650579a7106e33aebda9a",
+    },
+    ("physical-3.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "6c5a25a782c5117fc3fb68cd9aa79c28e60cd1f60416558d5abb5996e8655bb5",
+        "ic_matrix.csv": "d639827eb2a9fdad02677664d51f871e67745a84f80b2267d2874d8f3a1506ee",
+        "profit.csv": "653cde80128da374bd8af9ea305c0371e0b3f9230e7247a2032e0441d21353f2",
+        "rewards.csv": "2787e55c2ad17b051fc33dee4a1bad76ca30c090c6d7c92c5df87b94cd0ec21d",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "bd6f218362650a71238387bddf42299813bc50450b8510bcc61bb8af1a6699c6",
+    },
+    ("physical-3.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "9e897e45fd565803f6a681fb5d084dc8f432c8c38c5ef1dc263b59ac196a0f36",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "4fb1e93bd965e88fc567a77555c85b9cd0aa056fe4fd7f726fe7adab5b4a99d4",
+    },
+    ("physical-3.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "a5f5623f0739572b1ede26196dcaa56ed934c9863f5ee888adc1d4f1c83e832e",
+        "verify.csv": "3b71bafe6d65029d4885732b98723e92733494d4ff54a0439d71831c5f52858a",
+    },
+    ("physical-4.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "d99284368b5012b6c1984394b8a7fc17103269bb0086bfffb2e3ae3fd59453bd",
+        "ic_matrix.csv": "107fb1b258dbbd154407773320ffa2da60910cf640db33413a51432b4df2fccb",
+        "profit.csv": "f184628f9f215960b4a62e70b9f5134861fa66ef1c6f3509b381fa14674460dc",
+        "rewards.csv": "82be2910102d1a1ea63264fd576c636e3d9f666fdea0efcae91f10b50abca8ff",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "f5eb18a381e2a3912fc3188f77e7ebef0474e8414c416421330f3f14bc344136",
+    },
+    ("physical-4.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "1ed0675dff27beb8c378bb668c37cc66fbafc678e59cade9b01aa619370f9ce5",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "0ca9bf9726bebf7ac5a629ff04fb6bde769f8669032140070b3096611ef21b62",
+    },
+    ("physical-4.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "0e9b91a09e8d0df3667f9ef70310763f3e9e4e5afdb1ce4df93319faf4f9547c",
+        "verify.csv": "cb5c7f43dc12d8e092a47cf7fd871d5a2f31c085244ad82c7b3e9c3731cbf840",
+    },
+    ("physical-tight-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "b3c48e373bbc86efc6d510a67c8621afe6c85b0127167b2545337527e8584709",
+        "ic_matrix.csv": "e41f93321563c88363f5a216ca3c570478a01dcdb4d6120fd5c790d9aa12502e",
+        "profit.csv": "2f40ec298dbf51ee63173f8b7522a7cb34cda0dbe3f904738063d05711e068e6",
+        "rewards.csv": "f2ab8267775abca32a4d4d90a65c61bd050d43996749ec792cd54a8e079dd9f2",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "782037cb3dff0f4de10d8e848937bd0bb380e99a7056152ab040cd6ab2a299e8",
+    },
+    ("physical-tight-0.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "408cd06514b384b6e9a34fb0f809cad15a12921809c818df85e80ff11d7f9575",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "716a5dc1869bb11bf364de726f1adb876037f2325364c130c7e3fe75dd554d8b",
+    },
+    ("physical-tight-0.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "97af7745f24b7aedd87f6da6b9ae8dd6b5b41aa84b61f36565437170b90a19f2",
+        "verify.csv": "148b97a3c006935818e6780a8a3d8ccf90c30b12193a3d0b8b7195ff08f36101",
+    },
+    ("physical-tight-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "dd770f2f6100acd43a551647ed634932a1cd12f4347151aa3e5198d97b39c874",
+        "ic_matrix.csv": "68d4edba2267fc716cf1d16cb2ea692ec20ac9789cde5e1734afe02fcb7632ef",
+        "profit.csv": "cfe3d192682474588acec4e0f70d9b47e156ee518a19d2851bc6e32f156b8f54",
+        "rewards.csv": "51861eadf8e0e680583c2a4f2ddc2cea921cd5974e247216ab0fbef729fd5cc4",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "8b84d2fc25d5f81bf1eaa43b902449be495c3b10e7eaa2816142df4619deba73",
+    },
+    ("physical-tight-1.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "04a56c7bca54f808e42afb6053491ffbb27d10297889557e6f888e5859ff6f2b",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "c763d46affc53d162887016d020ae29007d5cc198094febf2309aef3ce46d5dc",
+    },
+    ("physical-tight-1.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "262089fcf0dad88a7076c1ddf3f18ccead6fa9375d015cbd1fbda68f1e9ad21d",
+        "verify.csv": "f96582a98eb637cb4ec1b4392b2993bea3fbba38dc5ded0d21a9c06f43e88e16",
+    },
+    ("physical-tight-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "137c9ddcf4d18b5c4c57a632e52e5e08aeb2afd7c66705637870a4cf0040d351",
+        "ic_matrix.csv": "872900fb503fcbcf914427d6d9a9d4ab2ac831df29cb69bd16fd15683193814a",
+        "profit.csv": "3b42ddb267fba93926d1c0a41dfa609de43a90107680020b89545ea246507aa6",
+        "rewards.csv": "64810a77db9f85b2086e43c44f4fab6883834eedb1b0108c437be294ca31fdfd",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "3a73ffe1cf36d4c7f1e72816fd43d213175978de47368f29a22ccaf12bdafc68",
+    },
+    ("physical-tight-2.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "d199ee17b5b35f89fd046e2770362f0361f3bb9d923bf3df0c415f8f1050c3b8",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "dc55a138abf9f60505f5ae173726fd9552b5a324d0ad8ea77287e634ff13e711",
+    },
+    ("physical-tight-2.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "65b998df945b7a8da26c7dda5a2cd21c27c759f1ee113e969052298891fa890f",
+        "verify.csv": "717661f9e6b41cd1196d05d4dc9fc456f558d64059018351c70611e28e807184",
     },
     ("ties-abs-0.scn", "contract"): {
         "exit": 0,

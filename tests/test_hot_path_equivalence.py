@@ -2,10 +2,17 @@
 
 ``contract._audit`` checks self-selection with one array broadcast;
 ``Market.utility`` prices a pair from the item's parts; ``rank_of`` is a
-dict lookup. Each must agree exactly (``==``, not approximately) with
-the straightforward computation it replaces, so that fixture outputs
-and every audit flag stay bit-identical.
+dict lookup; the screen, the cost derivation and the phase functions
+read the training rounds and the propulsion power computed once per
+task and per UAV, from one per-pair body. Each must agree exactly
+(``==``, not approximately) with the straightforward computation it
+replaces, so that fixture outputs and every audit flag stay
+bit-identical.
 """
+
+import dataclasses
+import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +25,26 @@ from uavmarket.contract import (
     _audit,
     build_schedule,
 )
-from uavmarket.core import CostVector
+from uavmarket.core import (
+    DEFAULT_THETA_HAT,
+    ComputationPhase,
+    CostVector,
+    FeasibilityReport,
+    FlHyperParams,
+    Position,
+    Subregion,
+    TrainingRounds,
+    TransmissionPhase,
+    TraversalPhase,
+    UavProfile,
+    _require,
+    check_feasibility,
+    computation_phase,
+    derive_cost_vector,
+    propulsion_power,
+    transmission_phase,
+    traversal_phase,
+)
 from uavmarket.economics import ContractItem, EconomyParams, uav_utility
 from uavmarket.matching import CalibrationPolicy, Market
 
@@ -237,3 +263,226 @@ class TestMarketUtility:
             policy = CalibrationPolicy(delta_mode=mode, delta_value=delta)
             market.reduce_rewards(sub_ids[index % len(sub_ids)], policy)
             assert_utilities_match_items(market, announced)
+
+
+# The per-pair screen and cost derivation as they were before the task and
+# UAV constants moved into construction: each call recomputes the training
+# rounds and the propulsion power. Kept verbatim apart from the names, as
+# the reference for the single-body ``core._pair_terms``.
+
+
+def reference_propulsion_power(profile: UavProfile) -> float:
+    if profile.power is not None:
+        return profile.power
+    c1, c2 = profile.power_coefficients
+    p = c1 * profile.velocity**3 + c2 / profile.velocity
+    if p <= 0:
+        raise ValueError(f"uav {profile.id}: propulsion power must be > 0, got {p}")
+    return p
+
+
+def reference_traversal_phase(theta, sub, profile):
+    _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
+    p = reference_propulsion_power(profile)
+    base_leg = profile.base.distance_to(sub.center)
+    duration = (theta * sub.full_distance + base_leg) / profile.velocity
+    alpha = p * sub.full_distance / profile.velocity
+    psi = p * base_leg / profile.velocity
+    return TraversalPhase(duration=duration, energy=alpha * theta + psi, alpha=alpha, psi=psi)
+
+
+def reference_fl_rounds(fl: FlHyperParams) -> TrainingRounds:
+    L, gamma = fl.lipschitz, fl.strong_convexity
+    denom = (2 - L * fl.delta) * fl.delta * gamma
+    if denom <= 0:
+        raise ValueError("(2 - lipschitz*delta) * delta * strong_convexity must be > 0")
+    local_iterations = 2.0 / denom
+    round_scale = 2.0 * L * L / (gamma * gamma * fl.xi)
+    if fl.rounds_override is not None:
+        rounds = fl.rounds_override
+    else:
+        rounds = math.ceil(round_scale / (1.0 - fl.local_accuracy))
+    return TrainingRounds(local_iterations, round_scale, rounds)
+
+
+def reference_computation_phase(theta, sub, profile, fl):
+    _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
+    v_iter, _, rounds = reference_fl_rounds(fl)
+    work = fl.local_accuracy
+    cycles_full = profile.cycles_per_bit * sub.data_volume * v_iter * math.log2(1.0 / work)
+    duration = rounds * cycles_full * theta / profile.cpu_frequency
+    beta = profile.capacitance * rounds * cycles_full * profile.cpu_frequency**2
+    return ComputationPhase(duration=duration, energy=beta * theta, beta=beta)
+
+
+def reference_transmission_phase(sub, profile, fl):
+    _, _, rounds = reference_fl_rounds(fl)
+    duration = rounds * fl.update_size / (sub.rate_factor * profile.transmit_power)
+    zeta = rounds * fl.update_size / sub.rate_factor
+    return TransmissionPhase(duration=duration, zeta=zeta)
+
+
+def reference_derive_cost_vector(sub, profile, fl):
+    trav = reference_traversal_phase(1.0, sub, profile)
+    comp = reference_computation_phase(1.0, sub, profile, fl)
+    tx = reference_transmission_phase(sub, profile, fl)
+    return CostVector(alpha=trav.alpha, beta=comp.beta, psi=trav.psi, zeta=tx.zeta)
+
+
+@dataclass(frozen=True)
+class ReferenceReport:
+    time_ok: bool
+    energy_ok: bool
+    total_time: float
+    total_energy: float
+
+
+def reference_check_feasibility(sub, profile, fl, theta_hat=DEFAULT_THETA_HAT):
+    if not 0.0 < theta_hat <= 1.0:
+        raise ValueError(f"theta_hat must be in (0, 1], got {theta_hat}")
+    trav = reference_traversal_phase(theta_hat, sub, profile)
+    comp = reference_computation_phase(theta_hat, sub, profile, fl)
+    tx = reference_transmission_phase(sub, profile, fl)
+    total_time = trav.duration + comp.duration + tx.duration
+    total_energy = trav.energy + comp.energy + tx.zeta
+    return ReferenceReport(
+        time_ok=total_time <= sub.deadline,
+        energy_ok=total_energy <= profile.energy_capacity,
+        total_time=total_time,
+        total_energy=total_energy,
+    )
+
+
+def spread(lo, hi):
+    """Positive floats over several orders of magnitude."""
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+coordinate_st = st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False)
+position_st = st.builds(Position, coordinate_st, coordinate_st, coordinate_st)
+# "at_total" puts the limit exactly on the reference screening total
+limit_st = st.sampled_from(["inf", "finite", "at_total"])
+
+
+@st.composite
+def subregions(draw):
+    return Subregion(
+        id="s1",
+        center=draw(position_st),
+        full_distance=draw(spread(1e-2, 1e5)),
+        data_volume=draw(spread(1e-2, 1e9)),
+        rate_factor=draw(spread(1e-3, 1e6)),
+        deadline=draw(st.just(math.inf) | spread(1e-2, 1e6)),
+    )
+
+
+@st.composite
+def profiles(draw):
+    if draw(st.booleans()):
+        power = {"power": draw(spread(1e-2, 1e3))}
+    else:
+        c_drag, c_lift = draw(
+            st.tuples(st.just(0.0) | spread(1e-6, 1.0), st.just(0.0) | spread(1e-3, 1e3)).filter(
+                lambda c: c != (0.0, 0.0)
+            )
+        )
+        power = {"power": None, "power_coefficients": (c_drag, c_lift)}
+    return UavProfile(
+        id="u1",
+        base=draw(position_st),
+        velocity=draw(spread(1e-1, 1e2)),
+        cycles_per_bit=draw(spread(1e-1, 1e3)),
+        cpu_frequency=draw(spread(1e6, 1e10)),
+        capacitance=draw(spread(1e-30, 1e-24)),
+        transmit_power=draw(spread(1e-2, 1e2)),
+        energy_capacity=draw(st.just(math.inf) | spread(1e-2, 1e8)),
+        **power,
+    )
+
+
+@st.composite
+def training_tasks(draw):
+    lipschitz = draw(spread(1e-1, 1e1))
+    gamma = draw(spread(1e-1, 1e1))
+    return FlHyperParams(
+        lipschitz=lipschitz,
+        strong_convexity=gamma,
+        xi=draw(spread(1e-2, 1.0)) * gamma / lipschitz,
+        delta=draw(spread(1e-2, 0.99)) * 2.0 / lipschitz,
+        local_accuracy=draw(spread(1e-2, 0.99)),
+        update_size=draw(spread(1e-2, 1e9)),
+        rounds_override=draw(st.none() | st.integers(1, 500)),
+    )
+
+
+def assert_same_screen(sub, profile, fl, theta_hat):
+    fast = check_feasibility(sub, profile, fl, theta_hat)
+    slow = reference_check_feasibility(sub, profile, fl, theta_hat)
+    assert type(fast) is FeasibilityReport
+    for name in ("time_ok", "energy_ok", "total_time", "total_energy"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert fast.feasible == (slow.time_ok and slow.energy_ok)
+    return slow
+
+
+class TestPairScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sub=subregions(),
+        profile=profiles(),
+        fl=training_tasks(),
+        theta_hat=st.floats(0.0, 1.0, exclude_min=True),
+        theta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        deadline=limit_st,
+        capacity=limit_st,
+    )
+    def test_screen_costs_and_phases_equal_the_per_call_reference(
+        self, sub, profile, fl, theta_hat, theta, deadline, capacity
+    ):
+        assert fl.training == reference_fl_rounds(fl)
+        assert propulsion_power(profile) == reference_propulsion_power(profile)
+        slow = reference_check_feasibility(sub, profile, fl, theta_hat)
+        if deadline == "at_total":
+            sub = dataclasses.replace(sub, deadline=slow.total_time)
+        elif deadline == "inf":
+            sub = dataclasses.replace(sub, deadline=math.inf)
+        if capacity == "at_total":
+            profile = dataclasses.replace(profile, energy_capacity=slow.total_energy)
+        elif capacity == "inf":
+            profile = dataclasses.replace(profile, energy_capacity=math.inf)
+        slow = assert_same_screen(sub, profile, fl, theta_hat)
+        if deadline == "at_total":
+            assert slow.time_ok  # the deadline gate is inclusive
+        if capacity == "at_total":
+            assert slow.energy_ok
+
+        fast_costs = derive_cost_vector(sub, profile, fl)
+        slow_costs = reference_derive_cost_vector(sub, profile, fl)
+        for name in ("alpha", "beta", "psi", "zeta"):
+            assert getattr(fast_costs, name) == getattr(slow_costs, name), name
+
+        for fast, slow in [
+            (traversal_phase(theta, sub, profile), reference_traversal_phase(theta, sub, profile)),
+            (
+                computation_phase(theta, sub, profile, fl),
+                reference_computation_phase(theta, sub, profile, fl),
+            ),
+            (transmission_phase(sub, profile, fl), reference_transmission_phase(sub, profile, fl)),
+        ]:
+            assert type(fast) is type(slow)
+            assert fast == slow
+
+    def test_limits_exactly_on_the_totals_pass_both_gates(self):
+        sub = Subregion("s1", Position(0.0, 0.0), 2000.0, 8e6, 1e5)
+        profile = UavProfile(
+            "u1", Position(3000.0, 4000.0), 10.0, 10.0, 2e9, 1e-28, 8.0,
+            power=None, power_coefficients=(0.01, 100.0),
+        )
+        fl = FlHyperParams(4.0, 2.0, 1.0 / 3.0, 0.25, 0.6, 8e6)
+        totals = reference_check_feasibility(sub, profile, fl)
+        sub = dataclasses.replace(sub, deadline=totals.total_time)
+        profile = dataclasses.replace(profile, energy_capacity=totals.total_energy)
+        report = check_feasibility(sub, profile, fl)
+        assert report == (True, True, totals.total_time, totals.total_energy)
+        assert report.feasible
+        assert_same_screen(sub, profile, fl, DEFAULT_THETA_HAT)

@@ -285,6 +285,30 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["contract", "match", "verify"])
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"power_coefficients": [1e-320, 0.0], "velocity": 0.001}, "must be finite and > 0"),
+            ({"velocity": 1e120}, "propulsion power overflows"),
+            ({"cpu_frequency": 1e200}, "cpu_frequency**2 overflows"),
+        ],
+        ids=["zero_power", "power_overflow", "frequency_overflow"],
+    )
+    def test_unusable_propulsion_or_frequency_exits_one(
+        self, tmp_path, capsys, override, message, command
+    ):
+        doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
+        doc["uavs"][1].update(override)
+        bad = tmp_path / "power.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([command, "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "$.uavs[1]: uav u2: " in captured.err and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("not json")

@@ -268,6 +268,51 @@ class TestNonFiniteNumbers:
         assert all(math.isinf(uav.energy_capacity) for uav in scenario.uavs)
 
 
+# physical.scn's u2 uses power_coefficients; each override makes one of
+# the per-UAV constants computed at construction unusable
+BAD_UAV_CONSTANTS = {
+    "power_underflows_to_zero": (
+        {"power_coefficients": [1e-320, 0.0], "velocity": 0.001},
+        "propulsion power must be finite and > 0, got 0.0",
+    ),
+    "velocity_cubed_overflows": ({"velocity": 1e120}, "propulsion power overflows"),
+    "power_is_infinite": (
+        {"power_coefficients": [1e300, 0.0], "velocity": 1000.0},
+        "propulsion power must be finite and > 0, got inf",
+    ),
+    "cpu_frequency_squared_overflows": ({"cpu_frequency": 1e200}, "cpu_frequency**2 overflows"),
+}
+
+# training tasks whose derived round count overflows or divides by zero
+BAD_TRAINING_TASKS = {
+    "round_scale_overflows": {
+        "lipschitz": 1e200, "strong_convexity": 1.0, "xi": 1e-200, "delta": 1e-200,
+    },
+    "round_scale_divides_by_zero": {
+        "lipschitz": 1e-200, "strong_convexity": 1e-200, "xi": 1.0, "delta": 0.25,
+    },
+}
+
+
+class TestDerivedConstants:
+    @pytest.mark.parametrize("override,message", BAD_UAV_CONSTANTS.values(), ids=BAD_UAV_CONSTANTS)
+    def test_unusable_uav_constant_reported_with_field_path(self, override, message):
+        doc = physical_doc()
+        doc["uavs"][1].update(override)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [("$.uavs[1]", f"uav u2: {message}")]
+
+    @pytest.mark.parametrize("fl", BAD_TRAINING_TASKS.values(), ids=BAD_TRAINING_TASKS)
+    def test_overflowing_round_count_reported_with_field_path(self, fl):
+        doc = physical_doc()
+        doc["fl"].update(fl)
+        doc["fl"].pop("rounds_override", None)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [("$.fl", "the training-round counts overflow")]
+
+
 class TestRewardHatPolicy:
     @pytest.mark.parametrize(
         "policy,field,message",
