@@ -27,12 +27,8 @@ from .core import (
     Subregion,
     UavProfile,
     check_feasibility,
-    computation_phase,
     derive_cost_vector,
     fl_rounds,
-    propulsion_power,
-    transmission_phase,
-    traversal_phase,
 )
 from .economics import (
     ContractItem,
@@ -70,11 +66,8 @@ from .scenario import (
     fixture_path,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    write_scenario,
 )
 from .verification import (
-    OracleConfig,
     enumerate_stable_matchings,
     grid_oracle_coverage,
     ic_matrix,

@@ -24,7 +24,6 @@ from pathlib import Path
 from .errors import ScenarioError, UnresolvedTieError
 from .pipeline import run_contract, run_match, run_sweep, run_verify, sweep_values
 from .scenario import load_scenario
-from .verification import OracleConfig
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -112,8 +111,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    config = OracleConfig(theta_grid_points=args.grid_points)
-    report = run_verify(scenario, config, seed=args.seed, out_dir=out)
+    report = run_verify(scenario, args.grid_points, seed=args.seed, out_dir=out)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} (magnitude {check.magnitude:.3g}) {check.detail}")

@@ -13,8 +13,8 @@ What depends on one side of a pair only is computed once, when that side
 is built: ``FlHyperParams`` holds its ``TrainingRounds`` and ``UavProfile``
 its cruise propulsion power and squared CPU frequency. Every per-pair
 formula is written once, in ``_pair_terms``; the screen
-``check_feasibility``, ``derive_cost_vector`` and the three public phase
-functions are views over it, so each gives bit-identical numbers.
+``check_feasibility`` and ``derive_cost_vector`` both read it, so the two
+see bit-identical numbers.
 
 All functions are pure and all types are immutable after construction, so
 values can be shared freely across threads. Units are metres, seconds,
@@ -213,38 +213,10 @@ class FeasibilityReport(NamedTuple):
         return self.time_ok and self.energy_ok
 
 
-class TraversalPhase(NamedTuple):
-    duration: float
-    energy: float
-    alpha: float
-    psi: float
-
-
 class TrainingRounds(NamedTuple):
     local_iterations: float   # lower bound per round, before the accuracy factor
     round_scale: float        # numerator of the global-round count
     rounds: int
-
-
-class ComputationPhase(NamedTuple):
-    duration: float
-    energy: float
-    beta: float
-
-
-class TransmissionPhase(NamedTuple):
-    duration: float
-    zeta: float
-
-
-def propulsion_power(profile: UavProfile) -> float:
-    """Cruise propulsion power in watts.
-
-    Direct mode returns the declared constant; coefficient mode evaluates
-    ``c_drag * v**3 + c_lift / v`` at the profile's cruise velocity. Both
-    are computed once, when the profile is built.
-    """
-    return profile.cruise_power
 
 
 def fl_rounds(fl: FlHyperParams) -> TrainingRounds:
@@ -269,16 +241,16 @@ def fl_rounds(fl: FlHyperParams) -> TrainingRounds:
     return TrainingRounds(local_iterations, round_scale, rounds)
 
 
-def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperParams | None):
+def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperParams):
     """Every per-pair term of the cost model at coverage ``theta``, phase by phase.
 
     Returns the flat tuple ``(traversal duration, energy, alpha, psi,
-    computation duration, energy, beta, transmission duration, zeta)``,
-    whose slices are the fields of ``TraversalPhase``, ``ComputationPhase``
-    and ``TransmissionPhase``; with ``fl=None`` only the four traversal
-    terms. Traversal flies ``theta * full_distance + base_to_center``
-    metres, so its energy is ``alpha * theta + psi`` with
-    ``alpha = p * full_distance / v`` and ``psi = p * base_to_center / v``.
+    computation duration, energy, beta, transmission duration, zeta)``:
+    slices ``[:4]``, ``[4:7]`` and ``[7:]`` are the traversal, computation
+    and transmission phases. Traversal flies
+    ``theta * full_distance + base_to_center`` metres, so its energy is
+    ``alpha * theta + psi`` with ``alpha = p * full_distance / v`` and
+    ``psi = p * base_to_center / v``.
     Training processes ``theta * data_volume`` over the local iterations of
     every round: time scales with the inverse CPU frequency, energy
     ``beta * theta`` with its square. The per-round upload is fixed, so
@@ -290,46 +262,23 @@ def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperPa
     base_leg = profile.base.distance_to(sub.center)
     alpha = p * sub.full_distance / v
     psi = p * base_leg / v
-    traversal = (
-        (theta * sub.full_distance + base_leg) / v,
-        alpha * theta + psi,
-        alpha,
-        psi,
-    )
-    if fl is None:
-        return traversal
     v_iter, _, rounds = fl.training
     cycles_full = (
         profile.cycles_per_bit * sub.data_volume * v_iter * math.log2(1.0 / fl.local_accuracy)
     )
     beta = profile.capacitance * rounds * cycles_full * profile.cpu_frequency_sq
     upload = rounds * fl.update_size
-    return traversal + (
+    return (
+        (theta * sub.full_distance + base_leg) / v,
+        alpha * theta + psi,
+        alpha,
+        psi,
         rounds * cycles_full * theta / profile.cpu_frequency,
         beta * theta,
         beta,
         upload / (sub.rate_factor * profile.transmit_power),
         upload / sub.rate_factor,
     )
-
-
-def traversal_phase(theta: float, sub: Subregion, profile: UavProfile) -> TraversalPhase:
-    """Flight time and energy to reach the subregion and sense a fraction of it."""
-    _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
-    return TraversalPhase(*_pair_terms(theta, sub, profile, None))
-
-
-def computation_phase(
-    theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperParams
-) -> ComputationPhase:
-    """On-board training time and energy for the data gathered at ``theta``."""
-    _require(0.0 <= theta <= 1.0, f"theta must be in [0, 1], got {theta}")
-    return ComputationPhase(*_pair_terms(theta, sub, profile, fl)[4:7])
-
-
-def transmission_phase(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -> TransmissionPhase:
-    """Upload time and energy across all training rounds."""
-    return TransmissionPhase(*_pair_terms(1.0, sub, profile, fl)[7:])
 
 
 def derive_cost_vector(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -> CostVector:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .contract import ContractSchedule
-from .economics import ContractItem, EconomyParams, payoff
+from .economics import EconomyParams, payoff
 from .errors import UnresolvedTieError
 
 UPSILON_TIE_TOLERANCE = 0.0  # marginal costs tie only on exact equality
@@ -85,7 +85,6 @@ class MatchState:
 
     assignment: dict[str, str] = field(default_factory=dict)  # uav -> subregion
     unmatched_subregions: set[str] = field(default_factory=set)
-    exhausted: set[str] = field(default_factory=set)
     calibration_log: list[CalibrationEvent] = field(default_factory=list)
 
     def subregion_assignment(self) -> dict[str, str]:
@@ -114,19 +113,8 @@ class Market:
         }
         self.calibration_log: list[CalibrationEvent] = []
 
-    def subregion_ids(self) -> list[str]:
-        return list(self.schedules)
-
     def coverage_rewards(self, sub_id: str) -> tuple[float, ...]:
         return tuple(self._rewards[sub_id])
-
-    def item_for(self, uav_id: str, sub_id: str) -> ContractItem | None:
-        schedule = self.schedules[sub_id]
-        rank = schedule.rank_of(uav_id)
-        if rank is None:
-            return None
-        base = schedule.items[rank - 1]
-        return base.with_coverage_reward(self._rewards[sub_id][rank - 1])
 
     def utility(self, uav_id: str, sub_id: str) -> float:
         """Hypothetical payoff of ``uav_id`` serving ``sub_id`` at current rewards."""
@@ -192,8 +180,8 @@ def build_uav_preferences(uav_id: str, market: Market) -> PreferenceList:
     Descending payoff; ties keep subregion declaration order.
     """
     entries = []
-    for sub_id in market.subregion_ids():
-        if market.schedules[sub_id].rank_of(uav_id) is None:
+    for sub_id, schedule in market.schedules.items():
+        if schedule.rank_of(uav_id) is None:
             continue
         u = market.utility(uav_id, sub_id)
         if u < 0.0:
@@ -212,7 +200,7 @@ def rewards_calibration(
     tied: Sequence[str],
     market: Market,
     policy: CalibrationPolicy,
-    outside_utility: Mapping[str, float] | Callable[[str], float],
+    outside_utility: Callable[[str], float],
 ) -> str:
     """Separate candidates tied at a subregion's lowest marginal cost.
 
@@ -228,11 +216,7 @@ def rewards_calibration(
     candidates = list(tied)
     if len(candidates) == 1:
         return candidates[0]
-    if callable(outside_utility):
-        outside = {u: outside_utility(u) for u in candidates}
-    else:
-        outside = {u: outside_utility.get(u, 0.0) for u in candidates}
-    outside = {u: max(v, 0.0) for u, v in outside.items()}
+    outside = {u: max(outside_utility(u), 0.0) for u in candidates}
 
     ladder = {aux.uav_id: aux for aux in market.schedules[sub_id].ladder}
     order = {u: i for i, u in enumerate(candidates)}
@@ -381,7 +365,6 @@ def gs_match(
     state.assignment = dict(sorted(hold.items()))
     matched_subs = set(hold.values())
     state.unmatched_subregions = {s for s in sub_prefs if s not in matched_subs}
-    state.exhausted = exhausted
     if market is not None:
         state.calibration_log = list(market.calibration_log)
     return state

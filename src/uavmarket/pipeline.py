@@ -36,7 +36,7 @@ from .matching import (
 )
 from .scenario import Scenario, scenario_from_dict
 from .verification import (
-    OracleConfig,
+    MAX_ENUM_SIZE,
     diagonal_dominant,
     enumerate_stable_matchings,
     grid_oracle_coverage,
@@ -54,7 +54,6 @@ class MarketSetup:
     feasibility: dict[str, dict[str, FeasibilityReport]]
     # subregion -> uav -> announced costs, in announcement order
     announcements: dict[str, dict[str, CostVector]]
-    reward_hats: dict[str, float]
     schedules: dict[str, ContractSchedule]
 
 
@@ -101,41 +100,43 @@ def prepare(scenario: Scenario) -> MarketSetup:
 
     Physical UAVs run the time/energy gate at the scenario's screening
     coverage and announce only where they pass; declared-type UAVs are
-    assumed feasible everywhere.
+    assumed feasible everywhere. A pair whose finite inputs multiply out
+    to a cost that is not finite is a scenario error on that UAV.
     """
     econ = scenario.economy
     feasibility: dict[str, dict[str, FeasibilityReport]] = {}
     announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in scenario.subregions}
-    for uav in scenario.uavs:
-        if not isinstance(uav, UavProfile):
-            for sub in scenario.subregions:
-                announcements[sub.id][uav.id] = uav.costs_for(sub)
-            continue
-        reports = feasibility[uav.id] = {}
+    for i, uav in enumerate(scenario.uavs):
+        physical = isinstance(uav, UavProfile)
+        if physical:
+            reports = feasibility[uav.id] = {}
         for sub in scenario.subregions:
-            report = reports[sub.id] = check_feasibility(
-                sub, uav, scenario.fl, scenario.theta_hat
-            )
-            # a pair that fails the screen never announces, so its cost
-            # vector is derived only once it passes
-            if report.feasible:
-                announcements[sub.id][uav.id] = derive_cost_vector(sub, uav, scenario.fl)
-    reward_hats = {
-        sub.id: scenario.reward_hat_policy.reward_hat_for(sub.id, econ.phi)
-        for sub in scenario.subregions
-    }
+            if physical:
+                report = reports[sub.id] = check_feasibility(
+                    sub, uav, scenario.fl, scenario.theta_hat
+                )
+                # a pair that fails the screen never announces, so its cost
+                # vector is derived only once it passes
+                if not report.feasible:
+                    continue
+            try:
+                if physical:
+                    costs = derive_cost_vector(sub, uav, scenario.fl)
+                else:
+                    costs = uav.costs_for(sub)
+            except ValueError as exc:
+                raise ScenarioError([(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")]) from None
+            announcements[sub.id][uav.id] = costs
     schedules = {}
     for sub in scenario.subregions:
         if not announcements[sub.id]:
             continue  # nobody responded; the subregion stays without a menu
-        schedules[sub.id] = build_schedule(
-            announcements[sub.id], sub, econ, reward_hats[sub.id]
-        )
+        reward_hat = scenario.reward_hat_policy.reward_hat_for(sub.id, econ.phi)
+        schedules[sub.id] = build_schedule(announcements[sub.id], sub, econ, reward_hat)
     return MarketSetup(
         scenario=scenario,
         feasibility=feasibility,
         announcements=announcements,
-        reward_hats=reward_hats,
         schedules=schedules,
     )
 
@@ -168,7 +169,6 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
     state = gs_match(sub_prefs, published_uav_prefs, scenario.calibration, market)
     silent = {sub.id for sub in scenario.subregions if sub.id not in setup.schedules}
     state.unmatched_subregions |= silent
-    state.exhausted |= silent
     final_schedules = market.final_schedules()
 
     # audit stability against the rewards actually on offer at the end;
@@ -221,18 +221,23 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
 
 def run_verify(
     scenario: Scenario,
-    config: OracleConfig = OracleConfig(),
+    grid_points: int = 10001,
     seed: int | None = None,
     draws: int = 200,
     out_dir: str | Path | None = None,
 ) -> VerifyReport:
-    """Certify the scenario's analytic outputs against the brute-force oracles."""
+    """Certify the scenario's analytic outputs against the brute-force oracles.
+
+    The coverage oracle scans ``grid_points`` evenly spaced coverages.
+    """
+    if grid_points < 3:
+        raise ScenarioError([("--grid-points", "must be >= 3")])
     used_seed = scenario.seed if seed is None else seed
     report = VerifyReport(seed=used_seed)
     run = run_match(scenario)
     setup = run.setup
     econ = scenario.economy
-    step = config.grid_step
+    step = 1.0 / (grid_points - 1)
 
     for sub in scenario.subregions:
         schedule = setup.schedules.get(sub.id)
@@ -241,9 +246,7 @@ def run_verify(
         worst = 0.0
         for aux in schedule.ladder:
             closed = optimal_coverage(aux, sub, econ)
-            scanned = grid_oracle_coverage(
-                aux, sub, econ, setup.reward_hats[sub.id], config
-            )
+            scanned = grid_oracle_coverage(aux, sub, econ, schedule.reward_hat, grid_points)
             worst = max(worst, abs(closed - scanned))
         report.checks.append(
             VerifyCheck(
@@ -253,14 +256,14 @@ def run_verify(
                 detail=f"max |closed form - grid argmax| over {len(schedule.ladder)} ranks",
             )
         )
-        report.checks.append(verify_schedule(schedule, config.tolerance))
+        report.checks.append(verify_schedule(schedule))
 
     rng = np.random.default_rng(used_seed)
     worst = 0.0
     for _ in range(draws):
         aux, sub, draw_econ = random_coverage_draw(rng)
         closed = optimal_coverage(aux, sub, draw_econ)
-        scanned = grid_oracle_coverage(aux, sub, draw_econ, 0.0, config)
+        scanned = grid_oracle_coverage(aux, sub, draw_econ, 0.0, grid_points)
         worst = max(worst, abs(closed - scanned))
     report.checks.append(
         VerifyCheck(
@@ -286,12 +289,9 @@ def run_verify(
         len(set(p.scores)) == len(p.scores)
         for p in list(sub_prefs.values()) + list(final_uav_prefs.values())
     )
-    within_cap = (
-        len(sub_prefs) <= config.max_enum_size
-        and len(final_uav_prefs) <= config.max_enum_size
-    )
+    within_cap = len(sub_prefs) <= MAX_ENUM_SIZE and len(final_uav_prefs) <= MAX_ENUM_SIZE
     if enum_prefs_ok and within_cap and not state.calibration_log:
-        stable_set = enumerate_stable_matchings(sub_prefs, final_uav_prefs, config)
+        stable_set = enumerate_stable_matchings(sub_prefs, final_uav_prefs)
         gs_assignment = state.subregion_assignment()
         member = gs_assignment in stable_set
         optimal = member and is_subregion_optimal(gs_assignment, stable_set, sub_prefs)
@@ -334,10 +334,10 @@ def run_verify(
     return report
 
 
-def verify_schedule(schedule: ContractSchedule, tolerance: float = 1e-9) -> VerifyCheck:
+def verify_schedule(schedule: ContractSchedule) -> VerifyCheck:
     """Cross-check the audit flags against the misreport-matrix oracle."""
     matrix = ic_matrix(schedule)
-    dominant = diagonal_dominant(matrix, tolerance)
+    dominant = diagonal_dominant(matrix)
     agree = dominant == schedule.audit.ic_ok
     healthy = schedule.audit.ir_ok and schedule.audit.ic_ok and schedule.audit.monotone_ok
     return VerifyCheck(

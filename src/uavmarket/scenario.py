@@ -29,7 +29,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .core import CostVector, FlHyperParams, Position, Subregion, UavProfile
+from .core import (
+    DEFAULT_THETA_HAT,
+    CostVector,
+    FlHyperParams,
+    Position,
+    Subregion,
+    UavProfile,
+)
 from .economics import EconomyParams
 from .errors import ScenarioError
 from .matching import CalibrationPolicy
@@ -97,16 +104,10 @@ class Scenario:
     fl: FlHyperParams
     subregions: tuple[Subregion, ...]
     uavs: tuple[UavProfile | DirectUavTypes, ...]
-    theta_hat: float = 0.8
+    theta_hat: float = DEFAULT_THETA_HAT
     reward_hat_policy: RewardHatPolicy = field(default_factory=RewardHatPolicy)
     calibration: CalibrationPolicy = field(default_factory=CalibrationPolicy)
     seed: int = 0
-
-    def subregion(self, sub_id: str) -> Subregion:
-        for sub in self.subregions:
-            if sub.id == sub_id:
-                return sub
-        raise KeyError(sub_id)
 
 
 def _number_error(raw: Any) -> str | None:
@@ -261,7 +262,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         root.error(f"unsupported format_version {version}", "format_version")
 
     seed = root.integer("seed", 0)
-    theta_hat = root.number("theta_hat", 0.8)
+    theta_hat = root.number("theta_hat", DEFAULT_THETA_HAT)
     if theta_hat is not None and not 0.0 < theta_hat <= 1.0:
         root.error("theta_hat must be in (0, 1]", "theta_hat")
 
@@ -399,9 +400,9 @@ def scenario_from_dict(data: Any) -> Scenario:
     if isinstance(cal_raw, Mapping):
         node = _Node(cal_raw, "$.calibration", problems)
         kwargs = dict(
-            delta_mode=node.string("delta_mode", "relative"),
-            delta_value=node.number("delta_value", 0.01),
-            max_rounds=node.integer("max_rounds", 500),
+            delta_mode=node.string("delta_mode", calibration.delta_mode),
+            delta_value=node.number("delta_value", calibration.delta_value),
+            max_rounds=node.integer("max_rounds", calibration.max_rounds),
         )
         node.close()
         if None not in kwargs.values():
@@ -560,100 +561,6 @@ def load_scenario(path: str | Path) -> Scenario:
             [("$", f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")]
         ) from exc
     return scenario_from_dict(data)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialise a scenario back to its file form.
-
-    Omits fields that hold their defaults where the format allows, so a
-    loaded file and a re-written one stay equivalent.
-    """
-    out: dict[str, Any] = {"format_version": FORMAT_VERSION, "seed": scenario.seed}
-    out["theta_hat"] = scenario.theta_hat
-    econ = scenario.economy
-    out["economy"] = {"phi": econ.phi, "mu": econ.mu, "sigma": econ.sigma}
-    if econ.log_base != "natural":
-        out["economy"]["log_base"] = econ.log_base
-    fl = scenario.fl
-    out["fl"] = {
-        "lipschitz": fl.lipschitz,
-        "strong_convexity": fl.strong_convexity,
-        "xi": fl.xi,
-        "delta": fl.delta,
-        "local_accuracy": fl.local_accuracy,
-        "update_size": fl.update_size,
-    }
-    if fl.rounds_override is not None:
-        out["fl"]["rounds_override"] = fl.rounds_override
-    policy = scenario.reward_hat_policy
-    if policy.mode == "reference":
-        out["reward_hat_policy"] = {
-            "mode": "reference",
-            "psi_ref": policy.psi_ref,
-            "zeta_ref": policy.zeta_ref,
-        }
-    elif policy.values is not None:
-        out["reward_hat_policy"] = {"mode": "fixed", "values": dict(policy.values)}
-    else:
-        out["reward_hat_policy"] = {"mode": "fixed", "value": policy.value}
-    cal = scenario.calibration
-    out["calibration"] = {
-        "delta_mode": cal.delta_mode,
-        "delta_value": cal.delta_value,
-        "max_rounds": cal.max_rounds,
-    }
-    out["subregions"] = []
-    for sub in scenario.subregions:
-        entry: dict[str, Any] = {
-            "id": sub.id,
-            "center": [sub.center.x, sub.center.y, sub.center.z],
-            "full_distance": sub.full_distance,
-            "data_volume": sub.data_volume,
-            "rate_factor": sub.rate_factor,
-        }
-        if math.isfinite(sub.deadline):
-            entry["deadline"] = sub.deadline
-        out["subregions"].append(entry)
-    out["uavs"] = []
-    for uav in scenario.uavs:
-        if isinstance(uav, UavProfile):
-            entry = {
-                "id": uav.id,
-                "mode": "physical",
-                "base": [uav.base.x, uav.base.y, uav.base.z],
-                "velocity": uav.velocity,
-                "cycles_per_bit": uav.cycles_per_bit,
-                "cpu_frequency": uav.cpu_frequency,
-                "capacitance": uav.capacitance,
-                "transmit_power": uav.transmit_power,
-            }
-            if uav.power is not None:
-                entry["power"] = uav.power
-            else:
-                entry["power_coefficients"] = list(uav.power_coefficients)
-            if math.isfinite(uav.energy_capacity):
-                entry["energy_capacity"] = uav.energy_capacity
-        else:
-            entry = {"id": uav.id, "mode": "direct"}
-            for name in ("alpha", "beta", "psi", "zeta"):
-                v = getattr(uav, name)
-                if v is None:
-                    continue
-                entry[name] = dict(v) if isinstance(v, Mapping) else v
-            if uav.base is not None:
-                entry["base"] = [uav.base.x, uav.base.y, uav.base.z]
-            if uav.velocity is not None:
-                entry["velocity"] = uav.velocity
-            if uav.power is not None:
-                entry["power"] = uav.power
-        out["uavs"].append(entry)
-    return out
-
-
-def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def fixture_path(name: str) -> Path:

@@ -9,7 +9,6 @@ filtering on blocking pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -20,23 +19,8 @@ from .economics import EconomyParams
 from .matching import PreferenceList
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    theta_grid_points: int = 10001
-    tolerance: float = 1e-9
-    max_enum_size: int = 8
-
-    def __post_init__(self):
-        if self.theta_grid_points < 3:
-            raise ValueError("theta_grid_points must be >= 3")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if self.max_enum_size < 1:
-            raise ValueError("max_enum_size must be a positive integer")
-
-    @property
-    def grid_step(self) -> float:
-        return 1.0 / (self.theta_grid_points - 1)
+ORACLE_TOLERANCE = 1e-9  # largest misreport gain still read as no gain
+MAX_ENUM_SIZE = 8  # stable matchings are enumerated up to this many agents per side
 
 
 def coverage_payoff(
@@ -63,14 +47,14 @@ def grid_oracle_coverage(
     sub: Subregion,
     econ: EconomyParams,
     reward_hat: float = 0.0,
-    config: OracleConfig = OracleConfig(),
+    grid_points: int = 10001,
 ) -> float:
-    """Coverage that maximises the payoff over a dense grid on [0, 1].
+    """Coverage that maximises the payoff over ``grid_points`` even steps of [0, 1].
 
     Ties resolve to the smallest grid point; ``np.argmax`` already returns
     the first maximiser.
     """
-    thetas = np.linspace(0.0, 1.0, config.theta_grid_points)
+    thetas = np.linspace(0.0, 1.0, grid_points)
     payoff = coverage_payoff(thetas, aux.upsilon, sub, econ, reward_hat)
     return float(thetas[int(np.argmax(payoff))])
 
@@ -87,16 +71,15 @@ def ic_matrix(schedule: ContractSchedule) -> np.ndarray:
     return rewards[None, :] - upsilons[:, None] * thetas[None, :]
 
 
-def diagonal_dominant(matrix: np.ndarray, tolerance: float = 1e-9) -> bool:
-    """True when no row gains more than ``tolerance`` off its diagonal."""
+def diagonal_dominant(matrix: np.ndarray) -> bool:
+    """True when no row gains more than ``ORACLE_TOLERANCE`` off its diagonal."""
     diag = np.diag(matrix)
-    return bool(np.all(matrix - diag[:, None] <= tolerance))
+    return bool(np.all(matrix - diag[:, None] <= ORACLE_TOLERANCE))
 
 
 def enumerate_stable_matchings(
     sub_prefs: Mapping[str, PreferenceList],
     uav_prefs: Mapping[str, PreferenceList],
-    config: OracleConfig = OracleConfig(),
 ) -> list[dict[str, str]]:
     """All stable assignments of an instance, as subregion-to-UAV maps.
 
@@ -105,15 +88,14 @@ def enumerate_stable_matchings(
     keeps those with no blocking pair. Prefixes already containing a
     blocking pair among decided participants are cut early; pairs
     involving a still-free UAV are checked at the leaves. Preference lists
-    must be tie-free. Instances above ``max_enum_size`` per side are
+    must be tie-free. Instances above ``MAX_ENUM_SIZE`` per side are
     refused.
     """
     subs = list(sub_prefs)
     uavs = list(uav_prefs)
-    if len(subs) > config.max_enum_size or len(uavs) > config.max_enum_size:
+    if len(subs) > MAX_ENUM_SIZE or len(uavs) > MAX_ENUM_SIZE:
         raise ValueError(
-            f"instance {len(uavs)}x{len(subs)} exceeds enumeration cap "
-            f"{config.max_enum_size}"
+            f"instance {len(uavs)}x{len(subs)} exceeds enumeration cap {MAX_ENUM_SIZE}"
         )
     for prefs in (sub_prefs, uav_prefs):
         for pref in prefs.values():

@@ -22,7 +22,6 @@ from uavmarket.matching import gs_match, stability_audit
 from uavmarket.pipeline import run_match
 from uavmarket.scenario import fixture_path, load_scenario
 from uavmarket.verification import (
-    OracleConfig,
     enumerate_stable_matchings,
     grid_oracle_coverage,
     ic_matrix,
@@ -89,12 +88,11 @@ def test_criterion_04_profit_ordering(six_type_schedule):
 
 def test_criterion_05_closed_form_vs_grid_oracle():
     rng = np.random.default_rng(2024)
-    config = OracleConfig(theta_grid_points=10001)
     worst = 0.0
     for _ in range(1000):
         aux, sub, econ = random_coverage_draw(rng)
         closed = optimal_coverage(aux, sub, econ)
-        scanned = grid_oracle_coverage(aux, sub, econ, 0.0, config)
+        scanned = grid_oracle_coverage(aux, sub, econ, 0.0, grid_points=10001)
         worst = max(worst, abs(closed - scanned))
     assert worst <= 2e-4
     report(5, f"1000 draws (seed 2024), max |closed - oracle| = {worst:.2e} <= 2e-4")
@@ -140,12 +138,11 @@ def test_criterion_09_preference_table_reproduced():
 
 def test_criterion_10_stability_and_proposer_optimality():
     rng = np.random.default_rng(777)
-    config = OracleConfig(max_enum_size=8)
     for _ in range(200):
         sub_prefs, uav_prefs = random_matching_instance(rng, max_side=8)
         state = gs_match(sub_prefs, uav_prefs)
         assert stability_audit(state, sub_prefs, uav_prefs) == []
-        stable = enumerate_stable_matchings(sub_prefs, uav_prefs, config)
+        stable = enumerate_stable_matchings(sub_prefs, uav_prefs)
         assignment = state.subregion_assignment()
         assert assignment in stable
         assert is_subregion_optimal(assignment, stable, sub_prefs)

@@ -5,9 +5,11 @@ backward-recursion evaluation; menu properties are checked on random
 instances as well.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import demo_econ, demo_subregion, grid_announcements, random_schedule
 from uavmarket.contract import (
@@ -20,7 +22,8 @@ from uavmarket.contract import (
     reward_schedule,
     sort_ladder,
 )
-from uavmarket.core import CostVector
+from uavmarket.core import CostVector, Position, Subregion
+from uavmarket.economics import EconomyParams
 
 
 def menu_utility(schedule: ContractSchedule, rank: int, item_rank: int) -> float:
@@ -194,7 +197,39 @@ class TestBuildSchedule:
         for _ in range(25):
             schedule, sub, econ = random_schedule(rng)
             raw = [optimal_coverage(aux, sub, econ) for aux in schedule.ladder]
-            assert iron_schedule(raw) == pytest.approx(raw)
+            assert iron_schedule(raw) == raw
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        upsilons=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=12),
+        ties=st.lists(st.sampled_from(["none", "exact", "ulp"]), min_size=12, max_size=12),
+        sigma=st.floats(1e-3, 1e7),
+        mu=st.floats(1e-6, 1e3),
+        volume=st.floats(1e-3, 1e9),
+        n_subregions=st.integers(1, 50),
+    )
+    def test_closed_form_coverages_are_non_increasing_bit_for_bit(
+        self, upsilons, ties, sigma, mu, volume, n_subregions
+    ):
+        # Correctly rounded division and subtraction are monotone and the
+        # clamp keeps order, so an ascending ladder, ties and 1-ulp steps
+        # included, gets non-increasing coverages that need no pooling.
+        ladder_upsilons = sorted(upsilons)
+        for i, tie in enumerate(ties[1 : len(ladder_upsilons)], start=1):
+            if tie == "exact":
+                ladder_upsilons[i] = ladder_upsilons[i - 1]
+            elif tie == "ulp":
+                ladder_upsilons[i] = math.nextafter(ladder_upsilons[i - 1], math.inf)
+        ladder_upsilons.sort()  # a 1-ulp step can pass a later duplicate
+        ladder = [
+            AuxiliaryType(rank, f"u{rank}", upsilon, CostVector(1.0, 1.0, 0.0, 0.0))
+            for rank, upsilon in enumerate(ladder_upsilons, start=1)
+        ]
+        sub = Subregion("s1", Position(0.0, 0.0), 1.0, volume, 1.0)
+        econ = EconomyParams(phi=0.05, mu=mu, sigma=sigma, n_subregions=n_subregions)
+        raw = [optimal_coverage(aux, sub, econ) for aux in ladder]
+        assert all(a >= b for a, b in zip(raw, raw[1:]))
+        assert iron_schedule(raw) == raw
 
 
 class TestAuditSchedule:

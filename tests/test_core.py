@@ -15,13 +15,10 @@ from uavmarket.core import (
     Position,
     Subregion,
     UavProfile,
+    _pair_terms,
     check_feasibility,
-    computation_phase,
     derive_cost_vector,
     fl_rounds,
-    propulsion_power,
-    transmission_phase,
-    traversal_phase,
 )
 from uavmarket.scenario import DirectUavTypes
 
@@ -67,14 +64,24 @@ def make_fl(**overrides):
     return FlHyperParams(**kwargs)
 
 
+def phases(theta, sub=None, profile=None, fl=None):
+    """``_pair_terms`` cut into its traversal, computation and transmission slices.
+
+    Traversal is (duration, energy, alpha, psi), computation (duration,
+    energy, beta) and transmission (duration, zeta).
+    """
+    terms = _pair_terms(theta, sub or make_sub(), profile or make_profile(), fl or make_fl())
+    return terms[:4], terms[4:7], terms[7:]
+
+
 class TestPropulsionPower:
     def test_direct_mode_passes_through(self):
-        assert propulsion_power(make_profile(power=20.0)) == 20.0
+        assert make_profile(power=20.0).cruise_power == 20.0
 
     def test_coefficient_mode(self):
         profile = make_profile(power=None, power_coefficients=(0.01, 100.0))
         # 0.01 * 10**3 + 100 / 10
-        assert propulsion_power(profile) == pytest.approx(20.0)
+        assert profile.cruise_power == pytest.approx(20.0)
 
     def test_both_zero_coefficients_rejected(self):
         with pytest.raises(ValueError, match="both"):
@@ -89,34 +96,35 @@ class TestPropulsionPower:
 
 class TestTraversalPhase:
     def test_worked_example(self):
-        phase = traversal_phase(0.5, make_sub(), make_profile())
-        assert phase.duration == pytest.approx(200.0)
-        assert phase.energy == pytest.approx(4000.0)
-        assert phase.alpha == pytest.approx(4000.0)
-        assert phase.psi == pytest.approx(2000.0)
+        duration, energy, alpha, psi = phases(0.5)[0]
+        assert duration == pytest.approx(200.0)
+        assert energy == pytest.approx(4000.0)
+        assert alpha == pytest.approx(4000.0)
+        assert psi == pytest.approx(2000.0)
 
     def test_zero_theta_at_center_is_free(self):
         profile = make_profile(base=Position(0.0, 0.0, 0.0))
-        phase = traversal_phase(0.0, make_sub(), profile)
-        assert phase.duration == 0.0
-        assert phase.energy == 0.0
+        duration, energy, _, _ = phases(0.0, profile=profile)[0]
+        assert duration == 0.0
+        assert energy == 0.0
 
     def test_theta_domain(self):
+        # the screen is the one public per-pair call that takes a coverage
         with pytest.raises(ValueError):
-            traversal_phase(1.2, make_sub(), make_profile())
+            check_feasibility(make_sub(), make_profile(), make_fl(), 1.2)
         with pytest.raises(ValueError):
-            traversal_phase(-0.1, make_sub(), make_profile())
+            check_feasibility(make_sub(), make_profile(), make_fl(), -0.1)
 
     @given(theta=st.floats(0.0, 1.0))
     def test_energy_decomposition_is_exact(self, theta):
-        phase = traversal_phase(theta, make_sub(), make_profile())
-        assert phase.energy - (phase.alpha * theta + phase.psi) == 0.0
+        _, energy, alpha, psi = phases(theta)[0]
+        assert energy - (alpha * theta + psi) == 0.0
 
     @given(theta=st.floats(0.0, 1.0))
     def test_energy_matches_duration_times_power(self, theta):
         profile = make_profile()
-        phase = traversal_phase(theta, make_sub(), profile)
-        assert phase.energy == pytest.approx(phase.duration * propulsion_power(profile))
+        duration, energy, _, _ = phases(theta, profile=profile)[0]
+        assert energy == pytest.approx(duration * profile.cruise_power)
 
 
 class TestFlRounds:
@@ -146,64 +154,59 @@ class TestFlRounds:
 
 class TestComputationPhase:
     def test_worked_example(self):
-        phase = computation_phase(1.0, make_sub(), make_profile(), make_fl())
+        duration, energy, _ = phases(1.0)[1]
         expected_duration = 24 * 4 * 10.0 * 8e6 * math.log2(1 / 0.6) / 2e9
         expected_energy = 24 * 1e-28 * 10.0 * 8e6 * 4 * math.log2(1 / 0.6) * (2e9) ** 2
-        assert phase.duration == pytest.approx(expected_duration)
-        assert phase.duration == pytest.approx(2.8299478815982315)
-        assert phase.energy == pytest.approx(expected_energy)
-        assert phase.energy == pytest.approx(2.263958305278586)
+        assert duration == pytest.approx(expected_duration)
+        assert duration == pytest.approx(2.8299478815982315)
+        assert energy == pytest.approx(expected_energy)
+        assert energy == pytest.approx(2.263958305278586)
 
     def test_zero_theta(self):
-        phase = computation_phase(0.0, make_sub(), make_profile(), make_fl())
-        assert phase.duration == 0.0
-        assert phase.energy == 0.0
+        duration, energy, _ = phases(0.0)[1]
+        assert duration == 0.0
+        assert energy == 0.0
 
     def test_cpu_frequency_scaling(self):
-        slow = computation_phase(0.7, make_sub(), make_profile(), make_fl())
-        fast = computation_phase(
-            0.7, make_sub(), make_profile(cpu_frequency=4e9), make_fl()
-        )
-        assert fast.energy == pytest.approx(4 * slow.energy)
-        assert fast.duration == pytest.approx(slow.duration / 2)
+        slow = phases(0.7)[1]
+        fast = phases(0.7, profile=make_profile(cpu_frequency=4e9))[1]
+        assert fast[1] == pytest.approx(4 * slow[1])
+        assert fast[0] == pytest.approx(slow[0] / 2)
+        assert derive_cost_vector(
+            make_sub(), make_profile(cpu_frequency=4e9), make_fl()
+        ).beta == pytest.approx(4 * slow[2])
 
     @given(theta=st.floats(1e-6, 1.0))
     def test_energy_linear_in_theta(self, theta):
-        phase = computation_phase(theta, make_sub(), make_profile(), make_fl())
-        assert phase.energy / theta == pytest.approx(phase.beta)
+        _, energy, beta = phases(theta)[1]
+        assert energy / theta == pytest.approx(beta)
+        assert beta == derive_cost_vector(make_sub(), make_profile(), make_fl()).beta
 
 
 class TestTransmissionPhase:
     def test_worked_example(self):
-        phase = transmission_phase(make_sub(), make_profile(), make_fl())
-        assert phase.duration == pytest.approx(2400.0)
-        assert phase.zeta == pytest.approx(19200.0)
+        duration, zeta = phases(1.0)[2]
+        assert duration == pytest.approx(2400.0)
+        assert zeta == pytest.approx(19200.0)
 
     @pytest.mark.parametrize("rho", [2.0, 8.0, 18.0])
     def test_transmit_power_cancels_in_energy(self, rho):
-        phase = transmission_phase(make_sub(), make_profile(transmit_power=rho), make_fl())
-        assert phase.zeta * make_sub().rate_factor == pytest.approx(24 * 8e6)
+        vector = derive_cost_vector(make_sub(), make_profile(transmit_power=rho), make_fl())
+        assert vector.zeta * make_sub().rate_factor == pytest.approx(24 * 8e6)
 
     def test_rate_factor_inverse_proportionality(self):
-        base = transmission_phase(make_sub(), make_profile(), make_fl())
-        doubled = transmission_phase(
-            make_sub(rate_factor=2e4), make_profile(), make_fl()
-        )
-        assert doubled.duration == pytest.approx(base.duration / 2)
-        assert doubled.zeta == pytest.approx(base.zeta / 2)
+        base = phases(1.0)[2]
+        doubled = phases(1.0, sub=make_sub(rate_factor=2e4))[2]
+        assert doubled[0] == pytest.approx(base[0] / 2)
+        assert doubled[1] == pytest.approx(base[1] / 2)
 
 
 class TestCostVector:
     def test_composition_matches_phases(self):
         sub, profile, fl = make_sub(), make_profile(), make_fl()
         vector = derive_cost_vector(sub, profile, fl)
-        trav = traversal_phase(1.0, sub, profile)
-        comp = computation_phase(1.0, sub, profile, fl)
-        tx = transmission_phase(sub, profile, fl)
-        assert vector.alpha == trav.alpha
-        assert vector.beta == comp.beta
-        assert vector.psi == trav.psi
-        assert vector.zeta == tx.zeta
+        (_, _, alpha, psi), (_, _, beta), (_, zeta) = phases(1.0, sub, profile, fl)
+        assert (vector.alpha, vector.beta, vector.psi, vector.zeta) == (alpha, beta, psi, zeta)
 
     def test_base_position_only_moves_psi(self):
         near = derive_cost_vector(make_sub(), make_profile(), make_fl())
@@ -285,16 +288,11 @@ class TestFeasibility:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_costs_monotone_in_theta(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        sub, profile, fl = make_sub(), make_profile(), make_fl()
-        trav_lo, trav_hi = traversal_phase(lo, sub, profile), traversal_phase(hi, sub, profile)
-        comp_lo, comp_hi = (
-            computation_phase(lo, sub, profile, fl),
-            computation_phase(hi, sub, profile, fl),
-        )
-        assert trav_lo.duration <= trav_hi.duration
-        assert trav_lo.energy <= trav_hi.energy
-        assert comp_lo.duration <= comp_hi.duration
-        assert comp_lo.energy <= comp_hi.energy
+        (trav_lo, comp_lo, _), (trav_hi, comp_hi, _) = phases(lo), phases(hi)
+        assert trav_lo[0] <= trav_hi[0]  # duration
+        assert trav_lo[1] <= trav_hi[1]  # energy
+        assert comp_lo[0] <= comp_hi[0]
+        assert comp_lo[1] <= comp_hi[1]
 
 
 class TestTypeInvariants:

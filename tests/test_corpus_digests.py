@@ -2,7 +2,7 @@
 
 The six bundled fixtures share one subregion order and barely calibrate,
 so their digests cannot see a change to rejection chains, tie handling
-or calibration. The 20 files under ``tests/corpus/`` can: six families
+or calibration. The 28 files under ``tests/corpus/`` can: six families
 at 20 UAVs x 20 subregions. Each case pins the exit code and
 the sha256 of stdout, stderr and every CSV that ``contract``, ``match``
 and ``verify`` write; the ``contract`` cases pin the menus themselves
@@ -11,7 +11,7 @@ to the outputs must update these digests in the same commit and say why.
 
 The files were written once with the benchmark's seeded generator
 (``benchmarks/gen.py``, which is not imported here) as
-``gen.write(doc, path)`` with ``N = 20``:
+``gen.write(doc, path)`` with ``N = 20``, seeds 0-4 unless noted:
 
 * ``direct-<seed>.scn``    ``gen.direct(N, N, seed)``
 * ``ties-abs-<seed>.scn``  ``gen.ties(N, N, seed)``: exact twins,
@@ -19,7 +19,7 @@ The files were written once with the benchmark's seeded generator
 * ``ties-rel-<seed>.scn``  ``gen.ties(N, N, seed)`` with ``calibration``
   set to ``gen._RELATIVE_STEPS`` (relative steps of 1 %). Every one of
   them ends in an unresolved tie (exit 3), which is pinned as it is.
-* ``physical-<seed>.scn``  ``gen.physical(N, N, seed)``, seeds 0-4:
+* ``physical-<seed>.scn``  ``gen.physical(N, N, seed)``:
   hardware profiles, about 5 % of pairs pass screening. Every UAV has a
   direct ``power`` and a 1e6 J battery, so only the deadline gate decides.
 * ``physical-tight-<seed>.scn``  ``gen.physical(N, N, seed)``, seeds
@@ -121,6 +121,52 @@ DIGESTS = {
         "stdout": "77c3acd830df33ed328cedc99cb0a5270942248800b5c0ac434ffb440bc38e2a",
         "verify.csv": "3b62c920a4d1fd806898c3aac499b181f7af8175aa8739d8212f58bcbfb4c03f",
     },
+    ("direct-3.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "00baec867796552e2aaeadb82317513add66cd2c0d840f3b16143116eab925a0",
+        "ic_matrix.csv": "58995dec6013729c3a038576fbe400ea50a6e292899c2b67ee71a40b58fa5400",
+        "profit.csv": "33ee9cbe7652f015bc3db0ab91c2ba1732ade7833a858cda1f77190663005d13",
+        "rewards.csv": "56fc178102ee00438efa1309bcabb485563de02dfd690d4ea7847e5f32301364",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("direct-3.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "800bbf082918323bd4877521f18258ffd34101c1676b29dbf54ed175fe50308b",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "def20c45ca43dd5e73ffc6dd95b0396684e8e502be82f568e44c50e57b0770cb",
+    },
+    ("direct-3.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "894943ce89a161b10debee820ad38856fa4ff33e0bc1506b76e85013f8a02a6f",
+        "verify.csv": "86fce38cf3b5633702d6fb5ce2baadd2a96f97dc62b661f13430bfbdabff676c",
+    },
+    ("direct-4.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "e2592d82ada92899e150b824d282c4e3e0b631ae35938b229241c63d8b69b20f",
+        "ic_matrix.csv": "41a3c8e41b3a50f785107902ed6645eeeb3c363d977cf8971d0c75cee36eac8b",
+        "profit.csv": "d4dcb771210caf95af822aef49b9365eb326ca63a25a90fcaff30f7dfee9e93d",
+        "rewards.csv": "df6e8d3e3428199a5402681530c8634cd204e51e4ce9a8719125a7cb13e2ffef",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("direct-4.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "6f2c373e1210fc9c4e86892af68161429eded3fc602a9418ee63230bcd360d49",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "d8b2970c1d5812ab1180160cc0b6ce916a16f9f6d7721c23c811b59d85e0b81b",
+    },
+    ("direct-4.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "7fac2d8a536848338f4c094deaed3cfa9c9c67b0724a53d95ada91c5ebae6c32",
+        "verify.csv": "1f9c88c0f6181436c82a699c852d1231de50467bdbfdee8c46845bd29b24eba2",
+    },
     ("hetero-0.scn", "contract"): {
         "exit": 0,
         "coverage.csv": "792b984f01967177d97018ab1aa297f9d9deeac5c893fe098ed7de979df787c8",
@@ -189,6 +235,52 @@ DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout": "ebf895f96d01b807cf37ecee5a316047cae939e5cdabcc1e99c26e2d9445a2d4",
         "verify.csv": "b9f14943acda99adbcefabc6d3983bc1759a35ab17a8d76f8e9dc902c6b26eeb",
+    },
+    ("hetero-3.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "fa663079db69083ac594effa828c548122c7c5b088317a4c857c17248ee16177",
+        "ic_matrix.csv": "23d984aca166257c3bd112941764c2a72ee6443aa1d52feaae8be005e471a2dd",
+        "profit.csv": "bbb55e1c58cdbdce1f32a26a6a5d7b928bb5349777dab4386c11a41f666c2995",
+        "rewards.csv": "e3cdc743f4f2f75905c8758b5e1e4de0a8ca30d8d5b62ce8ae3693d5600ba806",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("hetero-3.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "5417610a6c030519ab2bce9bcef559618db99aea64f1e6a0c561c755e07f0cc8",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "bb30cd78a3da1936fd2be60bcd4ac48391189f0d20a0f0b818d22031c03b507e",
+    },
+    ("hetero-3.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "45ae97ead2b117a33144c2829eb80d27826d5ca5494a67e0f76455e6be801148",
+        "verify.csv": "979525925dcf5af32b4c1e3715f79e2aaee0f714b689ef0b721b14438e05a393",
+    },
+    ("hetero-4.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "698052cb7cc7481bf38b16cf641f1bc5ff07ef6d694b61fed27420cbcdd96f3b",
+        "ic_matrix.csv": "42783b81647c07bcdeb8b1467293c87fb9a23639e4862f1015de32d250060049",
+        "profit.csv": "8f91e205f786d45c9ccfd9c350ee85b79c0d169092ee71ed36bef03ccd632955",
+        "rewards.csv": "d9db7d72dbb1ea3bd0c45fcf045b1f21574437bcef31b6d7b4e4a99a36f32bce",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("hetero-4.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "349da5424a847ff1621ba026eec4dcb643785e12d9b70e52e83e9e0ccd2aff9c",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "ae6c26e721af447026969c25f7ec8ad57ad2950ac203c26bd4bf321959b6b958",
+    },
+    ("hetero-4.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "7e9fc3754d5da36f83aa84434e38cdc5b1b95971e2782be4cb66c24dcce30866",
+        "verify.csv": "7feb3d593d378438e1dd0b68fe4dc6ebd79795b31f5b62807650047dfac9a0b6",
     },
     ("physical-0.scn", "contract"): {
         "exit": 0,
@@ -443,6 +535,52 @@ DIGESTS = {
         "stdout": "c223a8b03b1977faae64a79e48cd5983f73f30c626a926ea1e5812fb36aa0d16",
         "verify.csv": "2fa09658fdbffa00e671e7e13c0a7c60e27f1c37ee6487a688557782087b95b5",
     },
+    ("ties-abs-3.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "b87a0c4f3a1da7245b5077f6e9ad849e31b73376a4a30259577aeabf03ddd85f",
+        "ic_matrix.csv": "03411e4de930ece2d4bf74e4a1029d9b47402f9c73d4a5a1d11326442214403c",
+        "profit.csv": "c4809e69f9da651a52e484f411bf2d1ff6a01e582f8739992d87a743cb29cc06",
+        "rewards.csv": "baf0c503fed868cffc3f5a26ab1f20d90712e1d887f0097ef601bdf7e5c61025",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("ties-abs-3.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "2fdb22fafd5dcbb4b23a1291a7bb6c3f0b67f4174ed9760a4149c654f4e4d83f",
+        "calibration.csv": "153f095ae435d335b04d00bcce72b141c7ba57d5d40b06690212e2c74d029a62",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "ce56d56c725b83793293f4a1282864f24ff7cd727cbf03e8af246d5638d5ae7a",
+    },
+    ("ties-abs-3.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "538a711a63db3ffef19e4f825914320630d404c3f315f14352167e080fecb1b2",
+        "verify.csv": "98eaa40123e86ae71cf3ac4ab409444b022afc2ac5c77313de1d62a381a9daeb",
+    },
+    ("ties-abs-4.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "f506c480db1ef39206c6c688ec1c45e004a79e560052625a4261e3d31e97de8e",
+        "ic_matrix.csv": "aa3d3cf2581a378d80a607809648b93c1a65513a6b7cc3813d8a846c236630a1",
+        "profit.csv": "4282d70024416472a5fff10e212739c07a1b4b413091ebce4fbf26e9caaf3972",
+        "rewards.csv": "333dc3157629f566cd67e812a944f8efad4c0bf55e0658b671455ffb9b1c287d",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("ties-abs-4.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "68703597bedacdc770b0fa21bdd7c2aeed59d2736f5e7991793208661ffb77b4",
+        "calibration.csv": "85c44667c713f33638732e90b8da6b26c80c10ebd30e4e5e782011a4978c3374",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "930321ecc32a15bb53a566146d7d91ce77fd2d2daa4dbb063da4e6849e214a02",
+    },
+    ("ties-abs-4.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "3c214019f8a7e16d1cadde5b131cb23b8b312dcde8965047e575256a68659891",
+        "verify.csv": "1bf0dbce374ec14544ec7da3171e543b7fa3cc8d75206086a44aed3490f66cac",
+    },
     ("ties-rel-0.scn", "contract"): {
         "exit": 0,
         "coverage.csv": "f9ca520f1fbcf101a699816bdc388b4fd7b85b3902319728c5eb0f1ba362b08f",
@@ -498,6 +636,44 @@ DIGESTS = {
     ("ties-rel-2.scn", "verify"): {
         "exit": 3,
         "stderr": "59ede650dee2b4ddf0145570edca2797531b672a8169e75bf34b0c35c229bab9",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-3.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "b87a0c4f3a1da7245b5077f6e9ad849e31b73376a4a30259577aeabf03ddd85f",
+        "ic_matrix.csv": "03411e4de930ece2d4bf74e4a1029d9b47402f9c73d4a5a1d11326442214403c",
+        "profit.csv": "c4809e69f9da651a52e484f411bf2d1ff6a01e582f8739992d87a743cb29cc06",
+        "rewards.csv": "baf0c503fed868cffc3f5a26ab1f20d90712e1d887f0097ef601bdf7e5c61025",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("ties-rel-3.scn", "match"): {
+        "exit": 3,
+        "stderr": "2cab25e8d36c780fc664c8ad2291ed6a56474e329548552491469e44f038de62",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-3.scn", "verify"): {
+        "exit": 3,
+        "stderr": "2cab25e8d36c780fc664c8ad2291ed6a56474e329548552491469e44f038de62",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-4.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "f506c480db1ef39206c6c688ec1c45e004a79e560052625a4261e3d31e97de8e",
+        "ic_matrix.csv": "aa3d3cf2581a378d80a607809648b93c1a65513a6b7cc3813d8a846c236630a1",
+        "profit.csv": "4282d70024416472a5fff10e212739c07a1b4b413091ebce4fbf26e9caaf3972",
+        "rewards.csv": "333dc3157629f566cd67e812a944f8efad4c0bf55e0658b671455ffb9b1c287d",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("ties-rel-4.scn", "match"): {
+        "exit": 3,
+        "stderr": "0608f128cb2028f878258d614743002b815a2b2e10c0392362a65fc4ffa30407",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("ties-rel-4.scn", "verify"): {
+        "exit": 3,
+        "stderr": "0608f128cb2028f878258d614743002b815a2b2e10c0392362a65fc4ffa30407",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }

@@ -2,9 +2,9 @@
 
 ``contract._audit`` checks self-selection with one array broadcast;
 ``Market.utility`` prices a pair from the item's parts; ``rank_of`` is a
-dict lookup; the screen, the cost derivation and the phase functions
-read the training rounds and the propulsion power computed once per
-task and per UAV, from one per-pair body. Each must agree exactly
+dict lookup; the screen and the cost derivation read the training rounds
+and the propulsion power computed once per task and per UAV, from one
+per-pair body, ``core._pair_terms``. Each must agree exactly
 (``==``, not approximately) with the straightforward computation it
 replaces, so that fixture outputs and every audit flag stay
 bit-identical.
@@ -27,23 +27,17 @@ from uavmarket.contract import (
 )
 from uavmarket.core import (
     DEFAULT_THETA_HAT,
-    ComputationPhase,
     CostVector,
     FeasibilityReport,
     FlHyperParams,
     Position,
     Subregion,
     TrainingRounds,
-    TransmissionPhase,
-    TraversalPhase,
     UavProfile,
+    _pair_terms,
     _require,
     check_feasibility,
-    computation_phase,
     derive_cost_vector,
-    propulsion_power,
-    transmission_phase,
-    traversal_phase,
 )
 from uavmarket.economics import ContractItem, EconomyParams, uav_utility
 from uavmarket.matching import CalibrationPolicy, Market
@@ -231,13 +225,15 @@ def markets(draw):
 def assert_utilities_match_items(market, announced):
     uav_ids = sorted({u for by_uav in announced.values() for u in by_uav}) + ["absent"]
     for uav_id in uav_ids:
-        for sub_id in market.subregion_ids():
+        for sub_id, schedule in market.schedules.items():
+            rank = schedule.rank_of(uav_id)
             if uav_id not in announced[sub_id]:
-                assert market.item_for(uav_id, sub_id) is None
+                assert rank is None
                 with pytest.raises(KeyError):
                     market.utility(uav_id, sub_id)
                 continue
-            item = market.item_for(uav_id, sub_id)
+            live_reward = market.coverage_rewards(sub_id)[rank - 1]
+            item = schedule.items[rank - 1].with_coverage_reward(live_reward)
             expected = uav_utility(item, announced[sub_id][uav_id], market.econ)
             assert market.utility(uav_id, sub_id) == expected
 
@@ -258,7 +254,7 @@ class TestMarketUtility:
     def test_equals_uav_utility_of_the_live_item(self, built, steps):
         market, announced = built
         assert_utilities_match_items(market, announced)
-        sub_ids = market.subregion_ids()
+        sub_ids = list(market.schedules)
         for index, mode, delta in steps:
             policy = CalibrationPolicy(delta_mode=mode, delta_value=delta)
             market.reduce_rewards(sub_ids[index % len(sub_ids)], policy)
@@ -267,8 +263,9 @@ class TestMarketUtility:
 
 # The per-pair screen and cost derivation as they were before the task and
 # UAV constants moved into construction: each call recomputes the training
-# rounds and the propulsion power. Kept verbatim apart from the names, as
-# the reference for the single-body ``core._pair_terms``.
+# rounds and the propulsion power. Kept verbatim apart from the names and
+# the phase records, which are plain tuples here, as the reference for the
+# single-body ``core._pair_terms``.
 
 
 def reference_propulsion_power(profile: UavProfile) -> float:
@@ -288,7 +285,7 @@ def reference_traversal_phase(theta, sub, profile):
     duration = (theta * sub.full_distance + base_leg) / profile.velocity
     alpha = p * sub.full_distance / profile.velocity
     psi = p * base_leg / profile.velocity
-    return TraversalPhase(duration=duration, energy=alpha * theta + psi, alpha=alpha, psi=psi)
+    return (duration, alpha * theta + psi, alpha, psi)
 
 
 def reference_fl_rounds(fl: FlHyperParams) -> TrainingRounds:
@@ -312,21 +309,21 @@ def reference_computation_phase(theta, sub, profile, fl):
     cycles_full = profile.cycles_per_bit * sub.data_volume * v_iter * math.log2(1.0 / work)
     duration = rounds * cycles_full * theta / profile.cpu_frequency
     beta = profile.capacitance * rounds * cycles_full * profile.cpu_frequency**2
-    return ComputationPhase(duration=duration, energy=beta * theta, beta=beta)
+    return (duration, beta * theta, beta)
 
 
 def reference_transmission_phase(sub, profile, fl):
     _, _, rounds = reference_fl_rounds(fl)
     duration = rounds * fl.update_size / (sub.rate_factor * profile.transmit_power)
     zeta = rounds * fl.update_size / sub.rate_factor
-    return TransmissionPhase(duration=duration, zeta=zeta)
+    return (duration, zeta)
 
 
 def reference_derive_cost_vector(sub, profile, fl):
-    trav = reference_traversal_phase(1.0, sub, profile)
-    comp = reference_computation_phase(1.0, sub, profile, fl)
-    tx = reference_transmission_phase(sub, profile, fl)
-    return CostVector(alpha=trav.alpha, beta=comp.beta, psi=trav.psi, zeta=tx.zeta)
+    _, _, alpha, psi = reference_traversal_phase(1.0, sub, profile)
+    _, _, beta = reference_computation_phase(1.0, sub, profile, fl)
+    _, zeta = reference_transmission_phase(sub, profile, fl)
+    return CostVector(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
 
 
 @dataclass(frozen=True)
@@ -340,11 +337,11 @@ class ReferenceReport:
 def reference_check_feasibility(sub, profile, fl, theta_hat=DEFAULT_THETA_HAT):
     if not 0.0 < theta_hat <= 1.0:
         raise ValueError(f"theta_hat must be in (0, 1], got {theta_hat}")
-    trav = reference_traversal_phase(theta_hat, sub, profile)
-    comp = reference_computation_phase(theta_hat, sub, profile, fl)
-    tx = reference_transmission_phase(sub, profile, fl)
-    total_time = trav.duration + comp.duration + tx.duration
-    total_energy = trav.energy + comp.energy + tx.zeta
+    trav_time, trav_energy, _, _ = reference_traversal_phase(theta_hat, sub, profile)
+    comp_time, comp_energy, _ = reference_computation_phase(theta_hat, sub, profile, fl)
+    tx_time, zeta = reference_transmission_phase(sub, profile, fl)
+    total_time = trav_time + comp_time + tx_time
+    total_energy = trav_energy + comp_energy + zeta
     return ReferenceReport(
         time_ok=total_time <= sub.deadline,
         energy_ok=total_energy <= profile.energy_capacity,
@@ -440,7 +437,7 @@ class TestPairScreen:
         self, sub, profile, fl, theta_hat, theta, deadline, capacity
     ):
         assert fl.training == reference_fl_rounds(fl)
-        assert propulsion_power(profile) == reference_propulsion_power(profile)
+        assert profile.cruise_power == reference_propulsion_power(profile)
         slow = reference_check_feasibility(sub, profile, fl, theta_hat)
         if deadline == "at_total":
             sub = dataclasses.replace(sub, deadline=slow.total_time)
@@ -461,16 +458,10 @@ class TestPairScreen:
         for name in ("alpha", "beta", "psi", "zeta"):
             assert getattr(fast_costs, name) == getattr(slow_costs, name), name
 
-        for fast, slow in [
-            (traversal_phase(theta, sub, profile), reference_traversal_phase(theta, sub, profile)),
-            (
-                computation_phase(theta, sub, profile, fl),
-                reference_computation_phase(theta, sub, profile, fl),
-            ),
-            (transmission_phase(sub, profile, fl), reference_transmission_phase(sub, profile, fl)),
-        ]:
-            assert type(fast) is type(slow)
-            assert fast == slow
+        terms = _pair_terms(theta, sub, profile, fl)
+        assert terms[:4] == reference_traversal_phase(theta, sub, profile)
+        assert terms[4:7] == reference_computation_phase(theta, sub, profile, fl)
+        assert terms[7:] == reference_transmission_phase(sub, profile, fl)
 
     def test_limits_exactly_on_the_totals_pass_both_gates(self):
         sub = Subregion("s1", Position(0.0, 0.0), 2000.0, 8e6, 1e5)

@@ -148,7 +148,6 @@ class TestGsMatch:
         state = gs_match(sub_prefs, uav_prefs)
         assert state.assignment == {"u1": "s1"}
         assert state.unmatched_subregions == {"s2"}
-        assert "s2" in state.exhausted
 
     def test_one_to_one_and_stable_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -160,11 +159,15 @@ class TestGsMatch:
             assert stability_audit(state, sub_prefs, uav_prefs) == []
 
 
+def no_outside(uav):
+    return 0.0
+
+
 class TestRewardsCalibration:
     def test_single_candidate_untouched(self):
         market = tie_market({("a", "s1"): 10.0})
         before = market.coverage_rewards("s1")
-        survivor = rewards_calibration("s1", ["a"], market, CalibrationPolicy(), {})
+        survivor = rewards_calibration("s1", ["a"], market, CalibrationPolicy(), no_outside)
         assert survivor == "a"
         assert market.coverage_rewards("s1") == before
         assert market.calibration_log == []
@@ -183,7 +186,7 @@ class TestRewardsCalibration:
         }
         assert market.utility("a", "s1") > outside["a"]  # nobody pre-dominated
         survivor = rewards_calibration(
-            "s1", ["a", "b"], market, CalibrationPolicy(), outside
+            "s1", ["a", "b"], market, CalibrationPolicy(), outside.__getitem__
         )
         assert survivor == "b"
         after = market.coverage_rewards("s1")
@@ -199,7 +202,7 @@ class TestRewardsCalibration:
             {("a", "s1"): 10.0, ("b", "s1"): 10.0}, reward_hat=50.0
         )
         policy = CalibrationPolicy(delta_mode="absolute", delta_value=1.0, max_rounds=500)
-        survivor = rewards_calibration("s1", ["b", "a"], market, policy, {})
+        survivor = rewards_calibration("s1", ["b", "a"], market, policy, no_outside)
         assert survivor == "b"  # identical costs: first offered wins
         assert all(r == 0.0 for r in market.coverage_rewards("s1"))
 
@@ -209,7 +212,7 @@ class TestRewardsCalibration:
         )
         policy = CalibrationPolicy(delta_mode="relative", delta_value=0.01, max_rounds=40)
         with pytest.raises(UnresolvedTieError, match="s1"):
-            rewards_calibration("s1", ["a", "b"], market, policy, {})
+            rewards_calibration("s1", ["a", "b"], market, policy, no_outside)
 
     def test_other_subregions_untouched(self):
         market = tie_market(
@@ -219,7 +222,7 @@ class TestRewardsCalibration:
         before_s2 = market.coverage_rewards("s2")
         rewards_calibration(
             "s1", ["a", "b"], market, CalibrationPolicy(),
-            {"a": market.utility("a", "s2"), "b": market.utility("b", "s2")},
+            {"a": market.utility("a", "s2"), "b": market.utility("b", "s2")}.__getitem__,
         )
         assert market.coverage_rewards("s2") == before_s2
 

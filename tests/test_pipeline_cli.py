@@ -160,7 +160,6 @@ class TestRunMatch:
         )
         report = run_match(scenario_from_dict(doc))
         assert "s3" in report.match.unmatched_subregions
-        assert "s3" in report.match.exhausted
         assert report.match.assignment == {"u1": "s1", "u2": "s2"}
 
 
@@ -308,6 +307,48 @@ class TestCli:
         assert "$.uavs[1]: uav u2: " in captured.err and message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["contract", "match", "verify", "sweep"])
+    @pytest.mark.parametrize("fixture", ["physical.scn", "fig6.scn"])
+    def test_overflowing_pair_cost_exits_one(self, tmp_path, capsys, fixture, command):
+        # finite inputs whose base-to-centre leg overflows: psi comes out inf
+        doc = json.loads(fixture_path(fixture).read_text(encoding="utf-8"))
+        u1 = doc["uavs"][0]
+        if fixture == "physical.scn":
+            # no battery and no deadlines, so the pair passes both gates
+            u1["base"] = [1.7e308, 1.7e308, 1.7e308]
+            del u1["energy_capacity"]
+            for sub in doc["subregions"]:
+                del sub["deadline"]
+        else:
+            del u1["psi"]  # derived from base, velocity and power instead
+            u1.update(base=[1.7e308, 1.7e308, 0.0], velocity=10.0, power=20.0)
+        bad = tmp_path / "overflow.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, "--scenario", str(bad), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--param", "economy.sigma", "--from", "100", "--to", "100", "--steps", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "$.uavs[0]: subregion 's1': cost vector field psi must be finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_far_uav_that_fails_screening_is_not_an_error(self):
+        doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
+        doc["uavs"][0]["base"] = [1.7e308, 1.7e308, 1.7e308]
+        report = run_match(scenario_from_dict(doc))
+        assert not any(r.feasible for r in report.setup.feasibility["u1"].values())
+        assert "u1" not in report.match.assignment
+
+    def test_verify_grid_points_below_three_exits_one(self, tmp_path, capsys):
+        scn = str(fixture_path("demo_grid.scn"))
+        code = main(["verify", "--scenario", scn, "--out", str(tmp_path), "--grid-points", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--grid-points: must be >= 3" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -1,18 +1,19 @@
-"""Scenario file parsing, validation, and round-trip tests."""
+"""Scenario file parsing and validation tests."""
 
 import json
 import math
 
 import pytest
 
+from uavmarket.core import DEFAULT_THETA_HAT
 from uavmarket.errors import ScenarioError
+from uavmarket.matching import CalibrationPolicy
 from uavmarket.scenario import (
     DirectUavTypes,
+    Scenario,
     fixture_path,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    write_scenario,
 )
 
 FIXTURES = ["demo_grid.scn", "fig6.scn", "fig7.scn", "fig8.scn", "table3.scn", "physical.scn"]
@@ -65,7 +66,8 @@ class TestLoading:
         assert [u.id for u in scenario.uavs] == ["u1", "u2", "u3", "u4", "u5"]
         u5 = scenario.uavs[4]
         assert isinstance(u5, DirectUavTypes)
-        assert u5.costs_for(scenario.subregion("s3")).psi == pytest.approx(0.0)
+        s3 = next(sub for sub in scenario.subregions if sub.id == "s3")
+        assert u5.costs_for(s3).psi == pytest.approx(0.0)
 
     def test_defaults_applied(self):
         scenario = scenario_from_dict(minimal_doc())
@@ -73,6 +75,14 @@ class TestLoading:
         assert scenario.seed == 0
         assert scenario.calibration.delta_mode == "relative"
         assert math.isinf(scenario.subregions[0].deadline)
+
+    def test_omitted_fields_take_the_model_defaults(self):
+        scenario = scenario_from_dict(minimal_doc())
+        assert scenario.theta_hat == DEFAULT_THETA_HAT
+        assert scenario.theta_hat == Scenario.__dataclass_fields__["theta_hat"].default
+        assert scenario.calibration == CalibrationPolicy()
+        partial = scenario_from_dict(minimal_doc(calibration={"delta_mode": "absolute"}))
+        assert partial.calibration == CalibrationPolicy(delta_mode="absolute")
 
 
 class TestValidation:
@@ -340,18 +350,3 @@ class TestRewardHatPolicy:
     def test_zero_accepted(self, policy):
         scenario = scenario_from_dict(minimal_doc(reward_hat_policy=policy))
         assert scenario.reward_hat_policy.reward_hat_for("s1", 0.05) == 0.0
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_write_then_load_is_identity(self, tmp_path, name):
-        original = load_scenario(fixture_path(name))
-        out = tmp_path / name
-        write_scenario(original, out)
-        assert load_scenario(out) == original
-
-    def test_dict_round_trip_stable(self):
-        scenario = scenario_from_dict(minimal_doc())
-        once = scenario_to_dict(scenario)
-        again = scenario_to_dict(scenario_from_dict(json.loads(json.dumps(once))))
-        assert once == again

@@ -6,9 +6,12 @@ import pytest
 from conftest import demo_econ, demo_subregion, random_matching_instance, random_schedule
 from uavmarket.contract import AuxiliaryType, build_schedule, optimal_coverage
 from uavmarket.core import CostVector
+from uavmarket.errors import ScenarioError
 from uavmarket.matching import PreferenceList, gs_match
+from uavmarket.pipeline import run_verify
+from uavmarket.scenario import fixture_path, load_scenario
 from uavmarket.verification import (
-    OracleConfig,
+    MAX_ENUM_SIZE,
     coverage_payoff,
     diagonal_dominant,
     enumerate_stable_matchings,
@@ -61,9 +64,12 @@ class TestGridOracle:
             assert 0.0 < value < 1.0
 
     def test_grid_config(self):
-        with pytest.raises(ValueError):
-            OracleConfig(theta_grid_points=2)
-        assert OracleConfig(theta_grid_points=10001).grid_step == pytest.approx(1e-4)
+        with pytest.raises(ScenarioError) as err:
+            run_verify(load_scenario(fixture_path("demo_grid.scn")), grid_points=2)
+        assert err.value.problems == [("--grid-points", "must be >= 3")]
+        sub, econ = demo_subregion(), demo_econ()
+        assert grid_oracle_coverage(aux(13.5), sub, econ, grid_points=3) == 0.5
+        assert grid_oracle_coverage(aux(13.5), sub, econ, grid_points=10001) == 0.6407
 
 
 class TestIcMatrix:
@@ -135,11 +141,12 @@ class TestEnumeration:
             assert is_subregion_optimal(gs, stable, sub_prefs)
 
     def test_cap_enforced(self):
+        assert MAX_ENUM_SIZE == 8
         sub_prefs = {
-            f"s{i}": PreferenceList(f"s{i}", (), ()) for i in range(9)
+            f"s{i}": PreferenceList(f"s{i}", (), ()) for i in range(MAX_ENUM_SIZE + 1)
         }
         with pytest.raises(ValueError, match="cap"):
-            enumerate_stable_matchings(sub_prefs, {}, OracleConfig(max_enum_size=8))
+            enumerate_stable_matchings(sub_prefs, {})
 
     def test_ties_refused(self):
         sub_prefs = {"s1": PreferenceList("s1", ("a", "b"), (1.0, 1.0))}
