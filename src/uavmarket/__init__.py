@@ -61,7 +61,6 @@ from .pipeline import (
 )
 from .scenario import (
     DirectUavTypes,
-    RewardHatPolicy,
     Scenario,
     fixture_path,
     load_scenario,

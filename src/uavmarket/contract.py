@@ -11,6 +11,7 @@ that leaves the costliest type exactly at break-even.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -106,10 +107,17 @@ class ContractSchedule:
 
 
 def marginal_cost(alpha: float, beta: float, phi: float) -> float:
-    """Energy bill of one extra unit of coverage: ``phi * (alpha + beta)``."""
+    """Energy bill of one extra unit of coverage: ``phi * (alpha + beta)``.
+
+    Positive inputs can still overflow to inf or underflow to 0; either
+    is rejected, since no menu can be priced from it.
+    """
     if alpha <= 0 or beta <= 0 or phi <= 0:
         raise ValueError("alpha, beta, and phi must be > 0")
-    return phi * (alpha + beta)
+    upsilon = phi * (alpha + beta)
+    if not 0 < upsilon < math.inf:
+        raise ValueError(f"marginal cost phi * (alpha + beta) must be finite and > 0, got {upsilon}")
+    return upsilon
 
 
 def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[AuxiliaryType]:

@@ -13,9 +13,6 @@ from typing import Iterable, Sequence
 
 from .core import CostVector
 
-LOG_BASES = ("natural", "base2")
-
-
 @dataclass(frozen=True)
 class ContractItem:
     """One rung of a contract: a coverage fraction and its two-part pay.
@@ -51,14 +48,12 @@ class EconomyParams:
     ``mu``   data-to-accuracy curvature inside the log proxy
     ``sigma`` conversion from accuracy to owner revenue
     ``n_subregions`` number of subregions the owner runs in parallel
-    ``log_base`` log used by the accuracy proxy; only rescales sigma
     """
 
     phi: float
     mu: float
     sigma: float
     n_subregions: int
-    log_base: str = "natural"
 
     def __post_init__(self):
         for name in ("phi", "mu", "sigma"):
@@ -66,12 +61,6 @@ class EconomyParams:
                 raise ValueError(f"{name} must be > 0")
         if self.n_subregions < 1:
             raise ValueError("n_subregions must be a positive integer")
-        if self.log_base not in LOG_BASES:
-            raise ValueError(f"log_base must be one of {LOG_BASES}")
-
-
-def _log(x: float, base: str) -> float:
-    return math.log2(x) if base == "base2" else math.log(x)
 
 
 def uav_utility(item: ContractItem, costs: CostVector, econ: EconomyParams) -> float:
@@ -101,25 +90,17 @@ def payoff(
     )
 
 
-def model_accuracy(
-    coverages: Sequence[tuple[float, float]], mu: float, log_base: str = "natural"
-) -> float:
-    """Accuracy proxy: mean of ``log(1 + mu * theta * data_volume)`` over subregions.
-
-    Natural log by default; the base-2 option only rescales the owner's
-    revenue conversion, not the shape.
-    """
+def model_accuracy(coverages: Sequence[tuple[float, float]], mu: float) -> float:
+    """Accuracy proxy: mean of ``ln(1 + mu * theta * data_volume)`` over subregions."""
     if not coverages:
         raise ValueError("coverages must not be empty")
-    if log_base not in LOG_BASES:
-        raise ValueError(f"log_base must be one of {LOG_BASES}")
     total = 0.0
     for theta, volume in coverages:
         if not 0.0 <= theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {theta}")
         if volume <= 0:
             raise ValueError("data volume must be > 0")
-        total += _log(1.0 + mu * theta * volume, log_base)
+        total += math.log(1.0 + mu * theta * volume)
     return total / len(coverages)
 
 
@@ -134,5 +115,5 @@ def owner_profit(
         raise ValueError(
             f"got {len(coverages)} coverages but {len(rewards)} rewards"
         )
-    accuracy = model_accuracy(coverages, econ.mu, econ.log_base)
+    accuracy = model_accuracy(coverages, econ.mu)
     return econ.sigma * accuracy - sum(rewards)

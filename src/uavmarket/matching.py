@@ -56,7 +56,8 @@ class CalibrationPolicy:
     """Step rule for downward rewards calibration.
 
     Relative mode multiplies the reward vector by ``1 - delta_value`` per
-    step; absolute mode subtracts ``delta_value``, floored at zero.
+    step, so its ``delta_value`` is at most 1; absolute mode subtracts
+    ``delta_value``, floored at zero.
     """
 
     delta_mode: str = "relative"
@@ -68,6 +69,8 @@ class CalibrationPolicy:
             raise ValueError("delta_mode must be 'relative' or 'absolute'")
         if self.delta_value <= 0:
             raise ValueError("delta_value must be > 0")
+        if self.delta_mode == "relative" and self.delta_value > 1:
+            raise ValueError("delta_value must be <= 1 in relative mode")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be a positive integer")
 
@@ -84,7 +87,6 @@ class MatchState:
     """Final (or evolving) assignment plus the calibration history."""
 
     assignment: dict[str, str] = field(default_factory=dict)  # uav -> subregion
-    unmatched_subregions: set[str] = field(default_factory=set)
     calibration_log: list[CalibrationEvent] = field(default_factory=list)
 
     def subregion_assignment(self) -> dict[str, str]:
@@ -363,8 +365,6 @@ def gs_match(
         pool = next_pool
 
     state.assignment = dict(sorted(hold.items()))
-    matched_subs = set(hold.values())
-    state.unmatched_subregions = {s for s in sub_prefs if s not in matched_subs}
     if market is not None:
         state.calibration_log = list(market.calibration_log)
     return state

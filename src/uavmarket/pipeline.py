@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .contract import ContractSchedule, build_schedule, optimal_coverage
+from .contract import ContractSchedule, build_schedule, marginal_cost, optimal_coverage
 from .core import (
     CostVector,
     FeasibilityReport,
@@ -99,9 +100,14 @@ def prepare(scenario: Scenario) -> MarketSetup:
     """Screen the fleet, gather announcements, and build every menu.
 
     Physical UAVs run the time/energy gate at the scenario's screening
-    coverage and announce only where they pass; declared-type UAVs are
-    assumed feasible everywhere. A pair whose finite inputs multiply out
-    to a cost that is not finite is a scenario error on that UAV.
+    coverage and announce only where they pass; declared-type UAVs carry
+    the cost vectors the loader resolved and are assumed feasible
+    everywhere.
+
+    Finite inputs that multiply out to an amount that is not finite fail
+    here, so that no artifact holds ``nan`` or ``inf``: a bad cost vector
+    or marginal cost on its UAV, a menu's top reward on the reward policy,
+    and the owner revenue at a menu's top coverage on the economy.
     """
     econ = scenario.economy
     feasibility: dict[str, dict[str, FeasibilityReport]] = {}
@@ -120,10 +126,8 @@ def prepare(scenario: Scenario) -> MarketSetup:
                 if not report.feasible:
                     continue
             try:
-                if physical:
-                    costs = derive_cost_vector(sub, uav, scenario.fl)
-                else:
-                    costs = uav.costs_for(sub)
+                costs = derive_cost_vector(sub, uav, scenario.fl) if physical else uav.costs[sub.id]
+                marginal_cost(costs.alpha, costs.beta, econ.phi)
             except ValueError as exc:
                 raise ScenarioError([(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")]) from None
             announcements[sub.id][uav.id] = costs
@@ -131,8 +135,19 @@ def prepare(scenario: Scenario) -> MarketSetup:
     for sub in scenario.subregions:
         if not announcements[sub.id]:
             continue  # nobody responded; the subregion stays without a menu
-        reward_hat = scenario.reward_hat_policy.reward_hat_for(sub.id, econ.phi)
-        schedules[sub.id] = build_schedule(announcements[sub.id], sub, econ, reward_hat)
+        schedule = schedules[sub.id] = build_schedule(
+            announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
+        )
+        top = schedule.items[0]  # rank 1: the largest coverage and reward
+        revenue = econ.sigma * model_accuracy([(top.theta, sub.data_volume)], econ.mu)
+        for path, what, value in (
+            ("$.reward_hat_policy", "the top total reward", top.total_reward),
+            ("$.economy", "the owner revenue at the top coverage", revenue),
+        ):
+            if not math.isfinite(value):
+                raise ScenarioError([(path, f"subregion {sub.id!r}: {what} is not finite")])
+    if not math.isfinite(sum(s.items[0].total_reward for s in schedules.values())):
+        raise ScenarioError([("$.reward_hat_policy", "the menus' top total rewards sum to inf")])
     return MarketSetup(
         scenario=scenario,
         feasibility=feasibility,
@@ -167,8 +182,6 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
         uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs
     }
     state = gs_match(sub_prefs, published_uav_prefs, scenario.calibration, market)
-    silent = {sub.id for sub in scenario.subregions if sub.id not in setup.schedules}
-    state.unmatched_subregions |= silent
     final_schedules = market.final_schedules()
 
     # audit stability against the rewards actually on offer at the end;
@@ -472,7 +485,7 @@ def _write_contract_csvs(report: RunReport, out_dir: Path) -> None:
             # subregions held at zero coverage and zero reward
             revenue = (
                 econ.sigma
-                * model_accuracy([(item.theta, sub.data_volume)], econ.mu, econ.log_base)
+                * model_accuracy([(item.theta, sub.data_volume)], econ.mu)
                 / econ.n_subregions
             )
             profit_rows.append((sub.id, aux.rank, revenue - item.total_reward))

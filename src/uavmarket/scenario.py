@@ -15,6 +15,10 @@ UAV entries come in two modes:
   The traversal cost may be left out and derived from ``base``,
   ``velocity``, and ``power`` instead.
 
+The loader resolves what the market reads once: a declared UAV becomes
+one cost vector per subregion, and the reward policy becomes one fixed
+reward per subregion.
+
 Units are whatever the scenario author picked, used consistently within
 the file; nothing is converted implicitly.
 """
@@ -48,52 +52,14 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class DirectUavTypes:
-    """A UAV that announces declared cost values instead of hardware."""
+    """A UAV that announces declared cost values instead of hardware.
 
-    id: str
-    alpha: float | Mapping[str, float]
-    beta: float | Mapping[str, float]
-    psi: float | Mapping[str, float] | None = None
-    zeta: float | Mapping[str, float] = 0.0
-    base: Position | None = None
-    velocity: float | None = None
-    power: float | None = None
-
-    def costs_for(self, sub: Subregion) -> CostVector:
-        """The cost vector this UAV announces to ``sub``."""
-
-        def value(v: float | Mapping[str, float]) -> float:
-            return float(v[sub.id]) if isinstance(v, Mapping) else float(v)
-
-        if self.psi is not None:
-            psi = value(self.psi)
-        else:
-            # derived traversal: fly the base-to-center leg at cruise power
-            psi = self.power * self.base.distance_to(sub.center) / self.velocity
-        return CostVector(value(self.alpha), value(self.beta), psi, value(self.zeta))
-
-
-@dataclass(frozen=True)
-class RewardHatPolicy:
-    """How the per-subregion fixed compensation is chosen.
-
-    ``fixed`` uses an explicit value (one global or one per subregion);
-    ``reference`` prices a reference traversal-and-upload cost pair at the
-    scenario's energy price.
+    ``costs`` maps each subregion id, in the scenario's subregion order,
+    to the cost vector the UAV announces there.
     """
 
-    mode: str = "fixed"
-    value: float = 0.0
-    values: Mapping[str, float] | None = None
-    psi_ref: float = 0.0
-    zeta_ref: float = 0.0
-
-    def reward_hat_for(self, sub_id: str, phi: float) -> float:
-        if self.mode == "reference":
-            return phi * (self.psi_ref + self.zeta_ref)
-        if self.values is not None:
-            return float(self.values[sub_id])
-        return self.value
+    id: str
+    costs: Mapping[str, CostVector]
 
 
 @dataclass(frozen=True)
@@ -104,8 +70,9 @@ class Scenario:
     fl: FlHyperParams
     subregions: tuple[Subregion, ...]
     uavs: tuple[UavProfile | DirectUavTypes, ...]
+    # the fixed reward of each subregion's menu, in subregion order
+    reward_hats: Mapping[str, float]
     theta_hat: float = DEFAULT_THETA_HAT
-    reward_hat_policy: RewardHatPolicy = field(default_factory=RewardHatPolicy)
     calibration: CalibrationPolicy = field(default_factory=CalibrationPolicy)
     seed: int = 0
 
@@ -150,17 +117,9 @@ class _Node:
             return None
         return default
 
-    def _absent(self, key: str, default: Any):
-        """Handle a key that is not in the mapping; returns (handled, value)."""
-        self._seen.add(key)
-        if default is _MISSING:
-            self.error("required field is missing", key)
-            return None
-        return default
-
     def number(self, key: str, default: Any = _MISSING) -> float | None:
         if key not in self.mapping:
-            return self._absent(key, default)
+            return self.take(key, default)
         raw = self.take(key)
         problem = _number_error(raw)
         if problem:
@@ -170,7 +129,7 @@ class _Node:
 
     def integer(self, key: str, default: Any = _MISSING) -> int | None:
         if key not in self.mapping:
-            return self._absent(key, default)
+            return self.take(key, default)
         raw = self.take(key)
         if isinstance(raw, bool) or not isinstance(raw, int):
             self.error(f"expected an integer, got {type(raw).__name__}", key)
@@ -179,7 +138,7 @@ class _Node:
 
     def string(self, key: str, default: Any = _MISSING) -> str | None:
         if key not in self.mapping:
-            return self._absent(key, default)
+            return self.take(key, default)
         raw = self.take(key)
         if not isinstance(raw, str):
             self.error(f"expected a string, got {type(raw).__name__}", key)
@@ -218,25 +177,30 @@ def _reward_number(node: _Node, key: str) -> float | None:
     return value
 
 
+def _subregion_map(node: _Node, key: str, raw: Mapping, sub_ids: list[str]):
+    """A map with one finite number per subregion, in subregion order, or None."""
+    out = {}
+    for sub_id, v in raw.items():
+        problem = _number_error(v)
+        if problem:
+            node.error(f"subregion {sub_id!r}: {problem}", key)
+            return None
+        out[str(sub_id)] = float(v)
+    missing = [s for s in sub_ids if s not in out]
+    unknown = [s for s in out if s not in sub_ids]
+    if missing:
+        node.error(f"missing value for subregion(s) {missing}", key)
+    if unknown:
+        node.error(f"unknown subregion id(s) {unknown}", key)
+    return None if (missing or unknown) else {s: out[s] for s in sub_ids}
+
+
 def _number_or_map(node: _Node, key: str, sub_ids: list[str], default: Any = _MISSING):
     if key not in node.mapping:
-        return node._absent(key, default)
+        return node.take(key, default)
     raw = node.take(key)
     if isinstance(raw, Mapping):
-        out = {}
-        for sub_id, v in raw.items():
-            problem = _number_error(v)
-            if problem:
-                node.error(f"subregion {sub_id!r}: {problem}", key)
-                return None
-            out[str(sub_id)] = float(v)
-        missing = [s for s in sub_ids if s not in out]
-        unknown = [s for s in out if s not in sub_ids]
-        if missing:
-            node.error(f"missing value for subregion(s) {missing}", key)
-        if unknown:
-            node.error(f"unknown subregion id(s) {unknown}", key)
-        return None if (missing or unknown) else out
+        return _subregion_map(node, key, raw, sub_ids)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         node.error(f"expected a number or per-subregion map, got {type(raw).__name__}", key)
         return None
@@ -245,6 +209,49 @@ def _number_or_map(node: _Node, key: str, sub_ids: list[str], default: Any = _MI
         node.error(problem, key)
         return None
     return float(raw)
+
+
+def _reward_values(node: _Node, sub_ids: list[str]) -> dict[str, float] | None:
+    """The optional per-subregion ``values`` of a fixed reward policy."""
+    raw = node.take("values", None)
+    if raw is None:
+        return None
+    if not isinstance(raw, Mapping):
+        node.error("expected a map of subregion id to number", "values")
+        return None
+    values = _subregion_map(node, "values", raw, sub_ids)
+    if values is None:
+        return None
+    negative = [sid for sid, v in values.items() if v < 0]
+    for sid in negative:
+        node.error(f"{sid!r}: must be >= 0", "values")
+    return None if negative else values
+
+
+def _declared_costs(
+    path: str, fields: dict, flight: tuple, subregions: list[Subregion], problems: list
+) -> dict[str, CostVector] | None:
+    """A declared UAV's cost vector for each subregion, in subregion order.
+
+    ``fields`` holds alpha, beta, psi and zeta, each a number or a map in
+    subregion order; a psi of None is derived from ``flight`` = (base,
+    velocity, power) as the base-to-centre leg flown at cruise power.
+    """
+    base, velocity, power = flight
+
+    def column(value) -> list:
+        if value is None:
+            return [power * base.distance_to(s.center) / velocity for s in subregions]
+        return list(value.values()) if isinstance(value, Mapping) else [value] * len(subregions)
+
+    costs = {}
+    for sub, *values in zip(subregions, *map(column, fields.values())):
+        try:
+            costs[sub.id] = CostVector(*values)
+        except ValueError as exc:
+            problems.append((path, f"subregion {sub.id!r}: {exc}"))
+            return None
+    return costs
 
 
 def scenario_from_dict(data: Any) -> Scenario:
@@ -279,27 +286,23 @@ def scenario_from_dict(data: Any) -> Scenario:
                 problems.append((path, "expected an object"))
                 continue
             node = _Node(entry, path, problems)
-            sid = node.string("id")
-            center = _position(node.take("center"), f"{path}.center", problems)
-            full_distance = node.number("full_distance")
-            data_volume = node.number("data_volume")
-            rate_factor = node.number("rate_factor")
-            deadline = node.number("deadline", math.inf)
+            kwargs = dict(
+                id=node.string("id"),
+                center=_position(node.take("center"), f"{path}.center", problems),
+                full_distance=node.number("full_distance"),
+                data_volume=node.number("data_volume"),
+                rate_factor=node.number("rate_factor"),
+                deadline=node.number("deadline", math.inf),
+            )
             node.close()
-            if None in (sid, center, full_distance, data_volume, rate_factor, deadline):
+            if None in kwargs.values():
                 continue
             try:
-                sub = Subregion(
-                    id=sid,
-                    center=center,
-                    full_distance=full_distance,
-                    data_volume=data_volume,
-                    rate_factor=rate_factor,
-                    deadline=deadline,
-                )
+                sub = Subregion(**kwargs)
             except ValueError as exc:
                 problems.append((path, str(exc)))
                 continue
+            sid = sub.id
             if sid in sub_ids:
                 problems.append((path, f"duplicate subregion id {sid!r}"))
                 continue
@@ -315,17 +318,10 @@ def scenario_from_dict(data: Any) -> Scenario:
         phi = node.number("phi")
         mu = node.number("mu")
         sigma = node.number("sigma")
-        log_base = node.string("log_base", "natural")
         node.close()
-        if None not in (phi, mu, sigma, log_base) and subregions:
+        if None not in (phi, mu, sigma) and subregions:
             try:
-                economy = EconomyParams(
-                    phi=phi,
-                    mu=mu,
-                    sigma=sigma,
-                    n_subregions=len(subregions),
-                    log_base=log_base,
-                )
+                economy = EconomyParams(phi, mu, sigma, n_subregions=len(subregions))
             except ValueError as exc:
                 problems.append(("$.economy", str(exc)))
     elif econ_raw is not None:
@@ -354,41 +350,23 @@ def scenario_from_dict(data: Any) -> Scenario:
         root.error("expected an object", "fl")
 
     policy_raw = root.take("reward_hat_policy", None)
-    reward_policy = RewardHatPolicy()
+    reward_hats = dict.fromkeys(sub_ids, 0.0)
     if isinstance(policy_raw, Mapping):
         node = _Node(policy_raw, "$.reward_hat_policy", problems)
         mode = node.string("mode", "fixed")
         if mode == "fixed":
             value = _reward_number(node, "value")
-            values_raw = node.take("values", None)
-            values = None
-            if values_raw is not None:
-                values = {}
-                if not isinstance(values_raw, Mapping):
-                    node.error("expected a map of subregion id to number", "values")
-                    values = None
-                else:
-                    for sid, v in values_raw.items():
-                        problem = _number_error(v)
-                        if problem:
-                            node.error(f"{sid!r}: {problem}", "values")
-                        elif sid not in sub_ids:
-                            node.error(f"unknown subregion id {sid!r}", "values")
-                        else:
-                            if v < 0:
-                                node.error(f"{sid!r}: must be >= 0", "values")
-                            values[str(sid)] = float(v)
-                    if values is not None and set(values) != set(sub_ids):
-                        missing = sorted(set(sub_ids) - set(values))
-                        if missing:
-                            node.error(f"missing value for subregion(s) {missing}", "values")
-            reward_policy = RewardHatPolicy(mode="fixed", value=value or 0.0, values=values)
+            values = _reward_values(node, sub_ids)
+            if values is not None:
+                reward_hats = values
+            elif value is not None:
+                reward_hats = dict.fromkeys(sub_ids, value)
         elif mode == "reference":
+            # a reference traversal-and-upload cost pair at the energy price
             psi_ref = _reward_number(node, "psi_ref")
             zeta_ref = _reward_number(node, "zeta_ref")
-            reward_policy = RewardHatPolicy(
-                mode="reference", psi_ref=psi_ref or 0.0, zeta_ref=zeta_ref or 0.0
-            )
+            if None not in (economy, psi_ref, zeta_ref):
+                reward_hats = dict.fromkeys(sub_ids, economy.phi * (psi_ref + zeta_ref))
         else:
             node.error("mode must be 'fixed' or 'reference'", "mode")
         node.close()
@@ -453,17 +431,8 @@ def scenario_from_dict(data: Any) -> Scenario:
                     energy_capacity=node.number("energy_capacity", math.inf),
                 )
                 node.close()
-                required = (
-                    uid,
-                    base,
-                    kwargs["velocity"],
-                    kwargs["cycles_per_bit"],
-                    kwargs["cpu_frequency"],
-                    kwargs["capacitance"],
-                    kwargs["transmit_power"],
-                    kwargs["energy_capacity"],
-                )
-                if None not in required:
+                required = [v for k, v in kwargs.items() if k != "power"]
+                if None not in (uid, base, *required):
                     try:
                         parsed = UavProfile(
                             id=uid, base=base, power_coefficients=coeffs, **kwargs
@@ -471,58 +440,37 @@ def scenario_from_dict(data: Any) -> Scenario:
                     except ValueError as exc:
                         problems.append((path, str(exc)))
             elif mode == "direct":
-                alpha = _number_or_map(node, "alpha", sub_ids)
-                beta = _number_or_map(node, "beta", sub_ids)
-                psi = _number_or_map(node, "psi", sub_ids, None)
-                zeta = _number_or_map(node, "zeta", sub_ids, 0.0)
+                fields = {
+                    name: _number_or_map(node, name, sub_ids, default)
+                    for name, default in (
+                        ("alpha", _MISSING), ("beta", _MISSING), ("psi", None), ("zeta", 0.0)
+                    )
+                }
                 base_raw = node.take("base", None)
-                base = (
-                    _position(base_raw, f"{path}.base", problems)
-                    if base_raw is not None
-                    else None
-                )
-                velocity = node.number("velocity", None)
-                power = node.number("power", None)
+                base = None if base_raw is None else _position(base_raw, f"{path}.base", problems)
+                flight = (base, node.number("velocity", None), node.number("power", None))
                 node.close()
-                ok = True
-                if psi is None and None in (base, velocity, power):
+                found = len(problems)
+                if fields["psi"] is None and None in flight:
                     problems.append(
                         (path, "direct mode needs psi, or base+velocity+power to derive it")
                     )
-                    ok = False
-                if velocity is not None and velocity <= 0:
-                    problems.append((path, "velocity must be > 0"))
-                    ok = False
-                if power is not None and power <= 0:
-                    problems.append((path, "power must be > 0"))
-                    ok = False
-                for name, value, strict in (
-                    ("alpha", alpha, True),
-                    ("beta", beta, True),
-                    ("psi", psi, False),
-                    ("zeta", zeta, False),
-                ):
+                for name, value in zip(("velocity", "power"), flight[1:]):
+                    if value is not None and value <= 0:
+                        problems.append((path, f"{name} must be > 0"))
+                for name, value in fields.items():
                     if value is None:
                         continue
-                    entries = value.values() if isinstance(value, Mapping) else [value]
-                    low = min(entries)
-                    if strict and low <= 0:
+                    low = min(value.values() if isinstance(value, Mapping) else [value])
+                    if name in ("alpha", "beta") and low <= 0:
                         problems.append((f"{path}.{name}", "must be > 0"))
-                        ok = False
-                    elif not strict and low < 0:
+                    elif low < 0:
                         problems.append((f"{path}.{name}", "must be >= 0"))
-                        ok = False
-                if ok and None not in (uid, alpha, beta) and zeta is not None:
-                    parsed = DirectUavTypes(
-                        id=uid,
-                        alpha=alpha,
-                        beta=beta,
-                        psi=psi,
-                        zeta=zeta,
-                        base=base,
-                        velocity=velocity,
-                        power=power,
-                    )
+                required = (uid, fields["alpha"], fields["beta"], fields["zeta"])
+                if len(problems) == found and None not in required:
+                    costs = _declared_costs(path, fields, flight, subregions, problems)
+                    if costs is not None:
+                        parsed = DirectUavTypes(id=uid, costs=costs)
             else:
                 node.error("mode must be 'physical' or 'direct'", "mode")
                 node.close()
@@ -544,8 +492,8 @@ def scenario_from_dict(data: Any) -> Scenario:
         fl=fl,
         subregions=tuple(subregions),
         uavs=tuple(uavs),
+        reward_hats=reward_hats,
         theta_hat=theta_hat,
-        reward_hat_policy=reward_policy,
         calibration=calibration,
         seed=seed,
     )

@@ -26,6 +26,35 @@ def demo_econ(sigma=100.0, n_subregions=1, mu=1.0, phi=0.05):
     return EconomyParams(phi=phi, mu=mu, sigma=sigma, n_subregions=n_subregions)
 
 
+def minimal_doc(**overrides):
+    doc = {
+        "format_version": 1,
+        "economy": {"phi": 0.05, "mu": 1.0, "sigma": 100.0},
+        "fl": {
+            "lipschitz": 4.0,
+            "strong_convexity": 2.0,
+            "xi": 0.3333333333333333,
+            "delta": 0.25,
+            "local_accuracy": 0.6,
+            "update_size": 8e6,
+        },
+        "subregions": [
+            {
+                "id": "s1",
+                "center": [0.0, 0.0, 0.0],
+                "full_distance": 1000.0,
+                "data_volume": 10.0,
+                "rate_factor": 1.0,
+            }
+        ],
+        "uavs": [
+            {"id": "u1", "mode": "direct", "alpha": 250.0, "beta": 20.0, "psi": 10.0}
+        ],
+    }
+    doc.update(overrides)
+    return doc
+
+
 def grid_announcements():
     return {
         f"u{k + 1}": CostVector(a, b, 0.0, 0.0)

@@ -9,6 +9,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import minimal_doc
 from uavmarket.core import (
     CostVector,
     FlHyperParams,
@@ -20,7 +21,7 @@ from uavmarket.core import (
     derive_cost_vector,
     fl_rounds,
 )
-from uavmarket.scenario import DirectUavTypes
+from uavmarket.scenario import scenario_from_dict
 
 
 def make_profile(**overrides):
@@ -219,9 +220,10 @@ class TestCostVector:
         assert far.zeta == near.zeta
 
     def test_declared_values_pass_through(self):
-        uav = DirectUavTypes(id="d", alpha=250.0, beta={"s1": 20.0}, psi=100.0, zeta=50.0)
-        vector = uav.costs_for(make_sub())
-        assert (vector.alpha, vector.beta, vector.psi, vector.zeta) == (250.0, 20.0, 100.0, 50.0)
+        doc = minimal_doc()
+        doc["uavs"][0].update(alpha=250.0, beta={"s1": 20.0}, psi=100.0, zeta=50.0)
+        (uav,) = scenario_from_dict(doc).uavs
+        assert uav.costs == {"s1": CostVector(250.0, 20.0, 100.0, 50.0)}
 
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):

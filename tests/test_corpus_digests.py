@@ -2,7 +2,7 @@
 
 The six bundled fixtures share one subregion order and barely calibrate,
 so their digests cannot see a change to rejection chains, tie handling
-or calibration. The 28 files under ``tests/corpus/`` can: six families
+or calibration. The 31 files under ``tests/corpus/`` can: seven families
 at 20 UAVs x 20 subregions. Each case pins the exit code and
 the sha256 of stdout, stderr and every CSV that ``contract``, ``match``
 and ``verify`` write; the ``contract`` cases pin the menus themselves
@@ -40,6 +40,15 @@ The files were written once with the benchmark's seeded generator
   ``alpha`` becomes a per-subregion map ``round(alpha * U(0.5, 1.5), 3)``
   and each ``psi`` entry becomes ``round(psi * U(0, 2), 3)``, subregion
   by subregion. Each subregion then ranks the UAVs in its own order.
+* ``values-<seed>.scn``    ``gen.direct(N, N, seed)``, seeds 0-2, then,
+  drawing from ``random.Random(f"values:{N}x{N}:{seed}")``:
+  ``reward_hat_policy`` becomes ``{"mode": "fixed", "values": ...}``
+  with ``round(35 * U(0.5, 1.5), 3)`` per subregion, in subregion order;
+  then every third UAV (file index 2, 5, 8, ...) drops ``psi`` and gets
+  ``base = [round(1000 * U(0, 1), 3), round(1000 * U(0, 1), 3), 0.0]``,
+  ``velocity = round(U(8, 12), 4)`` and ``power = round(U(10, 20), 4)``,
+  so its traversal cost is derived per subregion. These are the only
+  cases with a per-subregion fixed reward and a derived ``psi``.
 """
 
 import hashlib
@@ -675,6 +684,75 @@ DIGESTS = {
         "exit": 3,
         "stderr": "0608f128cb2028f878258d614743002b815a2b2e10c0392362a65fc4ffa30407",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("values-0.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "adc1fcec8e5be6290e853f23a82fdca7b4efaecba8cb053aeb300daea1cf936c",
+        "ic_matrix.csv": "983390623ae5036e9703d89ac62174c17c03e2140155998bba9b6f1cbb4570a6",
+        "profit.csv": "4ae10524184a9ac217284bcbbd6987d2bac2e6da9f27b711a3f470159c3f2f10",
+        "rewards.csv": "4d07ef7bb111682ccc8d7318d1665b62dd0d522136d5f5f4ccc6b84eb9f26fb2",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("values-0.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "15667630105780912ccf754e8eb63852dbd8bba24770eb18976d125e57eca446",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "d60f9312bfc621e84e1c7a3bf482fb739f82a9a7678143f5ef4e09da59349fac",
+    },
+    ("values-0.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "86c0176d2e8e924d3412003041b12cfd5fa5a5dfa012b820d9455cfaf4f9b409",
+        "verify.csv": "05415ebf038c946e057e69b52601bb8dcb6b0b26be6cb74cae23667e5c931861",
+    },
+    ("values-1.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "1b94c8af07aef0f4eff19b3234847ae9b46ed48a904c45501311c94d7b20c314",
+        "ic_matrix.csv": "70feaa17d24ca62fd014dae2510fa1f4124901f9c92a5a82e4990b6c0f612629",
+        "profit.csv": "3cebe839a2fcfcc639502ab5a0cf48c2141d5d2bd4912b4ff1cf1bf3a61b3b53",
+        "rewards.csv": "4f973d3e4c4897e5d3be7a138e72553d3c8ae1f914b2a69b6ef72374af2df6d6",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("values-1.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "2cf5961fd2f6715d5d6f2e235320fd0cfeaedd08a026f0b65c9d95c0625a782e",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "2639bafa232161623bd8d180804cf059ac3df445b13785c76c6acb8f27e378fb",
+    },
+    ("values-1.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "f49f73f83957bb8d0c9f8241c9a85f9d492d9db943b5047d3696c60db1de9e68",
+        "verify.csv": "5ba853910c2ea023d299008d6de2a1b688daf36464d55f3518e7e6a2d3f46db7",
+    },
+    ("values-2.scn", "contract"): {
+        "exit": 0,
+        "coverage.csv": "f18d6f5c7aeca8995941327effeab4193909b74ef88c41ad1eb0cd18c7904781",
+        "ic_matrix.csv": "8a32e15c2325cc0b784fadd10847cd399605d50b81db6cd9dcc0dbe2320c496f",
+        "profit.csv": "f7ad0c9a64bfceb54c9351811ab5515f03099d3ed4222a2ebf21663e12796a5b",
+        "rewards.csv": "4d38a4c3601194b78a6d2a64f2cc199d95c0bbd1d607967620ba23d40e8ffeaf",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "887ea5bb925225b314a1b486e51ecd234b41216f98a8bf40844386d22fe32877",
+    },
+    ("values-2.scn", "match"): {
+        "exit": 0,
+        "assignment.csv": "503ea0bf3e3e48aded235fe046a6f168e5ac5aa759140d3610d00e258eb6e06e",
+        "calibration.csv": "20975255c1aa5df86c73f025bae8f27ba506868262fbda105598a4676d219214",
+        "stability.csv": "6a6d49e97798abb3c8914556cb17b50cbbff71035e77bff155f472e1af861198",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "8b14d98715f40100183b3695ecdad346ace3f3dd43a4a13b558623d20a4a0555",
+    },
+    ("values-2.scn", "verify"): {
+        "exit": 0,
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "77c3acd830df33ed328cedc99cb0a5270942248800b5c0ac434ffb440bc38e2a",
+        "verify.csv": "3b62c920a4d1fd806898c3aac499b181f7af8175aa8739d8212f58bcbfb4c03f",
     },
 }
 

@@ -105,11 +105,6 @@ class TestModelAccuracy:
         with pytest.raises(ValueError):
             model_accuracy([], mu=1.0)
 
-    def test_base2_option(self):
-        natural = model_accuracy([(0.4, 25.0)], mu=1.0)
-        base2 = model_accuracy([(0.4, 25.0)], mu=1.0, log_base="base2")
-        assert base2 == pytest.approx(natural / math.log(2))
-
     @given(st.floats(0.01, 0.98), st.floats(0.001, 0.02))
     def test_increasing_and_concave(self, theta, step):
         lo = model_accuracy([(theta, 10.0)], mu=1.0)
@@ -153,10 +148,6 @@ class TestParams:
             EconomyParams(phi=0.0, mu=1.0, sigma=1.0, n_subregions=1)
         with pytest.raises(ValueError):
             EconomyParams(phi=1.0, mu=1.0, sigma=1.0, n_subregions=0)
-
-    def test_log_base_checked(self):
-        with pytest.raises(ValueError):
-            EconomyParams(phi=1.0, mu=1.0, sigma=1.0, n_subregions=1, log_base="base10")
 
     def test_item_theta_domain(self):
         with pytest.raises(ValueError):

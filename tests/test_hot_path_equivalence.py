@@ -4,7 +4,8 @@
 ``Market.utility`` prices a pair from the item's parts; ``rank_of`` is a
 dict lookup; the screen and the cost derivation read the training rounds
 and the propulsion power computed once per task and per UAV, from one
-per-pair body, ``core._pair_terms``. Each must agree exactly
+per-pair body, ``core._pair_terms``; the loader resolves each declared UAV's cost
+vectors and each subregion's fixed reward once. Each must agree exactly
 (``==``, not approximately) with the straightforward computation it
 replaces, so that fixture outputs and every audit flag stay
 bit-identical.
@@ -12,6 +13,7 @@ bit-identical.
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import pytest
@@ -41,6 +43,7 @@ from uavmarket.core import (
 )
 from uavmarket.economics import ContractItem, EconomyParams, uav_utility
 from uavmarket.matching import CalibrationPolicy, Market
+from uavmarket.scenario import scenario_from_dict
 
 PHI = 0.05
 
@@ -477,3 +480,166 @@ class TestPairScreen:
         assert report == (True, True, totals.total_time, totals.total_energy)
         assert report.feasible
         assert_same_screen(sub, profile, fl, DEFAULT_THETA_HAT)
+
+
+# A declared UAV and the fixed-reward policy as they were before the
+# loader resolved them: each run re-read the scalar-or-map fields per
+# pair and the policy per subregion. ``costs_for`` and ``reward_hat_for``
+# are kept verbatim.
+@dataclass(frozen=True)
+class ReferenceDirectUav:
+    id: str
+    alpha: float | Mapping[str, float]
+    beta: float | Mapping[str, float]
+    psi: float | Mapping[str, float] | None = None
+    zeta: float | Mapping[str, float] = 0.0
+    base: Position | None = None
+    velocity: float | None = None
+    power: float | None = None
+
+    def costs_for(self, sub: Subregion) -> CostVector:
+        """The cost vector this UAV announces to ``sub``."""
+
+        def value(v: float | Mapping[str, float]) -> float:
+            return float(v[sub.id]) if isinstance(v, Mapping) else float(v)
+
+        if self.psi is not None:
+            psi = value(self.psi)
+        else:
+            # derived traversal: fly the base-to-center leg at cruise power
+            psi = self.power * self.base.distance_to(sub.center) / self.velocity
+        return CostVector(value(self.alpha), value(self.beta), psi, value(self.zeta))
+
+
+@dataclass(frozen=True)
+class ReferenceRewardHatPolicy:
+    mode: str = "fixed"
+    value: float = 0.0
+    values: Mapping[str, float] | None = None
+    psi_ref: float = 0.0
+    zeta_ref: float = 0.0
+
+    def reward_hat_for(self, sub_id: str, phi: float) -> float:
+        if self.mode == "reference":
+            return phi * (self.psi_ref + self.zeta_ref)
+        if self.values is not None:
+            return float(self.values[sub_id])
+        return self.value
+
+
+coord_st = st.floats(-5000.0, 5000.0)
+
+
+@st.composite
+def scalar_or_map(draw, sub_ids, low, high):
+    """A declared field: one number, or one number per subregion."""
+    if draw(st.booleans()):
+        return draw(st.floats(low, high))
+    return {sid: draw(st.floats(low, high)) for sid in sub_ids}
+
+
+@st.composite
+def declared_documents(draw):
+    """A scenario of declared UAVs with every field form and reward policy form."""
+    sub_ids = [f"s{k + 1}" for k in range(draw(st.integers(1, 4)))]
+    subregions = [
+        {
+            "id": sid,
+            "center": [draw(coord_st), draw(coord_st), draw(st.floats(0.0, 100.0))],
+            "full_distance": 1000.0,
+            "data_volume": 10.0,
+            "rate_factor": 1.0,
+        }
+        for sid in sub_ids
+    ]
+    uavs = []
+    for i in range(draw(st.integers(1, 4))):
+        uav = {
+            "id": f"u{i + 1}",
+            "mode": "direct",
+            "alpha": draw(scalar_or_map(sub_ids, 1.0, 1000.0)),
+            "beta": draw(scalar_or_map(sub_ids, 1.0, 100.0)),
+        }
+        if draw(st.booleans()):
+            uav["zeta"] = draw(scalar_or_map(sub_ids, 0.0, 500.0))
+        if draw(st.booleans()):
+            uav["psi"] = draw(scalar_or_map(sub_ids, 0.0, 2000.0))
+        else:
+            uav["base"] = [draw(coord_st), draw(coord_st)]
+            uav["velocity"] = draw(st.floats(0.5, 30.0))
+            uav["power"] = draw(st.floats(0.5, 300.0))
+        uavs.append(uav)
+    rhat = st.floats(0.0, 1000.0)
+    policy = draw(
+        st.sampled_from(["absent", "fixed-empty", "value", "values", "reference", "reference-empty"])
+    )
+    doc = {
+        "format_version": 1,
+        "economy": {"phi": draw(st.floats(0.001, 2.0)), "mu": 1.0, "sigma": 100.0},
+        "fl": {
+            "lipschitz": 4.0,
+            "strong_convexity": 2.0,
+            "xi": 1.0 / 3.0,
+            "delta": 0.25,
+            "local_accuracy": 0.6,
+            "update_size": 8e6,
+        },
+        "subregions": subregions,
+        "uavs": uavs,
+    }
+    if policy == "fixed-empty":
+        doc["reward_hat_policy"] = {"mode": "fixed"}
+    elif policy == "value":
+        doc["reward_hat_policy"] = {"mode": "fixed", "value": draw(rhat)}
+    elif policy == "values":
+        doc["reward_hat_policy"] = {"values": {sid: draw(rhat) for sid in sub_ids}}
+    elif policy == "reference":
+        doc["reward_hat_policy"] = {"mode": "reference", "psi_ref": draw(rhat), "zeta_ref": draw(rhat)}
+    elif policy == "reference-empty":
+        doc["reward_hat_policy"] = {"mode": "reference"}
+    return doc
+
+
+def reference_uav(entry: dict) -> ReferenceDirectUav:
+    """The parent loader's record for a declared entry: floats, maps and a base position."""
+
+    def field(v):
+        return {sid: float(x) for sid, x in v.items()} if isinstance(v, dict) else float(v)
+
+    base = entry.get("base")
+    return ReferenceDirectUav(
+        id=entry["id"],
+        alpha=field(entry["alpha"]),
+        beta=field(entry["beta"]),
+        psi=field(entry["psi"]) if "psi" in entry else None,
+        zeta=field(entry.get("zeta", 0.0)),
+        base=Position(*base, 0.0) if base is not None else None,
+        velocity=entry.get("velocity"),
+        power=entry.get("power"),
+    )
+
+
+def reference_policy(raw: dict | None) -> ReferenceRewardHatPolicy:
+    raw = raw or {}
+    if raw.get("mode", "fixed") == "reference":
+        return ReferenceRewardHatPolicy(
+            mode="reference", psi_ref=raw.get("psi_ref", 0.0), zeta_ref=raw.get("zeta_ref", 0.0)
+        )
+    return ReferenceRewardHatPolicy(value=raw.get("value", 0.0), values=raw.get("values"))
+
+
+class TestLoadTimeResolution:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=declared_documents())
+    def test_loader_equals_the_per_run_resolution(self, doc):
+        scenario = scenario_from_dict(doc)
+        for entry, uav in zip(doc["uavs"], scenario.uavs):
+            reference = reference_uav(entry)
+            assert list(uav.costs) == [sub.id for sub in scenario.subregions]
+            for sub in scenario.subregions:
+                assert uav.costs[sub.id] == reference.costs_for(sub), (uav.id, sub.id)
+        policy = reference_policy(doc.get("reward_hat_policy"))
+        phi = scenario.economy.phi
+        assert scenario.reward_hats == {
+            sub.id: policy.reward_hat_for(sub.id, phi) for sub in scenario.subregions
+        }

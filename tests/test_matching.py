@@ -102,7 +102,7 @@ class TestGsMatch:
         sub_prefs, uav_prefs = baseline_preferences()
         state = gs_match(sub_prefs, uav_prefs)
         assert state.assignment == EXPECTED_BASELINE_MATCH
-        assert state.unmatched_subregions == set()
+        assert set(state.assignment.values()) == set(sub_prefs)
         assert stability_audit(state, sub_prefs, uav_prefs) == []
 
     def test_single_pair(self):
@@ -147,7 +147,7 @@ class TestGsMatch:
         }
         state = gs_match(sub_prefs, uav_prefs)
         assert state.assignment == {"u1": "s1"}
-        assert state.unmatched_subregions == {"s2"}
+        assert "s2" not in state.assignment.values()
 
     def test_one_to_one_and_stable_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -278,6 +278,6 @@ class TestStabilityAudit:
         }
         from uavmarket.matching import MatchState
 
-        state = MatchState(assignment={}, unmatched_subregions={"s1", "s2"})
+        state = MatchState(assignment={})
         pairs = set(stability_audit(state, sub_prefs, uav_prefs))
         assert pairs == {("a", "s1"), ("b", "s1"), ("a", "s2")}

@@ -159,7 +159,7 @@ class TestRunMatch:
             }
         )
         report = run_match(scenario_from_dict(doc))
-        assert "s3" in report.match.unmatched_subregions
+        assert "s3" not in report.match.assignment.values()
         assert report.match.assignment == {"u1": "s1", "u2": "s2"}
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from conftest import minimal_doc
 from uavmarket.core import DEFAULT_THETA_HAT
 from uavmarket.errors import ScenarioError
 from uavmarket.matching import CalibrationPolicy
@@ -19,35 +20,6 @@ from uavmarket.scenario import (
 FIXTURES = ["demo_grid.scn", "fig6.scn", "fig7.scn", "fig8.scn", "table3.scn", "physical.scn"]
 
 
-def minimal_doc(**overrides):
-    doc = {
-        "format_version": 1,
-        "economy": {"phi": 0.05, "mu": 1.0, "sigma": 100.0},
-        "fl": {
-            "lipschitz": 4.0,
-            "strong_convexity": 2.0,
-            "xi": 0.3333333333333333,
-            "delta": 0.25,
-            "local_accuracy": 0.6,
-            "update_size": 8e6,
-        },
-        "subregions": [
-            {
-                "id": "s1",
-                "center": [0.0, 0.0, 0.0],
-                "full_distance": 1000.0,
-                "data_volume": 10.0,
-                "rate_factor": 1.0,
-            }
-        ],
-        "uavs": [
-            {"id": "u1", "mode": "direct", "alpha": 250.0, "beta": 20.0, "psi": 10.0}
-        ],
-    }
-    doc.update(overrides)
-    return doc
-
-
 class TestLoading:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_bundled_fixtures_load(self, name):
@@ -59,15 +31,15 @@ class TestLoading:
         scenario = load_scenario(fixture_path("fig6.scn"))
         assert len(scenario.subregions) == 6
         assert len(scenario.uavs) == 6
-        assert scenario.reward_hat_policy.reward_hat_for("s1", 0.05) == pytest.approx(35.0)
+        assert scenario.reward_hats == dict.fromkeys([f"s{k}" for k in range(1, 7)], 35.0)
 
     def test_table3_shape(self):
         scenario = load_scenario(fixture_path("table3.scn"))
         assert [u.id for u in scenario.uavs] == ["u1", "u2", "u3", "u4", "u5"]
         u5 = scenario.uavs[4]
         assert isinstance(u5, DirectUavTypes)
-        s3 = next(sub for sub in scenario.subregions if sub.id == "s3")
-        assert u5.costs_for(s3).psi == pytest.approx(0.0)
+        assert list(u5.costs) == [sub.id for sub in scenario.subregions]
+        assert u5.costs["s3"].psi == pytest.approx(0.0)
 
     def test_defaults_applied(self):
         scenario = scenario_from_dict(minimal_doc())
@@ -106,6 +78,20 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert err.value.problems == [("$.subregions[0].nodes", "unknown field")]
+
+    def test_economy_log_base_is_an_unknown_field(self):
+        doc = minimal_doc()
+        doc["economy"]["log_base"] = "natural"
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [("$.economy.log_base", "unknown field")]
+
+    def test_relative_calibration_step_above_one_rejected(self):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(minimal_doc(calibration={"delta_value": 1.5}))
+        assert err.value.problems == [("$.calibration", "delta_value must be <= 1 in relative mode")]
+        absolute = minimal_doc(calibration={"delta_mode": "absolute", "delta_value": 1.5})
+        assert scenario_from_dict(absolute).calibration.delta_value == 1.5
 
     def test_all_violations_collected(self):
         doc = minimal_doc()
@@ -154,7 +140,7 @@ class TestValidation:
             scenario_from_dict(doc)
         doc["uavs"][0].update({"base": [0.0, 0.0, 0.0], "velocity": 10.0, "power": 5.0})
         scenario = scenario_from_dict(doc)
-        assert scenario.uavs[0].costs_for(scenario.subregions[0]).psi == pytest.approx(0.0)
+        assert scenario.uavs[0].costs["s1"].psi == pytest.approx(0.0)
 
     def test_booleans_are_not_numbers(self):
         doc = minimal_doc()
@@ -349,4 +335,4 @@ class TestRewardHatPolicy:
     )
     def test_zero_accepted(self, policy):
         scenario = scenario_from_dict(minimal_doc(reward_hat_policy=policy))
-        assert scenario.reward_hat_policy.reward_hat_for("s1", 0.05) == 0.0
+        assert scenario.reward_hats == {"s1": 0.0}
