@@ -138,7 +138,9 @@ class Market:
         if policy.delta_mode == "relative":
             self._rewards[sub_id] = [r * (1.0 - policy.delta_value) for r in vector]
         else:
-            self._rewards[sub_id] = [max(0.0, r - policy.delta_value) for r in vector]
+            delta = policy.delta_value
+            # same value as max(0.0, r - delta), -0.0 and nan included
+            self._rewards[sub_id] = [r - delta if r - delta > 0.0 else 0.0 for r in vector]
 
     def at_floor(self, sub_id: str) -> bool:
         return all(r == 0.0 for r in self._rewards[sub_id])
@@ -219,29 +221,27 @@ def rewards_calibration(
     if len(candidates) == 1:
         return candidates[0]
     outside = {u: max(outside_utility(u), 0.0) for u in candidates}
-
-    ladder = {aux.uav_id: aux for aux in market.schedules[sub_id].ladder}
+    schedule = market.schedules[sub_id]
     order = {u: i for i, u in enumerate(candidates)}
 
-    def margin(uav: str) -> float:
-        return market.utility(uav, sub_id) - outside[uav]
-
     def fallback_key(uav: str):
-        return (ladder[uav].costs.psi, ladder[uav].costs.zeta, order[uav])
+        costs = schedule.ladder[schedule.rank_of(uav) - 1].costs
+        return (costs.psi, costs.zeta, order[uav])
 
     before = market.coverage_rewards(sub_id)
     rounds = 0
     survivor: str | None = None
     while survivor is None:
-        alive = [u for u in candidates if margin(u) > 0.0]
+        margins = {u: market.utility(u, sub_id) - outside[u] for u in candidates}
+        alive = [u for u in candidates if margins[u] > 0.0]
         if len(alive) == 1:
             survivor = alive[0]
         elif not alive:
             # A step (or the initial offer) lost every candidate at once;
             # keep the one that held on longest.
-            best = max(margin(u) for u in candidates)
+            best = max(margins.values())
             survivor = min(
-                (u for u in candidates if margin(u) == best), key=fallback_key
+                (u for u in candidates if margins[u] == best), key=fallback_key
             )
         else:
             candidates = alive
@@ -284,9 +284,18 @@ def gs_match(
     strike that UAV and re-enter the pool. Runs until every subregion is
     matched or has exhausted its list. Without a ``market``, payoffs are
     frozen at the scores in ``uav_prefs`` and ties cannot be calibrated.
+
+    With a ``market``, the scores in ``uav_prefs`` must be that market's
+    payoffs before any calibration (``build_uav_preferences`` on the
+    fresh market). Calibration only lowers rewards and a payoff rises
+    with the reward, so each score bounds the live utility from above;
+    the outside option relies on this to stop at the first score it
+    cannot beat.
     """
     policy = policy or CalibrationPolicy()
     remaining = {sub: list(pref.ranked) for sub, pref in sub_prefs.items()}
+    # the same candidates as sets, for membership tests
+    still_open = {sub: set(cands) for sub, cands in remaining.items()}
     acceptable = {uav: set(pref.ranked) for uav, pref in uav_prefs.items()}
     uav_order = list(uav_prefs)
 
@@ -298,8 +307,12 @@ def gs_match(
     def outside_for(uav: str, sub: str) -> float:
         best = 0.0
         pref = uav_prefs.get(uav)
-        for alt in pref.ranked if pref is not None else ():
-            if alt == sub or uav not in remaining.get(alt, ()):
+        if pref is None:
+            return best
+        for alt, score in zip(pref.ranked, pref.scores):
+            if score <= best:
+                break  # scores descend and bound live utilities from above
+            if alt == sub or uav not in still_open.get(alt, ()):
                 continue
             best = max(best, live_utility(uav, alt))
         return best
@@ -353,6 +366,7 @@ def gs_match(
                     rejected.append(sub)
             for sub in rejected:
                 remaining[sub].remove(uav)
+                still_open[sub].discard(uav)
                 returned.append(sub)
             if best_sub is not None:
                 hold[uav] = best_sub

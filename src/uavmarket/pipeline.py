@@ -10,9 +10,10 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -106,12 +107,22 @@ def prepare(scenario: Scenario) -> MarketSetup:
 
     Finite inputs that multiply out to an amount that is not finite fail
     here, so that no artifact holds ``nan`` or ``inf``: a bad cost vector
-    or marginal cost on its UAV, a menu's top reward on the reward policy,
-    and the owner revenue at a menu's top coverage on the economy.
+    or marginal cost on its UAV, a data scale ``mu * data_volume`` that
+    is not a finite normal float on its subregion, a menu's top reward on
+    the reward policy, and the owner revenue at a menu's top coverage on
+    the economy. A bad marginal cost is reported first, at the first UAV
+    and subregion in announcement order.
     """
     econ = scenario.economy
     feasibility: dict[str, dict[str, FeasibilityReport]] = {}
     announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in scenario.subregions}
+
+    def fail(path: str, message: str) -> NoReturn:
+        # marginal costs are only computed while the ladders are sorted,
+        # so the pairs announced so far are rescanned for a failing one
+        error = _marginal_cost_error(scenario, announcements)
+        raise error or ScenarioError([(path, message)]) from None
+
     for i, uav in enumerate(scenario.uavs):
         physical = isinstance(uav, UavProfile)
         if physical:
@@ -127,17 +138,29 @@ def prepare(scenario: Scenario) -> MarketSetup:
                     continue
             try:
                 costs = derive_cost_vector(sub, uav, scenario.fl) if physical else uav.costs[sub.id]
-                marginal_cost(costs.alpha, costs.beta, econ.phi)
             except ValueError as exc:
-                raise ScenarioError([(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")]) from None
+                fail(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")
             announcements[sub.id][uav.id] = costs
     schedules = {}
-    for sub in scenario.subregions:
+    for j, sub in enumerate(scenario.subregions):
         if not announcements[sub.id]:
             continue  # nobody responded; the subregion stays without a menu
-        schedule = schedules[sub.id] = build_schedule(
-            announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
-        )
+        # the closed-form coverage and the owner's objective divide by it
+        scale = econ.mu * sub.data_volume
+        if not sys.float_info.min <= scale < math.inf:
+            fail(
+                f"$.subregions[{j}]",
+                f"economy.mu * data_volume is {scale!r}, outside the normal float range",
+            )
+        try:
+            schedule = schedules[sub.id] = build_schedule(
+                announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
+            )
+        except ValueError:
+            error = _marginal_cost_error(scenario, announcements)
+            if error is None:
+                raise
+            raise error from None
         top = schedule.items[0]  # rank 1: the largest coverage and reward
         revenue = econ.sigma * model_accuracy([(top.theta, sub.data_volume)], econ.mu)
         for path, what, value in (
@@ -145,7 +168,7 @@ def prepare(scenario: Scenario) -> MarketSetup:
             ("$.economy", "the owner revenue at the top coverage", revenue),
         ):
             if not math.isfinite(value):
-                raise ScenarioError([(path, f"subregion {sub.id!r}: {what} is not finite")])
+                fail(path, f"subregion {sub.id!r}: {what} is not finite")
     if not math.isfinite(sum(s.items[0].total_reward for s in schedules.values())):
         raise ScenarioError([("$.reward_hat_policy", "the menus' top total rewards sum to inf")])
     return MarketSetup(
@@ -154,6 +177,22 @@ def prepare(scenario: Scenario) -> MarketSetup:
         announcements=announcements,
         schedules=schedules,
     )
+
+
+def _marginal_cost_error(
+    scenario: Scenario, announcements: Mapping[str, Mapping[str, CostVector]]
+) -> ScenarioError | None:
+    """The first announced pair, UAV by UAV, whose marginal cost cannot be priced."""
+    for i, uav in enumerate(scenario.uavs):
+        for sub in scenario.subregions:
+            costs = announcements[sub.id].get(uav.id)
+            if costs is None:
+                continue
+            try:
+                marginal_cost(costs.alpha, costs.beta, scenario.economy.phi)
+            except ValueError as exc:
+                return ScenarioError([(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")])
+    return None
 
 
 def run_contract(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:

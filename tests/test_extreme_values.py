@@ -7,7 +7,8 @@ bundled fixture and runs ``contract``, ``match`` and ``verify`` through
 and a command that exits 0 must not have written ``nan`` or ``inf``
 into any CSV. The rule that makes this hold is in ``pipeline.prepare``:
 a cost vector, marginal cost, menu reward or owner revenue that is not
-finite is a scenario error with a field path.
+finite, or a data scale ``mu * data_volume`` that is not a finite normal
+float, is a scenario error with a field path.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavmarket.cli import main
@@ -102,3 +104,49 @@ def test_fig6_overflowing_owner_revenue_fails_with_the_economy_path(tmp_path):
         code, _, stderr = run(command, scenario, tmp_path / command)
         assert code == 1
         assert "$.economy: subregion 's1': " in stderr
+
+
+@pytest.mark.parametrize(
+    "economy",
+    [{}, {"sigma": 1.7e308}, {"mu": 5e-324}],
+    ids=["alone", "with-overflowing-revenue", "with-underflowing-scale"],
+)
+def test_fig6_first_failing_marginal_cost_in_announcement_order_is_reported(tmp_path, economy):
+    # u2 fails at s3 and u4 at s2; the menu of s1 is built and checked
+    # first and that of s2 next, but announcements run UAV by UAV, so u2
+    # is the one reported
+    doc = json.loads(json.dumps(FIXTURES["fig6.scn"]))
+    doc["economy"].update(economy)
+    sub_ids = [sub["id"] for sub in doc["subregions"]]
+    for index, bad in ((1, "s3"), (3, "s2")):
+        uav = doc["uavs"][index]
+        for name in ("alpha", "beta"):
+            uav[name] = {sid: 1.7e308 if sid == bad else uav[name] for sid in sub_ids}
+    scenario = tmp_path / "fig6.scn"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("contract", "match", "verify"):
+        code, _, stderr = run(command, scenario, tmp_path / command)
+        assert code == 1
+        assert "$.uavs[1]: subregion 's3': marginal cost phi * (alpha + beta)" in stderr
+        assert "$.uavs[3]" not in stderr
+
+
+@pytest.mark.parametrize(
+    "mu, data_volume",
+    [(1e-200, 1e-200), (5e-324, None), (1.7e308, None)],
+    ids=["product-zero", "product-subnormal", "product-inf"],
+)
+def test_fig6_data_scale_out_of_the_normal_range_fails_with_the_subregion_path(
+    tmp_path, mu, data_volume
+):
+    doc = planted("fig6.scn", ("economy", "mu"), mu)
+    if data_volume is not None:
+        for sub in doc["subregions"]:
+            sub["data_volume"] = data_volume
+    scenario = tmp_path / "fig6.scn"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("contract", "match", "verify"):
+        code, _, stderr = run(command, scenario, tmp_path / command)
+        assert code == 1, (command, stderr)
+        assert "$.subregions[0]: economy.mu * data_volume is " in stderr
+        assert "outside the normal float range" in stderr

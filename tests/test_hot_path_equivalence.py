@@ -5,7 +5,9 @@
 dict lookup; the screen and the cost derivation read the training rounds
 and the propulsion power computed once per task and per UAV, from one
 per-pair body, ``core._pair_terms``; the loader resolves each declared UAV's cost
-vectors and each subregion's fixed reward once. Each must agree exactly
+vectors and each subregion's fixed reward once; deferred acceptance
+prices a tied candidate's outside option only down to the first published
+score it cannot beat. Each must agree exactly
 (``==``, not approximately) with the straightforward computation it
 replaces, so that fixture outputs and every audit flag stay
 bit-identical.
@@ -15,6 +17,8 @@ import dataclasses
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,8 +46,20 @@ from uavmarket.core import (
     derive_cost_vector,
 )
 from uavmarket.economics import ContractItem, EconomyParams, uav_utility
-from uavmarket.matching import CalibrationPolicy, Market
-from uavmarket.scenario import scenario_from_dict
+from uavmarket.errors import UnresolvedTieError
+from uavmarket.matching import (
+    CalibrationPolicy,
+    Market,
+    MatchState,
+    PreferenceList,
+    _leading_tie,
+    build_subregion_preferences,
+    build_uav_preferences,
+    gs_match,
+    stability_audit,
+)
+from uavmarket.pipeline import run_match
+from uavmarket.scenario import load_scenario, scenario_from_dict
 
 PHI = 0.05
 
@@ -643,3 +659,270 @@ class TestLoadTimeResolution:
         assert scenario.reward_hats == {
             sub.id: policy.reward_hat_for(sub.id, phi) for sub in scenario.subregions
         }
+
+
+# Deferred acceptance and the calibration tie rule as they were before the
+# outside option stopped at the first published score it cannot beat, the
+# still-open test became a set lookup and each round priced each
+# candidate once. Kept verbatim apart from the names.
+
+
+def reference_rewards_calibration(
+    sub_id: str,
+    tied: Sequence[str],
+    market: Market,
+    policy: CalibrationPolicy,
+    outside_utility: Callable[[str], float],
+) -> str:
+    """Separate candidates tied at a subregion's lowest marginal cost.
+
+    The subregion's reward vector is stepped downward; after every step
+    each remaining candidate's payoff here is compared with its outside
+    option (its best alternative, floored at the zero payoff of staying
+    unmatched), and candidates whose outside option weakly dominates drop
+    out. The survivor is proposed to and the reduced vector remains in
+    force. If the vector hits zero with the tie intact, the tie breaks
+    deterministically by lower traversal cost, then lower upload cost,
+    then candidate order. Raises after ``policy.max_rounds`` steps.
+    """
+    candidates = list(tied)
+    if len(candidates) == 1:
+        return candidates[0]
+    outside = {u: max(outside_utility(u), 0.0) for u in candidates}
+
+    ladder = {aux.uav_id: aux for aux in market.schedules[sub_id].ladder}
+    order = {u: i for i, u in enumerate(candidates)}
+
+    def margin(uav: str) -> float:
+        return market.utility(uav, sub_id) - outside[uav]
+
+    def fallback_key(uav: str):
+        return (ladder[uav].costs.psi, ladder[uav].costs.zeta, order[uav])
+
+    before = market.coverage_rewards(sub_id)
+    rounds = 0
+    survivor: str | None = None
+    while survivor is None:
+        alive = [u for u in candidates if margin(u) > 0.0]
+        if len(alive) == 1:
+            survivor = alive[0]
+        elif not alive:
+            # A step (or the initial offer) lost every candidate at once;
+            # keep the one that held on longest.
+            best = max(margin(u) for u in candidates)
+            survivor = min(
+                (u for u in candidates if margin(u) == best), key=fallback_key
+            )
+        else:
+            candidates = alive
+            if market.at_floor(sub_id):
+                survivor = min(candidates, key=fallback_key)
+                break
+            if rounds >= policy.max_rounds:
+                raise UnresolvedTieError(sub_id, rounds)
+            market.reduce_rewards(sub_id, policy)
+            rounds += 1
+    if market.coverage_rewards(sub_id) != before:
+        market.record_calibration(sub_id, before)
+    return survivor
+
+
+
+def reference_gs_match(
+    sub_prefs: Mapping[str, PreferenceList],
+    uav_prefs: Mapping[str, PreferenceList],
+    policy: CalibrationPolicy | None = None,
+    market: Market | None = None,
+) -> MatchState:
+    """Deferred acceptance with subregions proposing.
+
+    Each round, every unmatched subregion proposes to the best candidate
+    remaining on its list (calibrating first if the head of the list is
+    tied); each proposed-to UAV keeps the best offer among its current
+    hold and the new proposals and rejects the rest; rejected subregions
+    strike that UAV and re-enter the pool. Runs until every subregion is
+    matched or has exhausted its list. Without a ``market``, payoffs are
+    frozen at the scores in ``uav_prefs`` and ties cannot be calibrated.
+    """
+    policy = policy or CalibrationPolicy()
+    remaining = {sub: list(pref.ranked) for sub, pref in sub_prefs.items()}
+    acceptable = {uav: set(pref.ranked) for uav, pref in uav_prefs.items()}
+    uav_order = list(uav_prefs)
+
+    def live_utility(uav: str, sub: str) -> float:
+        if market is not None:
+            return market.utility(uav, sub)
+        return uav_prefs[uav].score_of(sub)
+
+    def outside_for(uav: str, sub: str) -> float:
+        best = 0.0
+        pref = uav_prefs.get(uav)
+        for alt in pref.ranked if pref is not None else ():
+            if alt == sub or uav not in remaining.get(alt, ()):
+                continue
+            best = max(best, live_utility(uav, alt))
+        return best
+
+    state = MatchState()
+    hold: dict[str, str] = {}  # uav -> subregion it currently holds
+    pool = [s for s in sub_prefs]
+    exhausted: set[str] = set()
+
+    while pool:
+        proposals: dict[str, list[str]] = {}
+        for sub in pool:
+            cands = remaining[sub]
+            if not cands:
+                exhausted.add(sub)
+                continue
+            tie = _leading_tie(sub_prefs[sub], cands)
+            if len(tie) > 1:
+                if market is None:
+                    raise UnresolvedTieError(sub, 0)
+                target = reference_rewards_calibration(
+                    sub, tie, market, policy, lambda u, s=sub: outside_for(u, s)
+                )
+            else:
+                target = tie[0]
+            proposals.setdefault(target, []).append(sub)
+
+        returned: list[str] = []
+        resolve_order = [u for u in uav_order if u in proposals]
+        resolve_order += sorted(u for u in proposals if u not in uav_prefs)
+        for uav in resolve_order:
+            ok = acceptable.get(uav, set())
+            incumbent = hold.get(uav)
+            best_sub = incumbent
+            best_u = live_utility(uav, incumbent) if incumbent is not None else None
+            rejected: list[str] = []
+            for sub in proposals[uav]:
+                if sub not in ok:
+                    rejected.append(sub)
+                    continue
+                u = live_utility(uav, sub)
+                if u < 0.0:
+                    # an offer calibrated below break-even is declined
+                    rejected.append(sub)
+                    continue
+                if best_u is None or u > best_u:
+                    if best_sub is not None:
+                        rejected.append(best_sub)
+                    best_sub, best_u = sub, u
+                else:
+                    rejected.append(sub)
+            for sub in rejected:
+                remaining[sub].remove(uav)
+                returned.append(sub)
+            if best_sub is not None:
+                hold[uav] = best_sub
+
+        held = set(hold.values())
+        next_pool = [s for s in pool if s not in held and s not in exhausted]
+        for sub in returned:
+            if sub not in next_pool and sub not in held:
+                next_pool.append(sub)
+        pool = next_pool
+
+    state.assignment = dict(sorted(hold.items()))
+    if market is not None:
+        state.calibration_log = list(market.calibration_log)
+    return state
+
+
+@st.composite
+def tie_markets(draw):
+    """A market of 1..4 subregions over 2..10 declared UAVs, heavy in ties.
+
+    Every cost is drawn from a few values, so many UAVs tie on marginal
+    cost somewhere; each UAV may also be an exact twin of the one before.
+    ``alpha`` and ``psi`` vary by subregion, so neither side shares one
+    order. Some pairs do not announce.
+    """
+    n_subs = draw(st.integers(1, 4))
+    n_uavs = draw(st.integers(2, 10))
+    econ = EconomyParams(
+        phi=PHI, mu=1.0, sigma=draw(st.sampled_from([60.0, 150.0, 400.0])), n_subregions=n_subs
+    )
+    subs = [
+        demo_subregion(sub_id=f"s{s}", data_volume=draw(st.sampled_from([5.0, 10.0])))
+        for s in range(n_subs)
+    ]
+    announced: dict[str, dict[str, CostVector]] = {sub.id: {} for sub in subs}
+    previous = None
+    for j in range(n_uavs):
+        if previous is not None and draw(st.booleans()):
+            costs = previous  # an exact twin of the UAV before
+        else:
+            costs = {
+                sub.id: CostVector(
+                    alpha=draw(st.sampled_from([250.0, 375.0, 500.0])),
+                    beta=20.0,
+                    psi=draw(st.sampled_from([0.0, 100.0, 200.0, 400.0])),
+                    zeta=draw(st.sampled_from([0.0, 50.0])),
+                )
+                for sub in subs
+                if draw(st.integers(0, 4))  # about one pair in five stays silent
+            }
+        for sub_id, c in costs.items():
+            announced[sub_id][f"u{j}"] = c
+        previous = costs
+    reward_hat = draw(st.sampled_from([0.0, 5.0, 20.0]))
+    schedules = {
+        sub.id: build_schedule(announced[sub.id], sub, econ, reward_hat)
+        for sub in subs
+        if announced[sub.id]
+    }
+    uav_ids = [f"u{j}" for j in range(n_uavs)]
+    if draw(st.booleans()):
+        policy = CalibrationPolicy("relative", draw(st.sampled_from([0.01, 0.05, 0.2])), 300)
+    else:
+        policy = CalibrationPolicy("absolute", draw(st.sampled_from([0.05, 0.5, 3.0])), 300)
+    return schedules, econ, uav_ids, policy
+
+
+def run_tie_market(match, schedules, econ, uav_ids, policy):
+    """One market pass as ``run_match`` makes it, with ``match`` as the engine."""
+    market = Market(schedules, econ)
+    sub_prefs = {s: build_subregion_preferences(schedule) for s, schedule in schedules.items()}
+    published = {u: build_uav_preferences(u, market) for u in uav_ids}
+    try:
+        state = match(sub_prefs, published, policy, market)
+    except UnresolvedTieError as exc:
+        return market, published, ("unresolved", str(exc))
+    final = {u: build_uav_preferences(u, market) for u in uav_ids}
+    return market, published, (
+        state.assignment,
+        [(e.subregion_id, e.before, e.after) for e in state.calibration_log],
+        stability_audit(state, sub_prefs, final),
+        {s: market.coverage_rewards(s) for s in schedules},
+    )
+
+
+class TestDeferredAcceptance:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=tie_markets())
+    def test_matches_the_full_outside_scan_on_tie_heavy_markets(self, instance):
+        market, published, outcome = run_tie_market(gs_match, *instance)
+        _, _, expected = run_tie_market(reference_gs_match, *instance)
+        assert outcome == expected
+        # the pruning's premise: no live payoff exceeds its published score
+        for uav, pref in published.items():
+            for sub in pref.ranked:
+                assert market.utility(uav, sub) <= pref.score_of(sub), (uav, sub)
+
+    def test_a_tie_market_job_prices_each_pair_a_bounded_number_of_times(self, monkeypatch):
+        # 3655 Market.utility calls when every tied candidate's outside
+        # option priced its whole list; 1827 once the scan stops early
+        calls = 0
+        utility = Market.utility
+
+        def counted(self, uav_id, sub_id):
+            nonlocal calls
+            calls += 1
+            return utility(self, uav_id, sub_id)
+
+        monkeypatch.setattr(Market, "utility", counted)
+        corpus = Path(__file__).resolve().parent / "corpus"
+        report = run_match(load_scenario(corpus / "ties-abs-0.scn"))
+        assert report.match.calibration_log
+        assert calls <= 2000

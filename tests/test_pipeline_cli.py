@@ -335,6 +335,27 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_earlier_marginal_cost_is_reported_before_a_later_pair_cost(self, tmp_path, capsys):
+        # uavs[0] announces an overflowing marginal cost, which is only
+        # priced when the menus are sorted; uavs[2]'s cost vector fails
+        # while announcements are still being gathered
+        doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
+        far = doc["uavs"][1]
+        far["base"] = [1.7e308, 1.7e308, 1.7e308]
+        del far["energy_capacity"]
+        for sub in doc["subregions"]:
+            del sub["deadline"]
+        doc["uavs"].insert(
+            0, {"id": "d0", "mode": "direct", "alpha": 1.7e308, "beta": 1.7e308, "psi": 10.0}
+        )
+        bad = tmp_path / "mixed.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["match", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "$.uavs[0]: subregion 's1': marginal cost" in captured.err
+        assert "$.uavs[2]" not in captured.err
+
     def test_far_uav_that_fails_screening_is_not_an_error(self):
         doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
         doc["uavs"][0]["base"] = [1.7e308, 1.7e308, 1.7e308]
