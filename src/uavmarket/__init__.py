@@ -35,7 +35,6 @@ from .economics import (
     EconomyParams,
     model_accuracy,
     owner_profit,
-    uav_utility,
 )
 from .errors import ScenarioError, UavMarketError, UnresolvedTieError
 from .matching import (

@@ -17,13 +17,12 @@ Exit codes: 0 success, 1 scenario validation or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import ScenarioError, UnresolvedTieError
 from .pipeline import run_contract, run_match, run_sweep, run_verify, sweep_values
-from .scenario import load_scenario
+from .scenario import load_scenario, read_document
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -76,12 +75,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "sweep":
-        try:
-            raw = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                [("$", f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")]
-            ) from exc
+        raw = read_document(args.scenario)
         values = sweep_values(args.start, args.stop, args.steps)
         rows = run_sweep(raw, args.param, values, out / "sweep.csv")
         print(f"sweep: {len(values)} value(s) of {args.param}, {len(rows)} rows -> {out / 'sweep.csv'}")

@@ -67,7 +67,6 @@ class ContractSchedule:
     subregion_id: str
     ladder: tuple[AuxiliaryType, ...]
     items: tuple[ContractItem, ...]
-    reward_hat: float
     audit: AuditReport
 
     def __post_init__(self):
@@ -101,7 +100,6 @@ class ContractSchedule:
             self.subregion_id,
             self.ladder,
             items,
-            self.reward_hat,
             _audit(self.ladder, items, AUDIT_TOLERANCE),
         )
 
@@ -217,7 +215,6 @@ def build_schedule(
         subregion_id=sub.id,
         ladder=ladder,
         items=items,
-        reward_hat=reward_hat,
         audit=_audit(ladder, items, AUDIT_TOLERANCE),
     )
 

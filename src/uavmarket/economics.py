@@ -63,11 +63,6 @@ class EconomyParams:
             raise ValueError("n_subregions must be a positive integer")
 
 
-def uav_utility(item: ContractItem, costs: CostVector, econ: EconomyParams) -> float:
-    """Full payoff of a UAV that signs ``item`` for the pair priced by ``costs``."""
-    return payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, econ.phi)
-
-
 def payoff(
     theta: float,
     coverage_reward: float,

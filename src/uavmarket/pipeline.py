@@ -1,8 +1,12 @@
 """Scenario execution: contract runs, matching runs, verification, sweeps.
 
-This is the glue between a validated ``Scenario`` and the model layers:
-screen the fleet, collect announcements, build one contract menu per
-subregion, run the assignment, and emit deterministic CSV artifacts.
+This is the glue between a validated ``Scenario`` and the model layers.
+One market pass makes one ``RunReport``: ``prepare`` screens the fleet,
+collects the announcements and builds one contract menu per subregion;
+``run_match`` runs deferred acceptance on those menus and fills in the
+preferences, the match, its stability audit and the owner's profit.
+``run_verify`` and ``run_sweep`` read the report; the ``run_*`` entry
+points also emit deterministic CSV artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .core import (
     check_feasibility,
     derive_cost_vector,
 )
-from .economics import model_accuracy, owner_profit, uav_utility
+from .economics import model_accuracy, owner_profit
 from .errors import ScenarioError
 from .matching import (
     Market,
@@ -39,6 +43,7 @@ from .matching import (
 from .scenario import Scenario, scenario_from_dict
 from .verification import (
     MAX_ENUM_SIZE,
+    RANDOM_DRAWS,
     diagonal_dominant,
     enumerate_stable_matchings,
     grid_oracle_coverage,
@@ -49,22 +54,17 @@ from .verification import (
 
 
 @dataclass
-class MarketSetup:
-    """Everything derived from a scenario before any matching runs."""
+class RunReport:
+    """One market pass: the screen, the menus, and (after ``run_match``) the match.
+
+    ``feasibility`` maps each physical UAV to its screening report per
+    subregion. ``published`` holds the menus as built and ``schedules``
+    the menus as paid; the two differ only after a calibration event.
+    """
 
     scenario: Scenario
     feasibility: dict[str, dict[str, FeasibilityReport]]
-    # subregion -> uav -> announced costs, in announcement order
-    announcements: dict[str, dict[str, CostVector]]
-    schedules: dict[str, ContractSchedule]
-
-
-@dataclass
-class RunReport:
-    """Outcome of one contract or match run."""
-
-    scenario: Scenario
-    setup: MarketSetup
+    published: dict[str, ContractSchedule]
     schedules: dict[str, ContractSchedule]
     sub_prefs: dict[str, PreferenceList] = field(default_factory=dict)
     # UAV lists at the rewards paid after calibration, and at the menus
@@ -74,9 +74,6 @@ class RunReport:
     match: MatchState | None = None
     blocking_pairs: list[tuple[str, str]] = field(default_factory=list)
     owner_profit: float | None = None
-    realized_utilities: dict[str, float] = field(default_factory=dict)
-    paid_rewards: dict[str, float] = field(default_factory=dict)
-    coverages: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -97,13 +94,14 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def prepare(scenario: Scenario) -> MarketSetup:
+def prepare(scenario: Scenario) -> RunReport:
     """Screen the fleet, gather announcements, and build every menu.
 
     Physical UAVs run the time/energy gate at the scenario's screening
     coverage and announce only where they pass; declared-type UAVs carry
     the cost vectors the loader resolved and are assumed feasible
-    everywhere.
+    everywhere. The report returned holds each menu both as published
+    and as paid; ``run_match`` replaces the paid ones.
 
     Finite inputs that multiply out to an amount that is not finite fail
     here, so that no artifact holds ``nan`` or ``inf``: a bad cost vector
@@ -116,66 +114,58 @@ def prepare(scenario: Scenario) -> MarketSetup:
     econ = scenario.economy
     feasibility: dict[str, dict[str, FeasibilityReport]] = {}
     announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in scenario.subregions}
-
-    def fail(path: str, message: str) -> NoReturn:
-        # marginal costs are only computed while the ladders are sorted,
-        # so the pairs announced so far are rescanned for a failing one
-        error = _marginal_cost_error(scenario, announcements)
-        raise error or ScenarioError([(path, message)]) from None
-
-    for i, uav in enumerate(scenario.uavs):
-        physical = isinstance(uav, UavProfile)
-        if physical:
-            reports = feasibility[uav.id] = {}
-        for sub in scenario.subregions:
+    schedules: dict[str, ContractSchedule] = {}
+    try:
+        for i, uav in enumerate(scenario.uavs):
+            physical = isinstance(uav, UavProfile)
             if physical:
-                report = reports[sub.id] = check_feasibility(
-                    sub, uav, scenario.fl, scenario.theta_hat
-                )
-                # a pair that fails the screen never announces, so its cost
-                # vector is derived only once it passes
-                if not report.feasible:
-                    continue
-            try:
-                costs = derive_cost_vector(sub, uav, scenario.fl) if physical else uav.costs[sub.id]
-            except ValueError as exc:
-                fail(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")
-            announcements[sub.id][uav.id] = costs
-    schedules = {}
-    for j, sub in enumerate(scenario.subregions):
-        if not announcements[sub.id]:
-            continue  # nobody responded; the subregion stays without a menu
-        # the closed-form coverage and the owner's objective divide by it
-        scale = econ.mu * sub.data_volume
-        if not sys.float_info.min <= scale < math.inf:
-            fail(
-                f"$.subregions[{j}]",
-                f"economy.mu * data_volume is {scale!r}, outside the normal float range",
-            )
-        try:
+                reports = feasibility[uav.id] = {}
+            for sub in scenario.subregions:
+                if physical:
+                    report = reports[sub.id] = check_feasibility(
+                        sub, uav, scenario.fl, scenario.theta_hat
+                    )
+                    # a pair that fails the screen never announces, so its
+                    # cost vector is derived only once it passes
+                    if not report.feasible:
+                        continue
+                try:
+                    costs = (
+                        derive_cost_vector(sub, uav, scenario.fl) if physical else uav.costs[sub.id]
+                    )
+                except ValueError as exc:
+                    problem = (f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")
+                    raise ScenarioError([problem]) from None
+                announcements[sub.id][uav.id] = costs
+        for j, sub in enumerate(scenario.subregions):
+            if not announcements[sub.id]:
+                continue  # nobody responded; the subregion stays without a menu
+            # the closed-form coverage and the owner's objective divide by it
+            scale = econ.mu * sub.data_volume
+            if not sys.float_info.min <= scale < math.inf:
+                raise ScenarioError([(
+                    f"$.subregions[{j}]",
+                    f"economy.mu * data_volume is {scale!r}, outside the normal float range",
+                )])
             schedule = schedules[sub.id] = build_schedule(
                 announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
             )
-        except ValueError:
-            error = _marginal_cost_error(scenario, announcements)
-            if error is None:
-                raise
-            raise error from None
-        top = schedule.items[0]  # rank 1: the largest coverage and reward
-        revenue = econ.sigma * model_accuracy([(top.theta, sub.data_volume)], econ.mu)
-        for path, what, value in (
-            ("$.reward_hat_policy", "the top total reward", top.total_reward),
-            ("$.economy", "the owner revenue at the top coverage", revenue),
-        ):
-            if not math.isfinite(value):
-                fail(path, f"subregion {sub.id!r}: {what} is not finite")
+            top = schedule.items[0]  # rank 1: the largest coverage and reward
+            revenue = econ.sigma * model_accuracy([(top.theta, sub.data_volume)], econ.mu)
+            for path, what, value in (
+                ("$.reward_hat_policy", "the top total reward", top.total_reward),
+                ("$.economy", "the owner revenue at the top coverage", revenue),
+            ):
+                if not math.isfinite(value):
+                    raise ScenarioError([(path, f"subregion {sub.id!r}: {what} is not finite")])
+    except (ScenarioError, ValueError) as exc:
+        # marginal costs are only priced while the ladders are sorted, so
+        # the pairs announced so far are rescanned for a failing one
+        raise _marginal_cost_error(scenario, announcements) or exc from None
     if not math.isfinite(sum(s.items[0].total_reward for s in schedules.values())):
         raise ScenarioError([("$.reward_hat_policy", "the menus' top total rewards sum to inf")])
-    return MarketSetup(
-        scenario=scenario,
-        feasibility=feasibility,
-        announcements=announcements,
-        schedules=schedules,
+    return RunReport(
+        scenario=scenario, feasibility=feasibility, published=schedules, schedules=schedules
     )
 
 
@@ -197,8 +187,7 @@ def _marginal_cost_error(
 
 def run_contract(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
     """Build every subregion's menu and emit the contract-side artifacts."""
-    setup = prepare(scenario)
-    report = RunReport(scenario=scenario, setup=setup, schedules=dict(setup.schedules))
+    report = prepare(scenario)
     if out_dir is not None:
         _write_contract_csvs(report, Path(out_dir))
     return report
@@ -211,61 +200,37 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
     library entry point and writes nothing; ``run_verify`` and
     ``run_sweep`` read their checks and rows off the report it returns.
     """
-    setup = prepare(scenario)
-    market = Market(setup.schedules, scenario.economy)
-    sub_prefs = {
+    report = prepare(scenario)
+    market = Market(report.published, scenario.economy)
+    sub_prefs = report.sub_prefs = {
         sub_id: build_subregion_preferences(schedule)
-        for sub_id, schedule in setup.schedules.items()
+        for sub_id, schedule in report.published.items()
     }
-    published_uav_prefs = {
+    published_uav_prefs = report.published_uav_prefs = {
         uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs
     }
-    state = gs_match(sub_prefs, published_uav_prefs, scenario.calibration, market)
-    final_schedules = market.final_schedules()
+    state = report.match = gs_match(
+        sub_prefs, published_uav_prefs, scenario.calibration, market
+    )
+    report.schedules = market.final_schedules()
 
     # audit stability against the rewards actually on offer at the end;
     # rewards move only through calibration, so without a calibration
     # event the published lists are already the final ones
-    uav_prefs = published_uav_prefs
+    report.uav_prefs = published_uav_prefs
     if state.calibration_log:
-        uav_prefs = {uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs}
-    blocking = stability_audit(state, sub_prefs, uav_prefs)
+        report.uav_prefs = {uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs}
+    report.blocking_pairs = stability_audit(state, sub_prefs, report.uav_prefs)
 
-    econ = scenario.economy
-    coverages: dict[str, float] = {}
-    paid: dict[str, float] = {}
-    realized: dict[str, float] = {u.id: 0.0 for u in scenario.uavs}
+    # an unmatched subregion gets zero coverage and pays nothing
     assigned = state.subregion_assignment()
+    accuracy_terms, paid = [], []
     for sub in scenario.subregions:
         uav_id = assigned.get(sub.id)
-        if uav_id is None:
-            coverages[sub.id] = 0.0
-            continue
-        item = final_schedules[sub.id].item_for(uav_id)
-        coverages[sub.id] = item.theta
-        paid[sub.id] = item.total_reward
-        realized[uav_id] = uav_utility(item, setup.announcements[sub.id][uav_id], econ)
-    accuracy_terms = [
-        (coverages[sub.id], sub.data_volume) for sub in scenario.subregions
-    ]
-    profit = owner_profit(
-        accuracy_terms, [paid.get(sub.id, 0.0) for sub in scenario.subregions], econ
-    )
-
-    report = RunReport(
-        scenario=scenario,
-        setup=setup,
-        schedules=final_schedules,
-        sub_prefs=sub_prefs,
-        uav_prefs=uav_prefs,
-        published_uav_prefs=published_uav_prefs,
-        match=state,
-        blocking_pairs=blocking,
-        owner_profit=profit,
-        realized_utilities=realized,
-        paid_rewards=paid,
-        coverages=coverages,
-    )
+        item = None if uav_id is None else report.schedules[sub.id].item_for(uav_id)
+        accuracy_terms.append((0.0 if item is None else item.theta, sub.data_volume))
+        paid.append(0.0 if item is None else item.total_reward)
+    report.owner_profit = owner_profit(accuracy_terms, paid, scenario.economy)
     if out_dir is not None:
         _write_match_csvs(report, Path(out_dir))
     return report
@@ -275,7 +240,6 @@ def run_verify(
     scenario: Scenario,
     grid_points: int = 10001,
     seed: int | None = None,
-    draws: int = 200,
     out_dir: str | Path | None = None,
 ) -> VerifyReport:
     """Certify the scenario's analytic outputs against the brute-force oracles.
@@ -284,21 +248,23 @@ def run_verify(
     """
     if grid_points < 3:
         raise ScenarioError([("--grid-points", "must be >= 3")])
+    if seed is not None and seed < 0:
+        raise ScenarioError([("--seed", "must be >= 0")])
     used_seed = scenario.seed if seed is None else seed
     report = VerifyReport(seed=used_seed)
     run = run_match(scenario)
-    setup = run.setup
     econ = scenario.economy
     step = 1.0 / (grid_points - 1)
 
     for sub in scenario.subregions:
-        schedule = setup.schedules.get(sub.id)
+        schedule = run.published.get(sub.id)
         if schedule is None:
             continue
+        reward_hat = scenario.reward_hats[sub.id]
         worst = 0.0
         for aux in schedule.ladder:
             closed = optimal_coverage(aux, sub, econ)
-            scanned = grid_oracle_coverage(aux, sub, econ, schedule.reward_hat, grid_points)
+            scanned = grid_oracle_coverage(aux, sub, econ, reward_hat, grid_points)
             worst = max(worst, abs(closed - scanned))
         report.checks.append(
             VerifyCheck(
@@ -312,7 +278,7 @@ def run_verify(
 
     rng = np.random.default_rng(used_seed)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(RANDOM_DRAWS):
         aux, sub, draw_econ = random_coverage_draw(rng)
         closed = optimal_coverage(aux, sub, draw_econ)
         scanned = grid_oracle_coverage(aux, sub, draw_econ, 0.0, grid_points)
@@ -322,7 +288,7 @@ def run_verify(
             name="coverage_oracle[random_sweep]",
             passed=worst <= 2 * step,
             magnitude=worst,
-            detail=f"{draws} random interior draws, seed {used_seed}",
+            detail=f"{RANDOM_DRAWS} random interior draws, seed {used_seed}",
         )
     )
 
@@ -423,11 +389,15 @@ def run_sweep(
     payoffs at the published (pre-calibration) menus, and per-UAV matched
     flags.
     """
-    _resolve_path(raw_scenario, param)  # fail early on unknown parameters
+    _locate(raw_scenario, param)  # fail early on unknown parameters
     rows: list[tuple[float, str, float]] = []
     for value in values:
         doc = copy.deepcopy(raw_scenario)
-        _assign_path(doc, param, value)
+        parent, key = _locate(doc, param)
+        current = parent[key]
+        parent[key] = (
+            int(value) if isinstance(current, int) and float(value).is_integer() else float(value)
+        )
         run = run_match(scenario_from_dict(doc))
         scenario, published = run.scenario, run.published_uav_prefs
         for uav in scenario.uavs:
@@ -446,37 +416,26 @@ def run_sweep(
     return rows
 
 
-def _resolve_path(doc: Any, param: str) -> Any:
+def _locate(doc: Any, param: str) -> tuple[Any, Any]:
+    """The container of the numeric field at dotted path ``param``, and its key or index."""
     node = doc
     for segment in param.split("."):
         if isinstance(node, Mapping):
             if segment not in node:
                 raise ScenarioError([(param, f"unknown parameter (no field {segment!r})")])
-            node = node[segment]
+            key = segment
         elif isinstance(node, list):
             try:
-                node = node[int(segment)]
+                key = int(segment)
+                node[key]  # an index out of range fails here
             except (ValueError, IndexError):
                 raise ScenarioError([(param, f"bad list index {segment!r}")]) from None
         else:
             raise ScenarioError([(param, f"cannot descend into {type(node).__name__}")])
+        parent, node = node, node[key]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ScenarioError([(param, "parameter is not numeric")])
-    return node
-
-
-def _assign_path(doc: Any, param: str, value: float) -> None:
-    segments = param.split(".")
-    node = doc
-    for segment in segments[:-1]:
-        node = node[segment] if isinstance(node, Mapping) else node[int(segment)]
-    last = segments[-1]
-    current = node[last] if isinstance(node, Mapping) else node[int(last)]
-    coerced = int(value) if isinstance(current, int) and float(value).is_integer() else float(value)
-    if isinstance(node, Mapping):
-        node[last] = coerced
-    else:
-        node[int(last)] = coerced
+    return parent, key
 
 
 # ---------------------------------------------------------------------------

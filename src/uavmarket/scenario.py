@@ -269,6 +269,8 @@ def scenario_from_dict(data: Any) -> Scenario:
         root.error(f"unsupported format_version {version}", "format_version")
 
     seed = root.integer("seed", 0)
+    if seed is not None and seed < 0:
+        root.error("must be >= 0", "seed")
     theta_hat = root.number("theta_hat", DEFAULT_THETA_HAT)
     if theta_hat is not None and not 0.0 < theta_hat <= 1.0:
         root.error("theta_hat must be in (0, 1]", "theta_hat")
@@ -499,16 +501,20 @@ def scenario_from_dict(data: Any) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario file."""
+def read_document(path: str | Path) -> Any:
+    """Parse a scenario file's JSON, unvalidated; a syntax error fails at ``$``."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             [("$", f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")]
         ) from exc
-    return scenario_from_dict(data)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Read and validate a scenario file."""
+    return scenario_from_dict(read_document(path))
 
 
 def fixture_path(name: str) -> Path:

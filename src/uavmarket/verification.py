@@ -21,6 +21,7 @@ from .matching import PreferenceList
 
 ORACLE_TOLERANCE = 1e-9  # largest misreport gain still read as no gain
 MAX_ENUM_SIZE = 8  # stable matchings are enumerated up to this many agents per side
+RANDOM_DRAWS = 200  # random interior parameter sets in the coverage oracle's sweep
 
 
 def coverage_payoff(
@@ -38,7 +39,9 @@ def coverage_payoff(
     ladder's closed-form coverage claims to be.
     """
     scale = econ.mu * sub.data_volume
-    revenue = econ.sigma / (econ.n_subregions * scale) * np.log1p(scale * theta)
+    # dividing the log by the scale, not sigma, keeps a tiny normal scale
+    # from overflowing the factor to inf and turning theta = 0 into nan
+    revenue = econ.sigma / econ.n_subregions * (np.log1p(scale * theta) / scale)
     return revenue - reward_hat - upsilon * theta
 
 

@@ -11,7 +11,7 @@ from uavmarket.economics import (
     EconomyParams,
     model_accuracy,
     owner_profit,
-    uav_utility,
+    payoff,
 )
 
 
@@ -34,13 +34,14 @@ class TestUavUtility:
         # fixed reward priced exactly at the fixed costs, so they cancel
         costs = CostVector(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
         item = ContractItem(theta=0.6407, coverage_reward=12.416, fixed_reward=0.05 * 200.0)
-        assert uav_utility(item, costs, ECON) == pytest.approx(12.416 - 0.05 * 270 * 0.6407)
-        assert uav_utility(item, costs, ECON) == pytest.approx(3.76655)
+        u = payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, ECON.phi)
+        assert u == pytest.approx(12.416 - 0.05 * 270 * 0.6407)
+        assert u == pytest.approx(3.76655)
 
     def test_pure_compensation_is_zero(self):
         costs = CostVector(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
         item = ContractItem(theta=0.0, coverage_reward=0.0, fixed_reward=0.05 * 200.0)
-        assert uav_utility(item, costs, ECON) == 0.0
+        assert payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, ECON.phi) == 0.0
 
     def test_uncompensated_fixed_costs_bite(self):
         costs = CostVector(alpha=250.0, beta=20.0, psi=100.0, zeta=100.0)
@@ -48,7 +49,8 @@ class TestUavUtility:
         item = ContractItem(
             theta=theta, coverage_reward=0.05 * 270 * theta, fixed_reward=0.0
         )
-        assert uav_utility(item, costs, ECON) == pytest.approx(-0.05 * 200.0)
+        u = payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, ECON.phi)
+        assert u == pytest.approx(-0.05 * 200.0)
 
     @given(
         theta=st.floats(0.0, 1.0),
@@ -62,7 +64,7 @@ class TestUavUtility:
     def test_decomposition_identity_exact(self, theta, reward, rhat, alpha, beta, psi, zeta):
         item = ContractItem(theta=theta, coverage_reward=reward, fixed_reward=rhat)
         costs = CostVector(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
-        lhs = uav_utility(item, costs, ECON)
+        lhs = payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, ECON.phi)
         rhs = revised_utility(item, alpha, beta, ECON.phi) + rhat - ECON.phi * (psi + zeta)
         assert lhs == rhs
 
@@ -70,7 +72,9 @@ class TestUavUtility:
         costs = CostVector(alpha=300.0, beta=30.0, psi=250.0, zeta=40.0)
         a = ContractItem(theta=0.7, coverage_reward=14.0, fixed_reward=5.0)
         b = ContractItem(theta=0.2, coverage_reward=4.0, fixed_reward=5.0)
-        full_gap = uav_utility(a, costs, ECON) - uav_utility(b, costs, ECON)
+        full_gap = payoff(a.theta, a.coverage_reward, a.fixed_reward, costs, ECON.phi) - payoff(
+            b.theta, b.coverage_reward, b.fixed_reward, costs, ECON.phi
+        )
         revised_gap = revised_utility(a, 300.0, 30.0, ECON.phi) - revised_utility(
             b, 300.0, 30.0, ECON.phi
         )

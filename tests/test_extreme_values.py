@@ -16,6 +16,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -150,3 +151,17 @@ def test_fig6_data_scale_out_of_the_normal_range_fails_with_the_subregion_path(
         assert code == 1, (command, stderr)
         assert "$.subregions[0]: economy.mu * data_volume is " in stderr
         assert "outside the normal float range" in stderr
+
+
+def test_fig6_tiny_normal_data_scale_verifies(tmp_path):
+    # mu * data_volume is a normal float, but sigma / (N * mu * data_volume)
+    # overflows; the coverage oracle must not scan nan at theta = 0
+    scenario = tmp_path / "fig6.scn"
+    scenario.write_text(json.dumps(planted("fig6.scn", ("economy", "mu"), 3e-308)))
+    for command in ("contract", "match", "verify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, stderr = run(command, scenario, tmp_path / command)
+        assert code == 0, (command, stdout, stderr)
+        assert "FAIL" not in stdout
+        assert not NOT_FINITE.search(stdout), (command, stdout)

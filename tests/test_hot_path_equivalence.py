@@ -45,7 +45,7 @@ from uavmarket.core import (
     check_feasibility,
     derive_cost_vector,
 )
-from uavmarket.economics import ContractItem, EconomyParams, uav_utility
+from uavmarket.economics import ContractItem, EconomyParams
 from uavmarket.errors import UnresolvedTieError
 from uavmarket.matching import (
     CalibrationPolicy,
@@ -87,6 +87,16 @@ def reference_audit(ladder, items, tolerance):
         monotone_ok=monotone_ok,
         worst_ic_violation=worst,
         binding_ir_rank=min(range(1, n + 1), key=lambda r: own[r - 1]) if n else 0,
+    )
+
+
+def uav_utility(item, costs, econ):
+    """Full payoff of a UAV that signs ``item``: reward minus the whole energy bill."""
+    return (
+        item.coverage_reward
+        - econ.phi * (costs.alpha + costs.beta) * item.theta
+        + item.fixed_reward
+        - econ.phi * (costs.psi + costs.zeta)
     )
 
 

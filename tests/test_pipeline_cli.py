@@ -5,7 +5,7 @@ import json
 import pytest
 
 from uavmarket.cli import main
-from uavmarket.economics import model_accuracy
+from uavmarket.economics import model_accuracy, payoff
 from uavmarket.pipeline import (
     VerifyCheck,
     VerifyReport,
@@ -93,18 +93,26 @@ class TestRunMatch:
 
     def test_physical_feasibility_gate(self):
         scenario = load_scenario(fixture_path("physical.scn"))
-        setup = prepare(scenario)
-        assert not setup.feasibility["u3"]["s2"].time_ok
-        announced_s2 = list(setup.announcements["s2"])
-        assert "u3" not in announced_s2 and "u1" in announced_s2
         report = run_match(scenario)
+        assert not report.feasibility["u3"]["s2"].time_ok
+        announced_s2 = [aux.uav_id for aux in report.published["s2"].ladder]
+        assert "u3" not in announced_s2 and "u1" in announced_s2
         assert "u3" not in report.sub_prefs["s2"].ranked
         assert report.match.assignment == {"u1": "s1", "u2": "s2"}
-        assert report.realized_utilities["u3"] == 0.0
-        # u1's fixed costs equal the reference-priced fixed reward, so it
-        # accepts at exact break-even
-        assert report.realized_utilities["u1"] == 0.0
-        assert report.realized_utilities["u2"] > 0.0
+
+        def realized(uav_id):
+            # the paid item against the costs on its rung
+            schedule = report.schedules[report.match.assignment[uav_id]]
+            rank = schedule.rank_of(uav_id)
+            item, costs = schedule.items[rank - 1], schedule.ladder[rank - 1].costs
+            phi = scenario.economy.phi
+            return payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, phi)
+
+        # u3 stays unmatched and realizes nothing; u1's fixed costs equal
+        # the reference-priced fixed reward, so it accepts at exact break-even
+        assert "u3" not in report.match.assignment
+        assert realized("u1") == 0.0
+        assert realized("u2") > 0.0
 
     def test_costs_derived_only_for_pairs_that_pass_screening(self, monkeypatch):
         import uavmarket.pipeline as pipeline
@@ -117,13 +125,13 @@ class TestRunMatch:
             return derive(sub, profile, fl)
 
         monkeypatch.setattr(pipeline, "derive_cost_vector", counting)
-        setup = prepare(load_scenario(fixture_path("physical.scn")))
+        report = prepare(load_scenario(fixture_path("physical.scn")))
         screened = [
             (uav_id, sub_id)
-            for uav_id, by_sub in setup.feasibility.items()
-            for sub_id, report in by_sub.items()
+            for uav_id, by_sub in report.feasibility.items()
+            for sub_id in by_sub
         ]
-        feasible = [(u, s) for u, s in screened if setup.feasibility[u][s].feasible]
+        feasible = [(u, s) for u, s in screened if report.feasibility[u][s].feasible]
         assert len(feasible) < len(screened)
         assert calls == feasible
 
@@ -131,11 +139,16 @@ class TestRunMatch:
         scenario = load_scenario(fixture_path("fig6.scn"))
         report = run_match(scenario)
         econ = scenario.economy
+        items = {
+            sub_id: report.schedules[sub_id].item_for(uav_id)
+            for sub_id, uav_id in report.match.subregion_assignment().items()
+        }
         coverages = [
-            (report.coverages[sub.id], sub.data_volume) for sub in scenario.subregions
+            (items[sub.id].theta if sub.id in items else 0.0, sub.data_volume)
+            for sub in scenario.subregions
         ]
         recomputed = econ.sigma * model_accuracy(coverages, econ.mu) - sum(
-            report.paid_rewards.values()
+            item.total_reward for item in items.values()
         )
         assert report.owner_profit == pytest.approx(recomputed)
 
@@ -168,13 +181,13 @@ class TestRunVerify:
         "name", ["demo_grid.scn", "fig6.scn", "fig8.scn", "table3.scn", "physical.scn"]
     )
     def test_fixtures_verify_clean(self, name):
-        report = run_verify(load_scenario(fixture_path(name)), draws=50)
+        report = run_verify(load_scenario(fixture_path(name)))
         assert report.ok, [c for c in report.checks if not c.passed]
 
     def test_report_is_deterministic(self):
         scenario = load_scenario(fixture_path("fig6.scn"))
-        a = run_verify(scenario, seed=7, draws=50)
-        b = run_verify(scenario, seed=7, draws=50)
+        a = run_verify(scenario, seed=7)
+        b = run_verify(scenario, seed=7)
         assert a.checks == b.checks and a.seed == b.seed == 7
 
     def test_corrupted_rewards_detected(self, demo_grid_schedule):
@@ -187,7 +200,7 @@ class TestRunVerify:
 
     def test_verify_csv_written(self, tmp_path):
         scenario = load_scenario(fixture_path("demo_grid.scn"))
-        run_verify(scenario, draws=20, out_dir=tmp_path)
+        run_verify(scenario, out_dir=tmp_path)
         header, rows = read_csv(tmp_path / "verify.csv")
         assert header == ["check", "status", "magnitude", "detail"]
         assert all(row[1] == "pass" for row in rows)
@@ -360,7 +373,7 @@ class TestCli:
         doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
         doc["uavs"][0]["base"] = [1.7e308, 1.7e308, 1.7e308]
         report = run_match(scenario_from_dict(doc))
-        assert not any(r.feasible for r in report.setup.feasibility["u1"].values())
+        assert not any(r.feasible for r in report.feasibility["u1"].values())
         assert "u1" not in report.match.assignment
 
     def test_verify_grid_points_below_three_exits_one(self, tmp_path, capsys):
@@ -371,12 +384,43 @@ class TestCli:
         assert "--grid-points: must be >= 3" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_negative_seed_in_the_file_exits_one_with_its_path(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("fig6.scn").read_text(encoding="utf-8"))
+        doc["seed"] = -5
+        bad = tmp_path / "negative.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("match", "verify"):
+            code = main([command, "--scenario", str(bad), "--out", str(tmp_path / command)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "$.seed: must be >= 0" in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_verify_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        scn = str(fixture_path("fig6.scn"))
+        code = main(["verify", "--scenario", scn, "--out", str(tmp_path), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--seed: must be >= 0" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("not json")
         code = main(["match", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "parse error" in capsys.readouterr().err
+
+    def test_sweep_parse_error_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("{\n  \"seed\": 0,\n}")
+        argv = ["sweep", "--scenario", str(bad), "--out", str(tmp_path / "o"),
+                "--param", "seed", "--from", "0", "--to", "1", "--steps", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "$: JSON parse error at line 3, column 1" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unresolved_tie_exits_three(self, tmp_path, capsys):
         doc = {
