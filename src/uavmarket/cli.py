@@ -10,8 +10,9 @@ artifacts into an output directory:
 * ``verify``    certify analytic outputs against the brute-force oracles
 * ``sweep``     re-run the pipeline across one numeric parameter
 
-Exit codes: 0 success, 1 scenario validation or parse error,
-2 verification failure, 3 unresolved calibration tie.
+Exit codes: 0 success, 1 invalid input (a scenario that cannot be read,
+parsed or validated, a bad option, or an output directory that cannot be
+made), 2 verification failure, 3 unresolved calibration tie.
 """
 
 from __future__ import annotations
@@ -72,7 +73,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ScenarioError([("--out", f"cannot create directory {out}: {reason}")]) from exc
 
     if args.command == "sweep":
         raw = read_document(args.scenario)

@@ -4,7 +4,14 @@ A scenario is a single JSON document (UTF-8, ``format_version: 1``) that
 declares the economy, the training task, the subregions, and the UAV
 fleet. Unknown fields anywhere are errors so that fixtures double as
 regression goldens. Validation collects every problem with its field
-path before failing.
+path before failing, and reports each problem once.
+
+The validator walks the document with one rule per kind of thing it
+reads: ``read`` takes a typed field (number, integer, string, position,
+coefficient pair), ``child`` an object section, ``entries`` each object
+of a list section, and ``build`` makes a record from the values read,
+reporting the record's own ``ValueError`` at the object's path. A file
+that cannot be read, decoded or parsed fails at ``$``.
 
 UAV entries come in two modes:
 
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -95,8 +102,59 @@ def _number_error(raw: Any) -> str | None:
     return None
 
 
+def _expect(kind: type, message: str):
+    """A ``problem`` rule: ``message``, given the value's type name, unless it is a ``kind``."""
+
+    def problem(raw: Any) -> str | None:
+        if isinstance(raw, bool) or not isinstance(raw, kind):
+            return message.format(type(raw).__name__)
+        return None
+
+    return problem
+
+
+_integer_error = _expect(int, "expected an integer, got {}")
+_string_error = _expect(str, "expected a string, got {}")
+_object_error = _expect(Mapping, "expected an object")
+_list_error = _expect(list, "expected a list")
+_values_error = _expect(Mapping, "expected a map of subregion id to number")
+
+
+def _position_error(raw: Any) -> str | None:
+    if not isinstance(raw, (list, tuple)) or not 2 <= len(raw) <= 3 or any(map(_number_error, raw)):
+        return "expected [x, y] or [x, y, z] finite numbers"
+    return None
+
+
+def _pair_error(raw: Any) -> str | None:
+    if not isinstance(raw, list) or len(raw) != 2 or any(map(_number_error, raw)):
+        return "expected [c_drag, c_lift] finite numbers"
+    return None
+
+
+def _cost_error(raw: Any) -> str | None:
+    if isinstance(raw, Mapping):
+        return None
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return f"expected a number or per-subregion map, got {type(raw).__name__}"
+    return _number_error(raw)
+
+
+def _position(raw: list) -> Position:
+    return Position(*map(float, raw))  # z defaults to 0
+
+
+def _same(raw: Any) -> Any:
+    return raw
+
+
 class _Node:
-    """A mapping under validation: tracks consumed keys and problems."""
+    """A JSON object under validation: tracks consumed keys and problems.
+
+    There is one rule per kind of thing the loader reads: ``read`` a
+    typed field, ``child`` an object section, ``entries`` the objects of
+    a list section, and ``build`` a record from the values read.
+    """
 
     def __init__(self, mapping: Mapping[str, Any], path: str, problems: list):
         self.mapping = mapping
@@ -108,62 +166,95 @@ class _Node:
         where = f"{self.path}.{key}" if key else self.path
         self.problems.append((where, message))
 
-    def take(self, key: str, default: Any = _MISSING) -> Any:
-        self._seen.add(key)
-        if key in self.mapping:
-            return self.mapping[key]
-        if default is _MISSING:
-            self.error("required field is missing", key)
-            return None
-        return default
+    def read(self, key: str, default: Any = _MISSING, problem=_number_error, convert=float) -> Any:
+        """``convert`` of the value at ``key``, or ``default`` when it is absent.
 
-    def number(self, key: str, default: Any = _MISSING) -> float | None:
+        A missing required value, or a value that ``problem`` finds at
+        fault, is reported at the key's path and read as None.
+        """
+        self._seen.add(key)
         if key not in self.mapping:
-            return self.take(key, default)
-        raw = self.take(key)
-        problem = _number_error(raw)
-        if problem:
-            self.error(problem, key)
+            if default is _MISSING:
+                self.error("required field is missing", key)
+                return None
+            return default
+        raw = self.mapping[key]
+        message = problem(raw)
+        if message:
+            self.error(message, key)
             return None
-        return float(raw)
+        return convert(raw)
 
     def integer(self, key: str, default: Any = _MISSING) -> int | None:
-        if key not in self.mapping:
-            return self.take(key, default)
-        raw = self.take(key)
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            self.error(f"expected an integer, got {type(raw).__name__}", key)
-            return None
-        return raw
+        return self.read(key, default, _integer_error, int)
 
     def string(self, key: str, default: Any = _MISSING) -> str | None:
-        if key not in self.mapping:
-            return self.take(key, default)
-        raw = self.take(key)
-        if not isinstance(raw, str):
-            self.error(f"expected a string, got {type(raw).__name__}", key)
+        return self.read(key, default, _string_error, str)
+
+    def child(self, key: str, default: Any = _MISSING) -> _Node | None:
+        """The object section at ``key``, read as ``default`` when absent, or None."""
+        raw = self.read(key, default, _object_error, _same)
+        return None if raw is None else _Node(raw, f"{self.path}.{key}", self.problems)
+
+    def entries(self, key: str, what: str) -> Iterator[_Node]:
+        """A node for each object in the required, non-empty list at ``key``."""
+        raw = self.read(key, _MISSING, _list_error, _same)
+        if raw is None:
+            return
+        if not raw:
+            self.error(f"at least one {what} is required", key)
+        for i, entry in enumerate(raw):
+            path = f"{self.path}.{key}[{i}]"
+            if isinstance(entry, Mapping):
+                yield _Node(entry, path, self.problems)
+            else:
+                self.problems.append((path, "expected an object"))
+
+    def build(self, cls, optional=(), **kwargs):
+        """Close the node, then ``cls(**kwargs)`` once every value not ``optional`` parsed.
+
+        A ``ValueError`` from the constructor is reported at the node's path.
+        """
+        self.close()
+        if any(value is None and key not in optional for key, value in kwargs.items()):
             return None
-        return raw
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            self.error(str(exc))
+            return None
 
     def close(self) -> None:
         for key in sorted(set(self.mapping) - self._seen):
             self.problems.append((f"{self.path}.{key}", "unknown field"))
 
 
-def _position(raw: Any, path: str, problems: list) -> Position | None:
-    if (
-        not isinstance(raw, (list, tuple))
-        or not 2 <= len(raw) <= 3
-        or any(_number_error(v) for v in raw)
-    ):
-        problems.append((path, "expected [x, y] or [x, y, z] finite numbers"))
-        return None
-    coords = [float(v) for v in raw] + [0.0] * (3 - len(raw))
-    try:
-        return Position(*coords)
-    except ValueError as exc:
-        problems.append((path, str(exc)))
-        return None
+def _subregion_column(node: _Node, key: str, raw: Mapping, subs: Mapping) -> list[float] | None:
+    """A map's finite number for each subregion, in subregion order, or None."""
+    values = {}
+    for sub_id, v in raw.items():
+        problem = _number_error(v)
+        if problem:
+            node.error(f"subregion {sub_id!r}: {problem}", key)
+            return None
+        values[str(sub_id)] = float(v)
+    missing = [s for s in subs if s not in values]
+    unknown = [s for s in values if s not in subs]
+    if missing:
+        node.error(f"missing value for subregion(s) {missing}", key)
+    if unknown:
+        node.error(f"unknown subregion id(s) {unknown}", key)
+    return None if (missing or unknown) else [values[s] for s in subs]
+
+
+def _cost_column(node: _Node, key: str, default: Any, subs: Mapping) -> list[float] | None:
+    """A declared cost, a number or a per-subregion map, as one value per subregion."""
+    raw = node.read(key, default, _cost_error, _same)
+    if isinstance(raw, Mapping):
+        return _subregion_column(node, key, raw, subs)
+    # a number is every subregion's value; with no subregion parsed, one copy
+    # still carries it to the sign check
+    return None if raw is None else [float(raw)] * max(len(subs), 1)
 
 
 def _reward_number(node: _Node, key: str) -> float | None:
@@ -171,87 +262,66 @@ def _reward_number(node: _Node, key: str) -> float | None:
 
     A negative fixed reward could push an item's total reward below 0.
     """
-    value = node.number(key, 0.0)
+    value = node.read(key, 0.0)
     if value is not None and value < 0:
         node.error("must be >= 0", key)
     return value
 
 
-def _subregion_map(node: _Node, key: str, raw: Mapping, sub_ids: list[str]):
-    """A map with one finite number per subregion, in subregion order, or None."""
-    out = {}
-    for sub_id, v in raw.items():
-        problem = _number_error(v)
-        if problem:
-            node.error(f"subregion {sub_id!r}: {problem}", key)
-            return None
-        out[str(sub_id)] = float(v)
-    missing = [s for s in sub_ids if s not in out]
-    unknown = [s for s in out if s not in sub_ids]
-    if missing:
-        node.error(f"missing value for subregion(s) {missing}", key)
-    if unknown:
-        node.error(f"unknown subregion id(s) {unknown}", key)
-    return None if (missing or unknown) else {s: out[s] for s in sub_ids}
-
-
-def _number_or_map(node: _Node, key: str, sub_ids: list[str], default: Any = _MISSING):
-    if key not in node.mapping:
-        return node.take(key, default)
-    raw = node.take(key)
-    if isinstance(raw, Mapping):
-        return _subregion_map(node, key, raw, sub_ids)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        node.error(f"expected a number or per-subregion map, got {type(raw).__name__}", key)
-        return None
-    problem = _number_error(raw)
-    if problem:
-        node.error(problem, key)
-        return None
-    return float(raw)
-
-
-def _reward_values(node: _Node, sub_ids: list[str]) -> dict[str, float] | None:
+def _reward_values(node: _Node, subs: Mapping) -> dict[str, float] | None:
     """The optional per-subregion ``values`` of a fixed reward policy."""
-    raw = node.take("values", None)
-    if raw is None:
+    raw = node.read("values", None, _values_error, _same)
+    column = None if raw is None else _subregion_column(node, "values", raw, subs)
+    if column is None:
         return None
-    if not isinstance(raw, Mapping):
-        node.error("expected a map of subregion id to number", "values")
-        return None
-    values = _subregion_map(node, "values", raw, sub_ids)
-    if values is None:
-        return None
-    negative = [sid for sid, v in values.items() if v < 0]
+    negative = [sid for sid, v in zip(subs, column) if v < 0]
     for sid in negative:
         node.error(f"{sid!r}: must be >= 0", "values")
-    return None if negative else values
+    return None if negative else dict(zip(subs, column))
 
 
-def _declared_costs(
-    path: str, fields: dict, flight: tuple, subregions: list[Subregion], problems: list
-) -> dict[str, CostVector] | None:
-    """A declared UAV's cost vector for each subregion, in subregion order.
+def _declared_uav(node: _Node, uid: str | None, subs: Mapping) -> DirectUavTypes | None:
+    """A direct-mode UAV, each declared cost read as one column over the subregions.
 
-    ``fields`` holds alpha, beta, psi and zeta, each a number or a map in
-    subregion order; a psi of None is derived from ``flight`` = (base,
-    velocity, power) as the base-to-centre leg flown at cruise power.
+    An omitted psi is derived from ``base``, ``velocity`` and ``power``
+    as the base-to-centre leg flown at cruise power.
     """
-    base, velocity, power = flight
-
-    def column(value) -> list:
-        if value is None:
-            return [power * base.distance_to(s.center) / velocity for s in subregions]
-        return list(value.values()) if isinstance(value, Mapping) else [value] * len(subregions)
-
+    columns = {
+        name: _cost_column(node, name, default, subs)
+        for name, default in (
+            ("alpha", _MISSING), ("beta", _MISSING), ("psi", None), ("zeta", 0.0)
+        )
+    }
+    base = node.read("base", None, _position_error, _position)
+    velocity, power = node.read("velocity", None), node.read("power", None)
+    node.close()
+    found = len(node.problems)
+    if columns["psi"] is None and None in (base, velocity, power):
+        node.error("direct mode needs psi, or base+velocity+power to derive it")
+    for name, value in (("velocity", velocity), ("power", power)):
+        if value is not None and value <= 0:
+            node.error(f"{name} must be > 0")
+    for name, column in columns.items():
+        if not column:  # unreadable or derived, or an empty map
+            continue
+        low = min(column)
+        if name in ("alpha", "beta") and low <= 0:
+            node.error("must be > 0", name)
+        elif low < 0:
+            node.error("must be >= 0", name)
+    required = (uid, columns["alpha"], columns["beta"], columns["zeta"])
+    if len(node.problems) > found or None in required:
+        return None
+    if columns["psi"] is None:
+        columns["psi"] = [power * base.distance_to(s.center) / velocity for s in subs.values()]
     costs = {}
-    for sub, *values in zip(subregions, *map(column, fields.values())):
+    for sub_id, *values in zip(subs, *columns.values()):
         try:
-            costs[sub.id] = CostVector(*values)
+            costs[sub_id] = CostVector(*values)
         except ValueError as exc:
-            problems.append((path, f"subregion {sub.id!r}: {exc}"))
+            node.error(f"subregion {sub_id!r}: {exc}")
             return None
-    return costs
+    return DirectUavTypes(id=uid, costs=costs)
 
 
 def scenario_from_dict(data: Any) -> Scenario:
@@ -271,220 +341,114 @@ def scenario_from_dict(data: Any) -> Scenario:
     seed = root.integer("seed", 0)
     if seed is not None and seed < 0:
         root.error("must be >= 0", "seed")
-    theta_hat = root.number("theta_hat", DEFAULT_THETA_HAT)
+    theta_hat = root.read("theta_hat", DEFAULT_THETA_HAT)
     if theta_hat is not None and not 0.0 < theta_hat <= 1.0:
         root.error("theta_hat must be in (0, 1]", "theta_hat")
 
     # subregions first: direct-type maps refer to their ids
-    sub_raw = root.take("subregions")
-    subregions: list[Subregion] = []
-    sub_ids: list[str] = []
-    if isinstance(sub_raw, list):
-        if not sub_raw:
-            root.error("at least one subregion is required", "subregions")
-        for i, entry in enumerate(sub_raw):
-            path = f"$.subregions[{i}]"
-            if not isinstance(entry, Mapping):
-                problems.append((path, "expected an object"))
-                continue
-            node = _Node(entry, path, problems)
-            kwargs = dict(
-                id=node.string("id"),
-                center=_position(node.take("center"), f"{path}.center", problems),
-                full_distance=node.number("full_distance"),
-                data_volume=node.number("data_volume"),
-                rate_factor=node.number("rate_factor"),
-                deadline=node.number("deadline", math.inf),
-            )
-            node.close()
-            if None in kwargs.values():
-                continue
-            try:
-                sub = Subregion(**kwargs)
-            except ValueError as exc:
-                problems.append((path, str(exc)))
-                continue
-            sid = sub.id
-            if sid in sub_ids:
-                problems.append((path, f"duplicate subregion id {sid!r}"))
-                continue
-            subregions.append(sub)
-            sub_ids.append(sid)
-    elif sub_raw is not None:
-        root.error("expected a list", "subregions")
+    subs: dict[str, Subregion] = {}
+    for node in root.entries("subregions", "subregion"):
+        sub = node.build(
+            Subregion,
+            id=node.string("id"),
+            center=node.read("center", _MISSING, _position_error, _position),
+            full_distance=node.read("full_distance"),
+            data_volume=node.read("data_volume"),
+            rate_factor=node.read("rate_factor"),
+            deadline=node.read("deadline", math.inf),
+        )
+        if sub is not None and sub.id in subs:
+            node.error(f"duplicate subregion id {sub.id!r}")
+        elif sub is not None:
+            subs[sub.id] = sub
 
     economy = None
-    econ_raw = root.take("economy")
-    if isinstance(econ_raw, Mapping):
-        node = _Node(econ_raw, "$.economy", problems)
-        phi = node.number("phi")
-        mu = node.number("mu")
-        sigma = node.number("sigma")
-        node.close()
-        if None not in (phi, mu, sigma) and subregions:
-            try:
-                economy = EconomyParams(phi, mu, sigma, n_subregions=len(subregions))
-            except ValueError as exc:
-                problems.append(("$.economy", str(exc)))
-    elif econ_raw is not None:
-        root.error("expected an object", "economy")
+    node = root.child("economy")
+    if node is not None:
+        economy = node.build(
+            EconomyParams,
+            phi=node.read("phi"),
+            mu=node.read("mu"),
+            sigma=node.read("sigma"),
+            n_subregions=len(subs) or None,
+        )
 
     fl = None
-    fl_raw = root.take("fl")
-    if isinstance(fl_raw, Mapping):
-        node = _Node(fl_raw, "$.fl", problems)
-        kwargs = dict(
-            lipschitz=node.number("lipschitz"),
-            strong_convexity=node.number("strong_convexity"),
-            xi=node.number("xi"),
-            delta=node.number("delta"),
-            local_accuracy=node.number("local_accuracy"),
-            update_size=node.number("update_size"),
+    node = root.child("fl")
+    if node is not None:
+        fl = node.build(
+            FlHyperParams,
+            optional=("rounds_override",),
+            lipschitz=node.read("lipschitz"),
+            strong_convexity=node.read("strong_convexity"),
+            xi=node.read("xi"),
+            delta=node.read("delta"),
+            local_accuracy=node.read("local_accuracy"),
+            update_size=node.read("update_size"),
             rounds_override=node.integer("rounds_override", None),
         )
-        node.close()
-        if None not in (v for k, v in kwargs.items() if k != "rounds_override"):
-            try:
-                fl = FlHyperParams(**kwargs)
-            except ValueError as exc:
-                problems.append(("$.fl", str(exc)))
-    elif fl_raw is not None:
-        root.error("expected an object", "fl")
 
-    policy_raw = root.take("reward_hat_policy", None)
-    reward_hats = dict.fromkeys(sub_ids, 0.0)
-    if isinstance(policy_raw, Mapping):
-        node = _Node(policy_raw, "$.reward_hat_policy", problems)
+    reward_hats = dict.fromkeys(subs, 0.0)
+    node = root.child("reward_hat_policy", {})
+    if node is not None:
         mode = node.string("mode", "fixed")
         if mode == "fixed":
             value = _reward_number(node, "value")
-            values = _reward_values(node, sub_ids)
+            values = _reward_values(node, subs)
             if values is not None:
                 reward_hats = values
             elif value is not None:
-                reward_hats = dict.fromkeys(sub_ids, value)
+                reward_hats = dict.fromkeys(subs, value)
         elif mode == "reference":
             # a reference traversal-and-upload cost pair at the energy price
             psi_ref = _reward_number(node, "psi_ref")
             zeta_ref = _reward_number(node, "zeta_ref")
             if None not in (economy, psi_ref, zeta_ref):
-                reward_hats = dict.fromkeys(sub_ids, economy.phi * (psi_ref + zeta_ref))
-        else:
+                reward_hats = dict.fromkeys(subs, economy.phi * (psi_ref + zeta_ref))
+        elif mode is not None:
             node.error("mode must be 'fixed' or 'reference'", "mode")
         node.close()
-    elif policy_raw is not None:
-        root.error("expected an object", "reward_hat_policy")
 
     calibration = CalibrationPolicy()
-    cal_raw = root.take("calibration", None)
-    if isinstance(cal_raw, Mapping):
-        node = _Node(cal_raw, "$.calibration", problems)
-        kwargs = dict(
+    node = root.child("calibration", {})
+    if node is not None:
+        calibration = node.build(
+            CalibrationPolicy,
             delta_mode=node.string("delta_mode", calibration.delta_mode),
-            delta_value=node.number("delta_value", calibration.delta_value),
+            delta_value=node.read("delta_value", calibration.delta_value),
             max_rounds=node.integer("max_rounds", calibration.max_rounds),
         )
-        node.close()
-        if None not in kwargs.values():
-            try:
-                calibration = CalibrationPolicy(**kwargs)
-            except ValueError as exc:
-                problems.append(("$.calibration", str(exc)))
-    elif cal_raw is not None:
-        root.error("expected an object", "calibration")
 
-    uav_raw = root.take("uavs")
-    uavs: list[UavProfile | DirectUavTypes] = []
-    uav_ids: list[str] = []
-    if isinstance(uav_raw, list):
-        if not uav_raw:
-            root.error("at least one uav is required", "uavs")
-        for i, entry in enumerate(uav_raw):
-            path = f"$.uavs[{i}]"
-            if not isinstance(entry, Mapping):
-                problems.append((path, "expected an object"))
-                continue
-            node = _Node(entry, path, problems)
-            uid = node.string("id")
-            mode = node.string("mode", "physical")
-            parsed: UavProfile | DirectUavTypes | None = None
-            if mode == "physical":
-                base = _position(node.take("base"), f"{path}.base", problems)
-                coeffs_raw = node.take("power_coefficients", None)
-                coeffs = None
-                if coeffs_raw is not None:
-                    if (
-                        not isinstance(coeffs_raw, list)
-                        or len(coeffs_raw) != 2
-                        or any(_number_error(v) for v in coeffs_raw)
-                    ):
-                        node.error(
-                            "expected [c_drag, c_lift] finite numbers", "power_coefficients"
-                        )
-                    else:
-                        coeffs = (float(coeffs_raw[0]), float(coeffs_raw[1]))
-                kwargs = dict(
-                    velocity=node.number("velocity"),
-                    cycles_per_bit=node.number("cycles_per_bit"),
-                    cpu_frequency=node.number("cpu_frequency"),
-                    capacitance=node.number("capacitance"),
-                    transmit_power=node.number("transmit_power"),
-                    power=node.number("power", None),
-                    energy_capacity=node.number("energy_capacity", math.inf),
-                )
-                node.close()
-                required = [v for k, v in kwargs.items() if k != "power"]
-                if None not in (uid, base, *required):
-                    try:
-                        parsed = UavProfile(
-                            id=uid, base=base, power_coefficients=coeffs, **kwargs
-                        )
-                    except ValueError as exc:
-                        problems.append((path, str(exc)))
-            elif mode == "direct":
-                fields = {
-                    name: _number_or_map(node, name, sub_ids, default)
-                    for name, default in (
-                        ("alpha", _MISSING), ("beta", _MISSING), ("psi", None), ("zeta", 0.0)
-                    )
-                }
-                base_raw = node.take("base", None)
-                base = None if base_raw is None else _position(base_raw, f"{path}.base", problems)
-                flight = (base, node.number("velocity", None), node.number("power", None))
-                node.close()
-                found = len(problems)
-                if fields["psi"] is None and None in flight:
-                    problems.append(
-                        (path, "direct mode needs psi, or base+velocity+power to derive it")
-                    )
-                for name, value in zip(("velocity", "power"), flight[1:]):
-                    if value is not None and value <= 0:
-                        problems.append((path, f"{name} must be > 0"))
-                for name, value in fields.items():
-                    if value is None:
-                        continue
-                    low = min(value.values() if isinstance(value, Mapping) else [value])
-                    if name in ("alpha", "beta") and low <= 0:
-                        problems.append((f"{path}.{name}", "must be > 0"))
-                    elif low < 0:
-                        problems.append((f"{path}.{name}", "must be >= 0"))
-                required = (uid, fields["alpha"], fields["beta"], fields["zeta"])
-                if len(problems) == found and None not in required:
-                    costs = _declared_costs(path, fields, flight, subregions, problems)
-                    if costs is not None:
-                        parsed = DirectUavTypes(id=uid, costs=costs)
-            else:
+    uavs: dict[str, UavProfile | DirectUavTypes] = {}
+    for node in root.entries("uavs", "uav"):
+        uid = node.string("id")
+        mode = node.string("mode", "physical")
+        parsed: UavProfile | DirectUavTypes | None = None
+        if mode == "physical":
+            parsed = node.build(
+                UavProfile,
+                optional=("power", "power_coefficients"),
+                id=uid,
+                base=node.read("base", _MISSING, _position_error, _position),
+                power_coefficients=node.read("power_coefficients", None, _pair_error, tuple),
+                velocity=node.read("velocity"),
+                cycles_per_bit=node.read("cycles_per_bit"),
+                cpu_frequency=node.read("cpu_frequency"),
+                capacitance=node.read("capacitance"),
+                transmit_power=node.read("transmit_power"),
+                power=node.read("power", None),
+                energy_capacity=node.read("energy_capacity", math.inf),
+            )
+        elif mode == "direct":
+            parsed = _declared_uav(node, uid, subs)
+        else:
+            if mode is not None:
                 node.error("mode must be 'physical' or 'direct'", "mode")
-                node.close()
-            if parsed is None:
-                continue
-            if uid in uav_ids:
-                problems.append((path, f"duplicate uav id {uid!r}"))
-                continue
-            uavs.append(parsed)
-            uav_ids.append(uid)
-    elif uav_raw is not None:
-        root.error("expected a list", "uavs")
+            node.close()
+        if parsed is not None and uid in uavs:
+            node.error(f"duplicate uav id {uid!r}")
+        elif parsed is not None:
+            uavs[uid] = parsed
 
     root.close()
     if problems:
@@ -492,8 +456,8 @@ def scenario_from_dict(data: Any) -> Scenario:
     return Scenario(
         economy=economy,
         fl=fl,
-        subregions=tuple(subregions),
-        uavs=tuple(uavs),
+        subregions=tuple(subs.values()),
+        uavs=tuple(uavs.values()),
         reward_hats=reward_hats,
         theta_hat=theta_hat,
         calibration=calibration,
@@ -502,8 +466,17 @@ def scenario_from_dict(data: Any) -> Scenario:
 
 
 def read_document(path: str | Path) -> Any:
-    """Parse a scenario file's JSON, unvalidated; a syntax error fails at ``$``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a scenario file's JSON, unvalidated.
+
+    A file that cannot be read or decoded as UTF-8, and a syntax error,
+    fail at ``$``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError([("$", f"cannot read {path}: {exc.strerror or exc}")]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([("$", f"cannot read {path}: {exc}")]) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

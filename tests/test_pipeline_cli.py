@@ -6,6 +6,7 @@ import pytest
 
 from uavmarket.cli import main
 from uavmarket.economics import model_accuracy, payoff
+from uavmarket.errors import ScenarioError
 from uavmarket.pipeline import (
     VerifyCheck,
     VerifyReport,
@@ -234,10 +235,23 @@ class TestSweep:
 
     def test_unknown_parameter_rejected(self):
         doc = json.loads(fixture_path("demo_grid.scn").read_text())
-        from uavmarket.errors import ScenarioError
-
         with pytest.raises(ScenarioError, match="unknown parameter"):
             run_sweep(doc, "economy.nonexistent", [1.0])
+
+    @pytest.mark.parametrize(
+        "param,message",
+        [
+            ("subregions.first.full_distance", "bad list index 'first'"),
+            ("subregions.9.full_distance", "bad list index '9'"),
+            ("economy.sigma.0", "cannot descend into float"),
+            ("subregions.0.id", "parameter is not numeric"),
+        ],
+    )
+    def test_bad_parameter_path_rejected(self, param, message):
+        doc = json.loads(fixture_path("demo_grid.scn").read_text())
+        with pytest.raises(ScenarioError) as err:
+            run_sweep(doc, param, [1.0])
+        assert err.value.problems == [(param, message)]
 
     def test_sweep_values_endpoints(self):
         assert sweep_values(0.0, 1.0, 3) == [0.0, 0.5, 1.0]
@@ -402,6 +416,48 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert "--seed: must be >= 0" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_reward_sum_overflow_exits_one(self, tmp_path, capsys):
+        doc = json.loads(fixture_path("fig6.scn").read_text(encoding="utf-8"))
+        doc["reward_hat_policy"] = {"mode": "fixed", "value": 1e308}
+        scn = tmp_path / "huge.scn"
+        scn.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["match", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "$.reward_hat_policy: the menus' top total rewards sum to inf" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command,make",
+        [
+            ("match", lambda path: None),
+            ("sweep", lambda path: None),
+            ("match", lambda path: path.mkdir()),
+            ("contract", lambda path: path.write_bytes(b"\xff\xfe{}")),
+        ],
+        ids=["match-missing-file", "sweep-missing-file", "directory", "not-utf8"],
+    )
+    def test_unreadable_scenario_exits_one_at_its_path(self, tmp_path, capsys, command, make):
+        scn = tmp_path / "input.scn"
+        make(scn)
+        argv = [command, "--scenario", str(scn), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--param", "seed", "--from", "0", "--to", "1", "--steps", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"$: cannot read {scn}: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["match", "--scenario", str(fixture_path("fig6.scn")), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"--out: cannot create directory {out}: " in captured.err
         assert "Traceback" not in captured.err
 
     def test_parse_error_exits_one(self, tmp_path, capsys):

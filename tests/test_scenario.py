@@ -1,11 +1,15 @@
 """Scenario file parsing and validation tests."""
 
+import ast
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import minimal_doc
+from uavmarket import scenario as scenario_module
 from uavmarket.core import DEFAULT_THETA_HAT
 from uavmarket.errors import ScenarioError
 from uavmarket.matching import CalibrationPolicy
@@ -174,27 +178,36 @@ def with_reward_hat_values():
 
 # (document builder, where the bad value goes, reported field path)
 NON_FINITE_SITES = [
-    (minimal_doc, ("economy", "sigma"), "$.economy.sigma"),
-    (minimal_doc, ("theta_hat",), "$.theta_hat"),
-    (minimal_doc, ("subregions", 0, "deadline"), "$.subregions[0].deadline"),
-    (minimal_doc, ("subregions", 0, "data_volume"), "$.subregions[0].data_volume"),
-    (minimal_doc, ("subregions", 0, "center", 1), "$.subregions[0].center"),
-    (minimal_doc, ("uavs", 0, "alpha"), "$.uavs[0].alpha"),
-    (minimal_doc, ("uavs", 0, "psi"), "$.uavs[0].psi"),
-    (with_calibration, ("calibration", "delta_value"), "$.calibration.delta_value"),
-    (with_reward_hat_values, ("reward_hat_policy", "values", "s1"), "$.reward_hat_policy.values"),
-    (physical_doc, ("uavs", 0, "energy_capacity"), "$.uavs[0].energy_capacity"),
-    (physical_doc, ("uavs", 0, "base", 0), "$.uavs[0].base"),
-    (physical_doc, ("uavs", 0, "velocity"), "$.uavs[0].velocity"),
+    (minimal_doc, "economy.sigma", "$.economy.sigma"),
+    (minimal_doc, "theta_hat", "$.theta_hat"),
+    (minimal_doc, "subregions.0.deadline", "$.subregions[0].deadline"),
+    (minimal_doc, "subregions.0.data_volume", "$.subregions[0].data_volume"),
+    (minimal_doc, "subregions.0.center.1", "$.subregions[0].center"),
+    (minimal_doc, "uavs.0.alpha", "$.uavs[0].alpha"),
+    (minimal_doc, "uavs.0.psi", "$.uavs[0].psi"),
+    (with_calibration, "calibration.delta_value", "$.calibration.delta_value"),
+    (with_reward_hat_values, "reward_hat_policy.values.s1", "$.reward_hat_policy.values"),
+    (physical_doc, "uavs.0.energy_capacity", "$.uavs[0].energy_capacity"),
+    (physical_doc, "uavs.0.base.0", "$.uavs[0].base"),
+    (physical_doc, "uavs.0.velocity", "$.uavs[0].velocity"),
 ]
 
 
-def _plant(builder, where, value):
+DROP = object()
+
+
+def edit(builder, changes):
+    """``builder()`` with each dotted path in ``changes`` set, or removed for ``DROP``."""
     doc = builder()
-    node = doc
-    for part in where[:-1]:
-        node = node[part]
-    node[where[-1]] = value
+    for where, value in changes.items():
+        *parents, last = [int(p) if p.isdigit() else p for p in where.split(".")]
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
     return doc
 
 
@@ -205,7 +218,7 @@ class TestNonFiniteNumbers:
     )
     def test_rejected_with_field_path(self, builder, where, field, value):
         with pytest.raises(ScenarioError) as err:
-            scenario_from_dict(_plant(builder, where, value))
+            scenario_from_dict(edit(builder, {where: value}))
         assert field in [path for path, _ in err.value.problems]
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "psi", "zeta"])
@@ -336,3 +349,487 @@ class TestRewardHatPolicy:
     def test_zero_accepted(self, policy):
         scenario = scenario_from_dict(minimal_doc(reward_hat_policy=policy))
         assert scenario.reward_hats == {"s1": 0.0}
+
+
+def two_subregions():
+    doc = minimal_doc()
+    doc["subregions"].append(dict(doc["subregions"][0], id="s2", center=[5.0, 5.0, 0.0]))
+    return doc
+
+
+def every_section_doc():
+    """One problem in every section, written in the reverse of the order they are read."""
+    return edit(
+        two_subregions,
+        {
+            "mystery": True,
+            "uavs.0.zeta": -1.0,
+            "calibration": {"max_rounds": 0},
+            "reward_hat_policy": {"values": {"s1": -1.0}},
+            "fl.update_size": 0.0,
+            "economy.mu": "one",
+            "subregions.1.rate_factor": 0.0,
+            "theta_hat": 1.5,
+            "seed": -1,
+            "format_version": 0,
+        },
+    )
+
+
+# Every refusal of the loader, one case per branch: the exact problem list
+# of each malformed document, in the order the loader reports it.
+REFUSALS = {
+    # the top level and its fields
+    "top_level_not_an_object": ([1, 2, 3], [("$", "top level must be a JSON object")]),
+    "format_version_missing": (
+        edit(minimal_doc, {"format_version": DROP}),
+        [("$.format_version", "required field is missing")],
+    ),
+    "format_version_not_an_integer": (
+        edit(minimal_doc, {"format_version": "1"}),
+        [("$.format_version", "expected an integer, got str")],
+    ),
+    "format_version_unsupported": (
+        edit(minimal_doc, {"format_version": 2}),
+        [("$.format_version", "unsupported format_version 2")],
+    ),
+    "seed_not_an_integer": (
+        edit(minimal_doc, {"seed": 1.5}),
+        [("$.seed", "expected an integer, got float")],
+    ),
+    "seed_negative": (edit(minimal_doc, {"seed": -1}), [("$.seed", "must be >= 0")]),
+    "theta_hat_not_a_number": (
+        edit(minimal_doc, {"theta_hat": "high"}),
+        [("$.theta_hat", "expected a number, got str")],
+    ),
+    "theta_hat_out_of_range_integer": (
+        edit(minimal_doc, {"theta_hat": 10**400}),
+        [("$.theta_hat", "expected a finite number, got an out-of-range integer")],
+    ),
+    "theta_hat_outside_unit_interval": (
+        edit(minimal_doc, {"theta_hat": 0.0}),
+        [("$.theta_hat", "theta_hat must be in (0, 1]")],
+    ),
+    "unknown_top_level_field": (
+        edit(minimal_doc, {"mystery": 1}),
+        [("$.mystery", "unknown field")],
+    ),
+    # subregions
+    "subregions_missing": (
+        edit(minimal_doc, {"subregions": DROP}),
+        [("$.subregions", "required field is missing")],
+    ),
+    "subregions_not_a_list": (
+        edit(minimal_doc, {"subregions": {"s1": {}}}),
+        [("$.subregions", "expected a list")],
+    ),
+    "subregions_empty": (
+        edit(minimal_doc, {"subregions": []}),
+        [("$.subregions", "at least one subregion is required")],
+    ),
+    "subregion_not_an_object": (
+        edit(minimal_doc, {"subregions.0": "s1"}),
+        [("$.subregions[0]", "expected an object")],
+    ),
+    "subregion_id_not_a_string": (
+        edit(minimal_doc, {"subregions.0.id": 1}),
+        [("$.subregions[0].id", "expected a string, got int")],
+    ),
+    "subregion_center_missing": (
+        edit(minimal_doc, {"subregions.0.center": DROP}),
+        [("$.subregions[0].center", "required field is missing")],
+    ),
+    "subregion_center_too_short": (
+        edit(minimal_doc, {"subregions.0.center": [1.0]}),
+        [("$.subregions[0].center", "expected [x, y] or [x, y, z] finite numbers")],
+    ),
+    "subregion_center_not_a_list": (
+        edit(minimal_doc, {"subregions.0.center": "origin"}),
+        [("$.subregions[0].center", "expected [x, y] or [x, y, z] finite numbers")],
+    ),
+    "subregion_deadline_not_a_number": (
+        edit(minimal_doc, {"subregions.0.deadline": "soon"}),
+        [("$.subregions[0].deadline", "expected a number, got str")],
+    ),
+    "subregion_full_distance_zero": (
+        edit(minimal_doc, {"subregions.0.full_distance": 0.0}),
+        [("$.subregions[0]", "subregion s1: full_distance must be > 0")],
+    ),
+    "subregion_duplicate_id": (
+        edit(two_subregions, {"subregions.1.id": "s1"}),
+        [("$.subregions[1]", "duplicate subregion id 's1'")],
+    ),
+    "subregion_unknown_field": (
+        edit(minimal_doc, {"subregions.0.nodes": []}),
+        [("$.subregions[0].nodes", "unknown field")],
+    ),
+    # economy
+    "economy_missing": (
+        edit(minimal_doc, {"economy": DROP}),
+        [("$.economy", "required field is missing")],
+    ),
+    "economy_not_an_object": (
+        edit(minimal_doc, {"economy": [0.05, 1.0, 100.0]}),
+        [("$.economy", "expected an object")],
+    ),
+    "economy_phi_not_a_number": (
+        edit(minimal_doc, {"economy.phi": "cheap"}),
+        [("$.economy.phi", "expected a number, got str")],
+    ),
+    "economy_phi_zero": (
+        edit(minimal_doc, {"economy.phi": 0.0}),
+        [("$.economy", "phi must be > 0")],
+    ),
+    # fl
+    "fl_missing": (edit(minimal_doc, {"fl": DROP}), [("$.fl", "required field is missing")]),
+    "fl_not_an_object": (edit(minimal_doc, {"fl": 4.0}), [("$.fl", "expected an object")]),
+    "fl_xi_missing": (
+        edit(minimal_doc, {"fl.xi": DROP}),
+        [("$.fl.xi", "required field is missing")],
+    ),
+    "fl_rounds_override_not_an_integer": (
+        edit(minimal_doc, {"fl.rounds_override": 2.5}),
+        [("$.fl.rounds_override", "expected an integer, got float")],
+    ),
+    "fl_rounds_override_zero": (
+        edit(minimal_doc, {"fl.rounds_override": 0}),
+        [("$.fl", "rounds_override must be a positive integer")],
+    ),
+    "fl_lipschitz_negative": (
+        edit(minimal_doc, {"fl.lipschitz": -4.0}),
+        [("$.fl", "lipschitz must be > 0")],
+    ),
+    "fl_delta_too_large": (
+        edit(minimal_doc, {"fl.delta": 0.5}),
+        [("$.fl", "(2 - lipschitz*delta) * delta * strong_convexity must be > 0")],
+    ),
+    # reward_hat_policy
+    "reward_hat_policy_not_an_object": (
+        edit(minimal_doc, {"reward_hat_policy": 35.0}),
+        [("$.reward_hat_policy", "expected an object")],
+    ),
+    "reward_hat_mode_not_a_string": (
+        edit(minimal_doc, {"reward_hat_policy": {"mode": 3}}),
+        [("$.reward_hat_policy.mode", "expected a string, got int")],
+    ),
+    "reward_hat_mode_unknown": (
+        edit(minimal_doc, {"reward_hat_policy": {"mode": "auction"}}),
+        [("$.reward_hat_policy.mode", "mode must be 'fixed' or 'reference'")],
+    ),
+    "reward_hat_value_not_a_number": (
+        edit(minimal_doc, {"reward_hat_policy": {"value": "35"}}),
+        [("$.reward_hat_policy.value", "expected a number, got str")],
+    ),
+    "reward_hat_value_negative": (
+        edit(minimal_doc, {"reward_hat_policy": {"value": -1.0}}),
+        [("$.reward_hat_policy.value", "must be >= 0")],
+    ),
+    "reward_hat_values_not_a_map": (
+        edit(minimal_doc, {"reward_hat_policy": {"values": [1.0]}}),
+        [("$.reward_hat_policy.values", "expected a map of subregion id to number")],
+    ),
+    "reward_hat_values_entry_missing": (
+        edit(two_subregions, {"reward_hat_policy": {"values": {"s2": 1.0}}}),
+        [("$.reward_hat_policy.values", "missing value for subregion(s) ['s1']")],
+    ),
+    "reward_hat_values_entry_unknown": (
+        edit(minimal_doc, {"reward_hat_policy": {"values": {"s1": 1.0, "s9": 2.0}}}),
+        [("$.reward_hat_policy.values", "unknown subregion id(s) ['s9']")],
+    ),
+    "reward_hat_values_entry_negative": (
+        edit(two_subregions, {"reward_hat_policy": {"values": {"s1": -1.0, "s2": -2.0}}}),
+        [
+            ("$.reward_hat_policy.values", "'s1': must be >= 0"),
+            ("$.reward_hat_policy.values", "'s2': must be >= 0"),
+        ],
+    ),
+    "reward_hat_values_entry_not_a_number": (
+        edit(minimal_doc, {"reward_hat_policy": {"values": {"s1": "x"}}}),
+        [("$.reward_hat_policy.values", "subregion 's1': expected a number, got str")],
+    ),
+    "reward_hat_psi_ref_negative": (
+        edit(minimal_doc, {"reward_hat_policy": {"mode": "reference", "psi_ref": -1.0}}),
+        [("$.reward_hat_policy.psi_ref", "must be >= 0")],
+    ),
+    "reward_hat_reference_field_in_fixed_mode": (
+        edit(minimal_doc, {"reward_hat_policy": {"psi_ref": 700.0}}),
+        [("$.reward_hat_policy.psi_ref", "unknown field")],
+    ),
+    # calibration
+    "calibration_not_an_object": (
+        edit(minimal_doc, {"calibration": "relative"}),
+        [("$.calibration", "expected an object")],
+    ),
+    "calibration_delta_mode_not_a_string": (
+        edit(minimal_doc, {"calibration": {"delta_mode": 1}}),
+        [("$.calibration.delta_mode", "expected a string, got int")],
+    ),
+    "calibration_delta_mode_unknown": (
+        edit(minimal_doc, {"calibration": {"delta_mode": "halving"}}),
+        [("$.calibration", "delta_mode must be 'relative' or 'absolute'")],
+    ),
+    "calibration_delta_value_zero": (
+        edit(minimal_doc, {"calibration": {"delta_value": 0.0}}),
+        [("$.calibration", "delta_value must be > 0")],
+    ),
+    "calibration_max_rounds_not_an_integer": (
+        edit(minimal_doc, {"calibration": {"max_rounds": 5.0}}),
+        [("$.calibration.max_rounds", "expected an integer, got float")],
+    ),
+    "calibration_max_rounds_zero": (
+        edit(minimal_doc, {"calibration": {"max_rounds": 0}}),
+        [("$.calibration", "max_rounds must be a positive integer")],
+    ),
+    # uavs
+    "uavs_missing": (edit(minimal_doc, {"uavs": DROP}), [("$.uavs", "required field is missing")]),
+    "uavs_not_a_list": (edit(minimal_doc, {"uavs": {"u1": {}}}), [("$.uavs", "expected a list")]),
+    "uavs_empty": (edit(minimal_doc, {"uavs": []}), [("$.uavs", "at least one uav is required")]),
+    "uav_not_an_object": (
+        edit(minimal_doc, {"uavs.0": "u1"}),
+        [("$.uavs[0]", "expected an object")],
+    ),
+    "uav_id_not_a_string": (
+        edit(minimal_doc, {"uavs.0.id": 1}),
+        [("$.uavs[0].id", "expected a string, got int")],
+    ),
+    "uav_mode_not_a_string": (
+        edit(minimal_doc, {"uavs.0.mode": 3}),
+        [
+            ("$.uavs[0].mode", "expected a string, got int"),
+            ("$.uavs[0].alpha", "unknown field"),
+            ("$.uavs[0].beta", "unknown field"),
+            ("$.uavs[0].psi", "unknown field"),
+        ],
+    ),
+    "uav_mode_unknown": (
+        edit(minimal_doc, {"uavs.0.mode": "hybrid"}),
+        [
+            ("$.uavs[0].mode", "mode must be 'physical' or 'direct'"),
+            ("$.uavs[0].alpha", "unknown field"),
+            ("$.uavs[0].beta", "unknown field"),
+            ("$.uavs[0].psi", "unknown field"),
+        ],
+    ),
+    "uav_duplicate_id": (
+        edit(physical_doc, {"uavs.1.id": "u1"}),
+        [("$.uavs[1]", "duplicate uav id 'u1'")],
+    ),
+    # physical UAVs
+    "physical_base_missing": (
+        edit(physical_doc, {"uavs.0.base": DROP}),
+        [("$.uavs[0].base", "required field is missing")],
+    ),
+    "physical_base_too_long": (
+        edit(physical_doc, {"uavs.0.base": [0.0, 0.0, 0.0, 0.0]}),
+        [("$.uavs[0].base", "expected [x, y] or [x, y, z] finite numbers")],
+    ),
+    "physical_velocity_not_a_number": (
+        edit(physical_doc, {"uavs.0.velocity": "fast"}),
+        [("$.uavs[0].velocity", "expected a number, got str")],
+    ),
+    "physical_power_coefficients_not_a_pair": (
+        edit(physical_doc, {"uavs.1.power_coefficients": [1.0]}),
+        [
+            ("$.uavs[1].power_coefficients", "expected [c_drag, c_lift] finite numbers"),
+            ("$.uavs[1]", "uav u2: set exactly one of power / power_coefficients"),
+        ],
+    ),
+    "physical_power_and_coefficients": (
+        edit(physical_doc, {"uavs.1.power": 20.0}),
+        [("$.uavs[1]", "uav u2: set exactly one of power / power_coefficients")],
+    ),
+    "physical_velocity_zero": (
+        edit(physical_doc, {"uavs.0.velocity": 0.0}),
+        [("$.uavs[0]", "uav u1: velocity must be > 0")],
+    ),
+    "physical_declared_cost_field": (
+        edit(physical_doc, {"uavs.0.alpha": 250.0}),
+        [("$.uavs[0].alpha", "unknown field")],
+    ),
+    # direct UAVs: typed reads and per-subregion maps
+    "direct_alpha_missing": (
+        edit(minimal_doc, {"uavs.0.alpha": DROP}),
+        [("$.uavs[0].alpha", "required field is missing")],
+    ),
+    "direct_alpha_not_a_number": (
+        edit(minimal_doc, {"uavs.0.alpha": "250"}),
+        [("$.uavs[0].alpha", "expected a number or per-subregion map, got str")],
+    ),
+    "direct_alpha_out_of_range_integer": (
+        edit(minimal_doc, {"uavs.0.alpha": 10**400}),
+        [("$.uavs[0].alpha", "expected a finite number, got an out-of-range integer")],
+    ),
+    "direct_psi_map_entry_not_a_number": (
+        edit(minimal_doc, {"uavs.0.psi": {"s1": True}}),
+        [
+            ("$.uavs[0].psi", "subregion 's1': expected a number, got bool"),
+            ("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it"),
+        ],
+    ),
+    "direct_psi_map_entry_missing": (
+        edit(two_subregions, {"uavs.0.psi": {"s1": 10.0}}),
+        [
+            ("$.uavs[0].psi", "missing value for subregion(s) ['s2']"),
+            ("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it"),
+        ],
+    ),
+    "direct_psi_map_entry_unknown": (
+        edit(minimal_doc, {"uavs.0.psi": {"s1": 10.0, "s9": 1.0, "s8": 2.0}}),
+        [
+            ("$.uavs[0].psi", "unknown subregion id(s) ['s9', 's8']"),
+            ("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it"),
+        ],
+    ),
+    "direct_base_not_a_position": (
+        edit(minimal_doc, {"uavs.0.base": "home"}),
+        [("$.uavs[0].base", "expected [x, y] or [x, y, z] finite numbers")],
+    ),
+    "direct_velocity_not_a_number": (
+        edit(minimal_doc, {"uavs.0.velocity": [10.0]}),
+        [("$.uavs[0].velocity", "expected a number, got list")],
+    ),
+    "direct_needs_psi_or_flight": (
+        edit(minimal_doc, {"uavs.0.psi": DROP, "uavs.0.velocity": 10.0}),
+        [("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it")],
+    ),
+    "direct_derived_psi_overflows": (
+        edit(
+            minimal_doc,
+            {"uavs.0.psi": DROP, "uavs.0.base": [1e300, 0.0], "uavs.0.velocity": 1e-300,
+             "uavs.0.power": 1.0},
+        ),
+        [("$.uavs[0]", "subregion 's1': cost vector field psi must be finite and >= 0")],
+    ),
+    # direct UAVs: sign rules
+    "direct_alpha_zero": (
+        edit(minimal_doc, {"uavs.0.alpha": 0.0}),
+        [("$.uavs[0].alpha", "must be > 0")],
+    ),
+    "direct_beta_negative_in_a_map": (
+        edit(two_subregions, {"uavs.0.beta": {"s1": 20.0, "s2": -20.0}}),
+        [("$.uavs[0].beta", "must be > 0")],
+    ),
+    "direct_psi_negative": (
+        edit(minimal_doc, {"uavs.0.psi": -1.0}),
+        [("$.uavs[0].psi", "must be >= 0")],
+    ),
+    "direct_zeta_negative_in_a_map": (
+        edit(minimal_doc, {"uavs.0.zeta": {"s1": -0.5}}),
+        [("$.uavs[0].zeta", "must be >= 0")],
+    ),
+    "direct_velocity_zero": (
+        edit(
+            minimal_doc,
+            {"uavs.0.base": [0.0, 0.0], "uavs.0.velocity": 0.0, "uavs.0.power": 5.0},
+        ),
+        [("$.uavs[0]", "velocity must be > 0")],
+    ),
+    "direct_power_negative": (
+        edit(minimal_doc, {"uavs.0.power": -5.0}),
+        [("$.uavs[0]", "power must be > 0")],
+    ),
+    # one problem in every section, in the order the loader reads them
+    "every_section": (
+        every_section_doc(),
+        [
+            ("$.format_version", "unsupported format_version 0"),
+            ("$.seed", "must be >= 0"),
+            ("$.theta_hat", "theta_hat must be in (0, 1]"),
+            ("$.subregions[1]", "subregion s2: rate_factor must be > 0"),
+            ("$.economy.mu", "expected a number, got str"),
+            ("$.fl", "update_size must be > 0"),
+            ("$.reward_hat_policy.values", "'s1': must be >= 0"),
+            ("$.calibration", "max_rounds must be a positive integer"),
+            ("$.uavs[0].zeta", "must be >= 0"),
+            ("$.mystery", "unknown field"),
+        ],
+    ),
+
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("doc,problems", REFUSALS.values(), ids=REFUSALS)
+    def test_exact_problem_list(self, doc, problems):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize(
+        "changes,problem",
+        [
+            ({"economy": None}, ("$.economy", "expected an object")),
+            ({"fl": None}, ("$.fl", "expected an object")),
+            ({"reward_hat_policy": None}, ("$.reward_hat_policy", "expected an object")),
+            ({"calibration": None}, ("$.calibration", "expected an object")),
+            ({"subregions": None}, ("$.subregions", "expected a list")),
+            ({"uavs": None}, ("$.uavs", "expected a list")),
+            (
+                {"uavs.0.base": None},
+                ("$.uavs[0].base", "expected [x, y] or [x, y, z] finite numbers"),
+            ),
+            (
+                {"reward_hat_policy": {"values": None}},
+                ("$.reward_hat_policy.values", "expected a map of subregion id to number"),
+            ),
+        ],
+        ids=[
+            "economy", "fl", "reward_hat_policy", "calibration", "subregions", "uavs",
+            "uavs.0.base", "reward_hat_policy.values",
+        ],
+    )
+    def test_null_is_refused_like_any_other_wrong_type(self, changes, problem):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(edit(minimal_doc, changes))
+        assert err.value.problems == [problem]
+
+    def test_empty_cost_map_without_subregions_is_reported_not_raised(self):
+        doc = edit(minimal_doc, {"subregions": [], "uavs.0.alpha": {}})
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.problems == [("$.subregions", "at least one subregion is required")]
+
+
+def refusal_patterns() -> list[str]:
+    """A regular expression for each refusal message written in ``scenario.py``.
+
+    A message is the constant text of a string or f-string passed to an
+    ``error(...)`` call, appended to a problem list as a ``(path,
+    message)`` pair, returned by a problem rule, or given to ``_expect``;
+    each formatted field matches anything.
+    """
+    tree = ast.parse(Path(scenario_module.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Return):
+            found.append(node.value)
+        elif isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "error":
+                found.append(node.args[0])
+            elif name == "append" and isinstance(node.args[0], ast.Tuple):
+                found.append(node.args[0].elts[1])
+            elif name == "_expect":
+                found.append(node.args[1])
+    patterns = []
+    for message in found:
+        if isinstance(message, ast.Constant) and isinstance(message.value, str):
+            parts = message.value.split("{}")
+        elif isinstance(message, ast.JoinedStr):
+            parts = [""]
+            for piece in message.values:
+                if isinstance(piece, ast.Constant):
+                    parts[-1] += piece.value
+                else:
+                    parts.append("")
+        else:
+            continue
+        patterns.append(".*".join(map(re.escape, parts)))
+    return patterns
+
+
+def test_every_refusal_message_has_a_case_in_the_table():
+    messages = [message for _, problems in REFUSALS.values() for _, message in problems]
+    patterns = refusal_patterns()
+    assert len(patterns) >= 25  # the scan still finds the messages
+    assert [p for p in patterns if not any(re.fullmatch(p, m) for m in messages)] == []
