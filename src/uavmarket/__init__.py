@@ -25,6 +25,7 @@ from .core import (
     FlHyperParams,
     Position,
     Subregion,
+    SubregionColumns,
     UavProfile,
     check_feasibility,
     derive_cost_vector,
@@ -36,7 +37,7 @@ from .economics import (
     model_accuracy,
     owner_profit,
 )
-from .errors import ScenarioError, UavMarketError, UnresolvedTieError
+from .errors import OptionError, ScenarioError, UavMarketError, UnresolvedTieError
 from .matching import (
     CalibrationEvent,
     CalibrationPolicy,

@@ -21,7 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ScenarioError, UnresolvedTieError
+from .errors import OptionError, ScenarioError, UnresolvedTieError
 from .pipeline import run_contract, run_match, run_sweep, run_verify, sweep_values
 from .scenario import load_scenario, read_document
 
@@ -77,7 +77,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         reason = exc.strerror or exc
-        raise ScenarioError([("--out", f"cannot create directory {out}: {reason}")]) from exc
+        raise OptionError("--out", f"cannot create directory {out}: {reason}") from exc
 
     if args.command == "sweep":
         raw = read_document(args.scenario)

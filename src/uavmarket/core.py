@@ -1,7 +1,7 @@
 """Physical, geometric, and training-cost model for UAV sensing tasks.
 
 Every quantity the contract and matching layers consume is derived here
-from first principles, for one (UAV, subregion) pair at a time:
+from first principles, per (UAV, subregion) pair:
 
 * traversal and sensing flight time / energy, which is linear in the
   coverage fraction ``theta``: ``E = alpha * theta + psi``;
@@ -12,9 +12,12 @@ from first principles, for one (UAV, subregion) pair at a time:
 What depends on one side of a pair only is computed once, when that side
 is built: ``FlHyperParams`` holds its ``TrainingRounds`` and ``UavProfile``
 its cruise propulsion power and squared CPU frequency. Every per-pair
-formula is written once, in ``_pair_terms``; the screen
-``check_feasibility`` and ``derive_cost_vector`` both read it, so the two
-see bit-identical numbers.
+formula is written once, in ``_pair_terms``, which runs both on one
+``Subregion`` of floats and on ``SubregionColumns`` of numpy arrays:
+``check_feasibility`` screens one UAV against every subregion at once,
+and ``derive_cost_vector`` prices one pair that passed. numpy rounds each
+elementwise float64 operation as Python does, so the two see
+bit-identical numbers.
 
 All functions are pure and all types are immutable after construction, so
 values can be shared freely across threads. Units are metres, seconds,
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 DEFAULT_THETA_HAT = 0.8
 
@@ -200,17 +205,54 @@ class CostVector:
                 raise ValueError(f"cost vector field {name} must be finite and >= 0")
 
 
-class FeasibilityReport(NamedTuple):
-    """Outcome of the screening a UAV runs before announcing its type."""
+@dataclass(frozen=True)
+class SubregionColumns:
+    """The subregions' screening inputs, one column per field, in scenario order.
 
-    time_ok: bool
-    energy_ok: bool
-    total_time: float
-    total_energy: float
+    ``centers`` holds each centre as an ``(x, y, z)`` tuple for
+    ``math.dist``; the numeric fields are float64 arrays.
+    """
+
+    ids: tuple[str, ...]
+    centers: tuple[tuple[float, float, float], ...]
+    full_distance: np.ndarray
+    data_volume: np.ndarray
+    rate_factor: np.ndarray
+    deadline: np.ndarray
+
+    @classmethod
+    def of(cls, subs: Sequence[Subregion]) -> SubregionColumns:
+        def column(name):
+            return np.array([getattr(sub, name) for sub in subs], dtype=float)
+
+        return cls(
+            ids=tuple(sub.id for sub in subs),
+            centers=tuple((sub.center.x, sub.center.y, sub.center.z) for sub in subs),
+            full_distance=column("full_distance"),
+            data_volume=column("data_volume"),
+            rate_factor=column("rate_factor"),
+            deadline=column("deadline"),
+        )
+
+
+class FeasibilityReport(NamedTuple):
+    """Outcome of the screening one UAV runs before announcing its type.
+
+    Each field is a tuple with one plain Python value per subregion, in
+    the order of the ``SubregionColumns`` screened against; ``passes``
+    marks where both checks hold, so where the UAV announces.
+    """
+
+    time_ok: tuple[bool, ...]
+    energy_ok: tuple[bool, ...]
+    total_time: tuple[float, ...]
+    total_energy: tuple[float, ...]
+    passes: tuple[bool, ...]
 
     @property
     def feasible(self) -> bool:
-        return self.time_ok and self.energy_ok
+        """Whether the UAV can announce to some subregion."""
+        return any(self.passes)
 
 
 class TrainingRounds(NamedTuple):
@@ -241,16 +283,20 @@ def fl_rounds(fl: FlHyperParams) -> TrainingRounds:
     return TrainingRounds(local_iterations, round_scale, rounds)
 
 
-def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperParams):
+def _pair_terms(theta, sub, base_leg, profile: UavProfile, fl: FlHyperParams):
     """Every per-pair term of the cost model at coverage ``theta``, phase by phase.
 
+    ``sub`` is a ``Subregion`` or ``SubregionColumns`` and ``base_leg``
+    the matching base-to-centre distance, a float or an array; only
+    ``full_distance``, ``data_volume`` and ``rate_factor`` are read, so
+    the same operations, in the same order, give floats or columns.
     Returns the flat tuple ``(traversal duration, energy, alpha, psi,
     computation duration, energy, beta, transmission duration, zeta)``:
     slices ``[:4]``, ``[4:7]`` and ``[7:]`` are the traversal, computation
     and transmission phases. Traversal flies
-    ``theta * full_distance + base_to_center`` metres, so its energy is
+    ``theta * full_distance + base_leg`` metres, so its energy is
     ``alpha * theta + psi`` with ``alpha = p * full_distance / v`` and
-    ``psi = p * base_to_center / v``.
+    ``psi = p * base_leg / v``.
     Training processes ``theta * data_volume`` over the local iterations of
     every round: time scales with the inverse CPU frequency, energy
     ``beta * theta`` with its square. The per-round upload is fixed, so
@@ -259,7 +305,6 @@ def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperPa
     """
     v = profile.velocity
     p = profile.cruise_power
-    base_leg = profile.base.distance_to(sub.center)
     alpha = p * sub.full_distance / v
     psi = p * base_leg / v
     v_iter, _, rounds = fl.training
@@ -283,32 +328,46 @@ def _pair_terms(theta: float, sub: Subregion, profile: UavProfile, fl: FlHyperPa
 
 def derive_cost_vector(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -> CostVector:
     """Compose the three phases into one cost record for this pair."""
-    _, _, alpha, psi, _, _, beta, _, zeta = _pair_terms(1.0, sub, profile, fl)
+    base_leg = profile.base.distance_to(sub.center)
+    _, _, alpha, psi, _, _, beta, _, zeta = _pair_terms(1.0, sub, base_leg, profile, fl)
     return CostVector(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
 
 
 def check_feasibility(
-    sub: Subregion,
+    subs: SubregionColumns,
     profile: UavProfile,
     fl: FlHyperParams,
     theta_hat: float = DEFAULT_THETA_HAT,
 ) -> FeasibilityReport:
-    """Screen a UAV against the subregion's deadline and its own battery.
+    """Screen a UAV against every subregion's deadline and its own battery.
 
     Evaluated at the announced screening coverage ``theta_hat``; a UAV
-    announces its type to the subregion only when both checks pass. Both
-    inequalities are inclusive.
+    announces its type to a subregion only when both checks pass. Both
+    inequalities are inclusive. An amount that overflows becomes ``inf``
+    without a warning, as it does in Python float arithmetic; an upload
+    rate ``rate_factor * transmit_power`` that underflows to 0 is a
+    ``ValueError`` naming the first such subregion.
     """
     if not 0.0 < theta_hat <= 1.0:
         raise ValueError(f"theta_hat must be in (0, 1], got {theta_hat}")
-    trav_time, trav_energy, _, _, comp_time, comp_energy, _, tx_time, zeta = _pair_terms(
-        theta_hat, sub, profile, fl
-    )
-    total_time = trav_time + comp_time + tx_time
-    total_energy = trav_energy + comp_energy + zeta
+    base = (profile.base.x, profile.base.y, profile.base.z)
+    base_leg = np.array([math.dist(base, center) for center in subs.centers])
+    with np.errstate(all="ignore"):
+        rate = subs.rate_factor * profile.transmit_power
+        if not rate.all():
+            sub_id = subs.ids[int(np.argmin(rate))]
+            raise ValueError(f"subregion {sub_id!r}: rate_factor * transmit_power underflows to 0")
+        trav_time, trav_energy, _, _, comp_time, comp_energy, _, tx_time, zeta = _pair_terms(
+            theta_hat, subs, base_leg, profile, fl
+        )
+        total_time = trav_time + comp_time + tx_time
+        total_energy = trav_energy + comp_energy + zeta
+        time_ok = total_time <= subs.deadline
+        energy_ok = total_energy <= profile.energy_capacity
     return FeasibilityReport(
-        time_ok=total_time <= sub.deadline,
-        energy_ok=total_energy <= profile.energy_capacity,
-        total_time=total_time,
-        total_energy=total_energy,
+        time_ok=tuple(time_ok.tolist()),
+        energy_ok=tuple(energy_ok.tolist()),
+        total_time=tuple(total_time.tolist()),
+        total_energy=tuple(total_energy.tolist()),
+        passes=tuple((time_ok & energy_ok).tolist()),
     )

@@ -17,10 +17,21 @@ class ScenarioError(UavMarketError):
     every problem in a file is reported at once.
     """
 
-    def __init__(self, problems):
+    def __init__(self, problems, heading: str = "invalid scenario"):
         self.problems = list(problems)
         lines = [f"{path}: {msg}" for path, msg in self.problems]
-        super().__init__("invalid scenario:\n  " + "\n  ".join(lines))
+        super().__init__(f"{heading}:\n  " + "\n  ".join(lines))
+
+
+class OptionError(ScenarioError):
+    """A command-line option (or its library argument) is unusable.
+
+    The scenario itself may be valid, so the message is headed by the
+    option, not ``invalid scenario``; the one problem's path is the option.
+    """
+
+    def __init__(self, option: str, message: str):
+        super().__init__([(option, message)], heading=f"invalid option {option}")
 
 
 class UnresolvedTieError(UavMarketError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,12 +26,13 @@ from .contract import ContractSchedule, build_schedule, marginal_cost, optimal_c
 from .core import (
     CostVector,
     FeasibilityReport,
+    SubregionColumns,
     UavProfile,
     check_feasibility,
     derive_cost_vector,
 )
 from .economics import model_accuracy, owner_profit
-from .errors import ScenarioError
+from .errors import OptionError, ScenarioError
 from .matching import (
     Market,
     MatchState,
@@ -57,13 +59,14 @@ from .verification import (
 class RunReport:
     """One market pass: the screen, the menus, and (after ``run_match``) the match.
 
-    ``feasibility`` maps each physical UAV to its screening report per
-    subregion. ``published`` holds the menus as built and ``schedules``
-    the menus as paid; the two differ only after a calibration event.
+    ``feasibility`` maps each physical UAV to its screening report, whose
+    fields run over ``scenario.subregions`` in order. ``published`` holds
+    the menus as built and ``schedules`` the menus as paid; the two differ
+    only after a calibration event.
     """
 
     scenario: Scenario
-    feasibility: dict[str, dict[str, FeasibilityReport]]
+    feasibility: dict[str, FeasibilityReport]
     published: dict[str, ContractSchedule]
     schedules: dict[str, ContractSchedule]
     sub_prefs: dict[str, PreferenceList] = field(default_factory=dict)
@@ -104,40 +107,43 @@ def prepare(scenario: Scenario) -> RunReport:
     and as paid; ``run_match`` replaces the paid ones.
 
     Finite inputs that multiply out to an amount that is not finite fail
-    here, so that no artifact holds ``nan`` or ``inf``: a bad cost vector
-    or marginal cost on its UAV, a data scale ``mu * data_volume`` that
-    is not a finite normal float on its subregion, a menu's top reward on
-    the reward policy, and the owner revenue at a menu's top coverage on
-    the economy. A bad marginal cost is reported first, at the first UAV
-    and subregion in announcement order.
+    here, so that no artifact holds ``nan`` or ``inf``: a bad cost vector,
+    marginal cost or upload rate on its UAV, a data scale
+    ``mu * data_volume`` that is not a finite normal float on its
+    subregion, a menu's top reward on the reward policy, and the owner
+    revenue at a menu's top coverage on the economy. A bad marginal cost
+    is reported first, at the first UAV and subregion in announcement
+    order.
     """
     econ = scenario.economy
-    feasibility: dict[str, dict[str, FeasibilityReport]] = {}
-    announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in scenario.subregions}
+    subs = scenario.subregions
+    feasibility: dict[str, FeasibilityReport] = {}
+    announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in subs}
     schedules: dict[str, ContractSchedule] = {}
+    columns = None  # built for the first physical UAV, if there is one
     try:
         for i, uav in enumerate(scenario.uavs):
-            physical = isinstance(uav, UavProfile)
-            if physical:
-                reports = feasibility[uav.id] = {}
-            for sub in scenario.subregions:
-                if physical:
-                    report = reports[sub.id] = check_feasibility(
-                        sub, uav, scenario.fl, scenario.theta_hat
-                    )
-                    # a pair that fails the screen never announces, so its
-                    # cost vector is derived only once it passes
-                    if not report.feasible:
-                        continue
+            if not isinstance(uav, UavProfile):
+                for sub in subs:
+                    announcements[sub.id][uav.id] = uav.costs[sub.id]
+                continue
+            if columns is None:
+                columns = SubregionColumns.of(subs)
+            try:
+                report = feasibility[uav.id] = check_feasibility(
+                    columns, uav, scenario.fl, scenario.theta_hat
+                )
+            except ValueError as exc:
+                raise ScenarioError([(f"$.uavs[{i}]", str(exc))]) from None
+            # a pair that fails the screen never announces, so its cost
+            # vector is derived only once it passes
+            for sub in itertools.compress(subs, report.passes):
                 try:
-                    costs = (
-                        derive_cost_vector(sub, uav, scenario.fl) if physical else uav.costs[sub.id]
-                    )
+                    announcements[sub.id][uav.id] = derive_cost_vector(sub, uav, scenario.fl)
                 except ValueError as exc:
                     problem = (f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")
                     raise ScenarioError([problem]) from None
-                announcements[sub.id][uav.id] = costs
-        for j, sub in enumerate(scenario.subregions):
+        for j, sub in enumerate(subs):
             if not announcements[sub.id]:
                 continue  # nobody responded; the subregion stays without a menu
             # the closed-form coverage and the owner's objective divide by it
@@ -247,9 +253,9 @@ def run_verify(
     The coverage oracle scans ``grid_points`` evenly spaced coverages.
     """
     if grid_points < 3:
-        raise ScenarioError([("--grid-points", "must be >= 3")])
+        raise OptionError("--grid-points", "must be >= 3")
     if seed is not None and seed < 0:
-        raise ScenarioError([("--seed", "must be >= 0")])
+        raise OptionError("--seed", "must be >= 0")
     used_seed = scenario.seed if seed is None else seed
     report = VerifyReport(seed=used_seed)
     run = run_match(scenario)

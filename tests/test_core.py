@@ -15,6 +15,7 @@ from uavmarket.core import (
     FlHyperParams,
     Position,
     Subregion,
+    SubregionColumns,
     UavProfile,
     _pair_terms,
     check_feasibility,
@@ -71,8 +72,17 @@ def phases(theta, sub=None, profile=None, fl=None):
     Traversal is (duration, energy, alpha, psi), computation (duration,
     energy, beta) and transmission (duration, zeta).
     """
-    terms = _pair_terms(theta, sub or make_sub(), profile or make_profile(), fl or make_fl())
+    sub, profile = sub or make_sub(), profile or make_profile()
+    base_leg = profile.base.distance_to(sub.center)
+    terms = _pair_terms(theta, sub, base_leg, profile, fl or make_fl())
     return terms[:4], terms[4:7], terms[7:]
+
+
+def screen(subs, profile=None, theta_hat=0.8):
+    """One UAV's screen against ``subs``, in order."""
+    return check_feasibility(
+        SubregionColumns.of(subs), profile or make_profile(), make_fl(), theta_hat
+    )
 
 
 class TestPropulsionPower:
@@ -110,11 +120,11 @@ class TestTraversalPhase:
         assert energy == 0.0
 
     def test_theta_domain(self):
-        # the screen is the one public per-pair call that takes a coverage
+        # the screen is the one public call that takes a coverage
         with pytest.raises(ValueError):
-            check_feasibility(make_sub(), make_profile(), make_fl(), 1.2)
+            screen([make_sub()], theta_hat=1.2)
         with pytest.raises(ValueError):
-            check_feasibility(make_sub(), make_profile(), make_fl(), -0.1)
+            screen([make_sub()], theta_hat=-0.1)
 
     @given(theta=st.floats(0.0, 1.0))
     def test_energy_decomposition_is_exact(self, theta):
@@ -250,42 +260,61 @@ class TestCostVector:
 
 class TestFeasibility:
     def test_unconstrained_passes(self):
-        report = check_feasibility(make_sub(), make_profile(), make_fl(), 0.8)
-        assert report.time_ok and report.energy_ok and report.feasible
+        report = screen([make_sub()])
+        assert report.time_ok == report.energy_ok == report.passes == (True,)
+        assert report.feasible
 
     def test_composite_totals(self):
         # traversal 260 s / 5200 J, computation 2.2640 s / 1.8112 J,
         # transmission 2400 s / 19200 J at the screening coverage 0.8
-        report = check_feasibility(make_sub(), make_profile(), make_fl(), 0.8)
+        report = screen([make_sub(), make_sub(deadline=2700.0), make_sub(deadline=2600.0)])
         expected_time = 260.0 + 0.8 * 2.8299478815982315 + 2400.0
         expected_energy = 5200.0 + 0.8 * 2.263958305278586 + 19200.0
-        assert report.total_time == pytest.approx(expected_time)
-        assert report.total_energy == pytest.approx(expected_energy)
-        assert check_feasibility(
-            make_sub(deadline=2700.0), make_profile(), make_fl(), 0.8
-        ).time_ok
-        assert not check_feasibility(
-            make_sub(deadline=2600.0), make_profile(), make_fl(), 0.8
-        ).time_ok
+        assert report.total_time == pytest.approx((expected_time,) * 3)
+        assert report.total_energy == pytest.approx((expected_energy,) * 3)
+        assert report.time_ok == report.passes == (True, True, False)
+        assert report.feasible
+
+    def test_fields_are_plain_values_aligned_with_the_subregions(self):
+        far = make_sub(id="s2", center=Position(0.0, 3e5, 40.0))
+        report = screen([make_sub(), far, make_sub(id="s3", deadline=1.0)])
+        for name, kind in (("time_ok", bool), ("energy_ok", bool), ("passes", bool),
+                           ("total_time", float), ("total_energy", float)):
+            values = getattr(report, name)
+            assert type(values) is tuple and len(values) == 3, name
+            assert all(type(v) is kind for v in values), name
+        # the far centre only lengthens the flight
+        assert report.total_time[1] > report.total_time[0] == report.total_time[2]
+        assert report.passes == (True, True, False)
 
     def test_deadline_boundary_is_inclusive(self):
-        report = check_feasibility(make_sub(), make_profile(), make_fl(), 0.8)
-        bounded = check_feasibility(
-            make_sub(deadline=report.total_time), make_profile(), make_fl(), 0.8
-        )
-        assert bounded.time_ok
+        (total_time,) = screen([make_sub()]).total_time
+        bounded = screen([make_sub(deadline=total_time)])
+        assert bounded.time_ok == (True,)
 
     def test_energy_gate(self):
-        report = check_feasibility(
-            make_sub(), make_profile(energy_capacity=1000.0), make_fl(), 0.8
-        )
-        assert not report.energy_ok and not report.feasible
+        report = screen([make_sub(), make_sub(id="s2")], make_profile(energy_capacity=1000.0))
+        assert report.energy_ok == report.passes == (False, False)
+        assert report.time_ok == (True, True)
+        assert not report.feasible
+
+    def test_battery_boundary_is_inclusive(self):
+        (total_energy,) = screen([make_sub()]).total_energy
+        bounded = screen([make_sub()], make_profile(energy_capacity=total_energy))
+        assert bounded.energy_ok == (True,)
 
     def test_theta_hat_domain(self):
         with pytest.raises(ValueError):
-            check_feasibility(make_sub(), make_profile(), make_fl(), 0.0)
+            screen([make_sub()], theta_hat=0.0)
         with pytest.raises(ValueError):
-            check_feasibility(make_sub(), make_profile(), make_fl(), 1.1)
+            screen([make_sub()], theta_hat=1.1)
+
+    def test_upload_rate_underflow_names_the_first_subregion(self):
+        # 1e-200 * 1e-200 and 1e-300 * 1e-200 both underflow to 0
+        subs = [make_sub(), make_sub(id="s2", rate_factor=1e-200)]
+        subs.append(make_sub(id="s3", rate_factor=1e-300))
+        with pytest.raises(ValueError, match="subregion 's2': rate_factor \\* transmit_power"):
+            screen(subs, make_profile(transmit_power=1e-200))
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_costs_monotone_in_theta(self, t1, t2):

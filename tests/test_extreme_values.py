@@ -165,3 +165,19 @@ def test_fig6_tiny_normal_data_scale_verifies(tmp_path):
         assert code == 0, (command, stdout, stderr)
         assert "FAIL" not in stdout
         assert not NOT_FINITE.search(stdout), (command, stdout)
+
+
+def test_physical_screen_overflow_leaves_stderr_empty(tmp_path):
+    # u1's base leg is finite, but its traversal energy overflows in the
+    # screen's array arithmetic: u1 fails every battery check with no
+    # numpy warning, as it would in Python floats
+    doc = planted("physical.scn", ("uavs", 0, "base"), [1e308, 1e308, -1e308])
+    scenario = tmp_path / "physical.scn"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("contract", "match", "verify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(command, scenario, tmp_path / command)
+        assert (code, stderr) == (0, ""), (command, stdout)
+        assert not NOT_FINITE.search(stdout), (command, stdout)
+    assert "match: u1 -> UNMATCHED" in run("match", scenario, tmp_path / "again")[1]

@@ -4,13 +4,14 @@
 ``Market.utility`` prices a pair from the item's parts; ``rank_of`` is a
 dict lookup; the screen and the cost derivation read the training rounds
 and the propulsion power computed once per task and per UAV, from one
-per-pair body, ``core._pair_terms``; the loader resolves each declared UAV's cost
-vectors and each subregion's fixed reward once; deferred acceptance
-prices a tied candidate's outside option only down to the first published
-score it cannot beat. Each must agree exactly
-(``==``, not approximately) with the straightforward computation it
-replaces, so that fixture outputs and every audit flag stay
-bit-identical.
+per-pair body, ``core._pair_terms``, which the screen runs on numpy
+columns to check one UAV against every subregion at once; the loader
+resolves each declared UAV's cost vectors and each subregion's fixed
+reward once; deferred acceptance prices a tied candidate's outside
+option only down to the first published score it cannot beat. Each must
+agree exactly (``==``, not approximately) with the straightforward
+computation it replaces, so that fixture outputs and every audit flag
+stay bit-identical.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from uavmarket.core import (
     FlHyperParams,
     Position,
     Subregion,
+    SubregionColumns,
     TrainingRounds,
     UavProfile,
     _pair_terms,
@@ -385,7 +387,9 @@ def spread(lo, hi):
 
 
 coordinate_st = st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False)
-position_st = st.builds(Position, coordinate_st, coordinate_st, coordinate_st)
+# a height off the ground plane, so that the base leg is a 3-D ``math.dist``
+height_st = coordinate_st.filter(lambda z: z != 0.0)
+position_st = st.builds(Position, coordinate_st, coordinate_st, height_st)
 # "at_total" puts the limit exactly on the reference screening total
 limit_st = st.sampled_from(["inf", "finite", "at_total"])
 
@@ -441,71 +445,90 @@ def training_tasks(draw):
     )
 
 
-def assert_same_screen(sub, profile, fl, theta_hat):
-    fast = check_feasibility(sub, profile, fl, theta_hat)
-    slow = reference_check_feasibility(sub, profile, fl, theta_hat)
+def assert_same_screen(subs, profile, fl, theta_hat):
+    """The one-UAV screen against the reference applied pair by pair, field by field."""
+    fast = check_feasibility(SubregionColumns.of(subs), profile, fl, theta_hat)
+    slow = [reference_check_feasibility(sub, profile, fl, theta_hat) for sub in subs]
     assert type(fast) is FeasibilityReport
     for name in ("time_ok", "energy_ok", "total_time", "total_energy"):
-        assert getattr(fast, name) == getattr(slow, name), name
-    assert fast.feasible == (slow.time_ok and slow.energy_ok)
+        assert getattr(fast, name) == tuple(getattr(r, name) for r in slow), name
+    assert fast.passes == tuple(r.time_ok and r.energy_ok for r in slow)
+    assert fast.feasible == any(fast.passes)
     return slow
 
 
 class TestPairScreen:
     @settings(max_examples=300, deadline=None)
     @given(
-        sub=subregions(),
+        subs=st.lists(st.tuples(subregions(), limit_st), min_size=1, max_size=6),
         profile=profiles(),
         fl=training_tasks(),
         theta_hat=st.floats(0.0, 1.0, exclude_min=True),
         theta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-        deadline=limit_st,
         capacity=limit_st,
+        capacity_at=st.integers(0, 5),
     )
     def test_screen_costs_and_phases_equal_the_per_call_reference(
-        self, sub, profile, fl, theta_hat, theta, deadline, capacity
+        self, subs, profile, fl, theta_hat, theta, capacity, capacity_at
     ):
         assert fl.training == reference_fl_rounds(fl)
         assert profile.cruise_power == reference_propulsion_power(profile)
-        slow = reference_check_feasibility(sub, profile, fl, theta_hat)
-        if deadline == "at_total":
-            sub = dataclasses.replace(sub, deadline=slow.total_time)
-        elif deadline == "inf":
-            sub = dataclasses.replace(sub, deadline=math.inf)
+        # each subregion draws its own deadline mode; the one battery can be
+        # set exactly on the energy total of one of them
+        limited = []
+        for j, (sub, deadline) in enumerate(subs):
+            sub = dataclasses.replace(sub, id=f"s{j}")
+            slow = reference_check_feasibility(sub, profile, fl, theta_hat)
+            if deadline == "at_total":
+                sub = dataclasses.replace(sub, deadline=slow.total_time)
+            elif deadline == "inf":
+                sub = dataclasses.replace(sub, deadline=math.inf)
+            limited.append((sub, deadline))
+        at = limited[capacity_at % len(limited)][0]
         if capacity == "at_total":
-            profile = dataclasses.replace(profile, energy_capacity=slow.total_energy)
+            energy = reference_check_feasibility(at, profile, fl, theta_hat).total_energy
+            profile = dataclasses.replace(profile, energy_capacity=energy)
         elif capacity == "inf":
             profile = dataclasses.replace(profile, energy_capacity=math.inf)
-        slow = assert_same_screen(sub, profile, fl, theta_hat)
-        if deadline == "at_total":
-            assert slow.time_ok  # the deadline gate is inclusive
-        if capacity == "at_total":
-            assert slow.energy_ok
+        subs = [sub for sub, _ in limited]
+        slow = assert_same_screen(subs, profile, fl, theta_hat)
+        for (sub, deadline), report in zip(limited, slow):
+            if deadline == "at_total":
+                assert report.time_ok  # the deadline gate is inclusive
+            if capacity == "at_total" and sub is at:
+                assert report.energy_ok
 
-        fast_costs = derive_cost_vector(sub, profile, fl)
-        slow_costs = reference_derive_cost_vector(sub, profile, fl)
-        for name in ("alpha", "beta", "psi", "zeta"):
-            assert getattr(fast_costs, name) == getattr(slow_costs, name), name
+        for sub in subs:
+            fast_costs = derive_cost_vector(sub, profile, fl)
+            slow_costs = reference_derive_cost_vector(sub, profile, fl)
+            for name in ("alpha", "beta", "psi", "zeta"):
+                assert getattr(fast_costs, name) == getattr(slow_costs, name), name
 
-        terms = _pair_terms(theta, sub, profile, fl)
-        assert terms[:4] == reference_traversal_phase(theta, sub, profile)
-        assert terms[4:7] == reference_computation_phase(theta, sub, profile, fl)
-        assert terms[7:] == reference_transmission_phase(sub, profile, fl)
+            base_leg = profile.base.distance_to(sub.center)
+            terms = _pair_terms(theta, sub, base_leg, profile, fl)
+            assert terms[:4] == reference_traversal_phase(theta, sub, profile)
+            assert terms[4:7] == reference_computation_phase(theta, sub, profile, fl)
+            assert terms[7:] == reference_transmission_phase(sub, profile, fl)
 
     def test_limits_exactly_on_the_totals_pass_both_gates(self):
-        sub = Subregion("s1", Position(0.0, 0.0), 2000.0, 8e6, 1e5)
+        sub = Subregion("s1", Position(0.0, 0.0, 25.0), 2000.0, 8e6, 1e5)
+        far = Subregion("s2", Position(-7000.0, 2000.0, 60.0), 2000.0, 8e6, 1e5)
         profile = UavProfile(
-            "u1", Position(3000.0, 4000.0), 10.0, 10.0, 2e9, 1e-28, 8.0,
+            "u1", Position(3000.0, 4000.0, 120.0), 10.0, 10.0, 2e9, 1e-28, 8.0,
             power=None, power_coefficients=(0.01, 100.0),
         )
         fl = FlHyperParams(4.0, 2.0, 1.0 / 3.0, 0.25, 0.6, 8e6)
         totals = reference_check_feasibility(sub, profile, fl)
         sub = dataclasses.replace(sub, deadline=totals.total_time)
+        far = dataclasses.replace(far, deadline=totals.total_time)
         profile = dataclasses.replace(profile, energy_capacity=totals.total_energy)
-        report = check_feasibility(sub, profile, fl)
-        assert report == (True, True, totals.total_time, totals.total_energy)
-        assert report.feasible
-        assert_same_screen(sub, profile, fl, DEFAULT_THETA_HAT)
+        report = check_feasibility(SubregionColumns.of([sub, far]), profile, fl)
+        assert report.time_ok == (True, False) and report.energy_ok == (True, False)
+        assert (report.total_time[0], report.total_energy[0]) == (
+            totals.total_time, totals.total_energy
+        )
+        assert report.passes == (True, False) and report.feasible
+        assert_same_screen([sub, far], profile, fl, DEFAULT_THETA_HAT)
 
 
 # A declared UAV and the fixed-reward policy as they were before the

@@ -95,7 +95,10 @@ class TestRunMatch:
     def test_physical_feasibility_gate(self):
         scenario = load_scenario(fixture_path("physical.scn"))
         report = run_match(scenario)
-        assert not report.feasibility["u3"]["s2"].time_ok
+        s2 = [sub.id for sub in scenario.subregions].index("s2")
+        screen = report.feasibility["u3"]
+        assert not screen.time_ok[s2] and not screen.passes[s2]
+        assert screen.feasible  # u3 still passes elsewhere
         announced_s2 = [aux.uav_id for aux in report.published["s2"].ladder]
         assert "u3" not in announced_s2 and "u1" in announced_s2
         assert "u3" not in report.sub_prefs["s2"].ranked
@@ -127,12 +130,13 @@ class TestRunMatch:
 
         monkeypatch.setattr(pipeline, "derive_cost_vector", counting)
         report = prepare(load_scenario(fixture_path("physical.scn")))
+        sub_ids = [sub.id for sub in report.scenario.subregions]
         screened = [
-            (uav_id, sub_id)
-            for uav_id, by_sub in report.feasibility.items()
-            for sub_id in by_sub
+            (uav_id, sub_id, passes)
+            for uav_id, screen in report.feasibility.items()
+            for sub_id, passes in zip(sub_ids, screen.passes, strict=True)
         ]
-        feasible = [(u, s) for u, s in screened if report.feasibility[u][s].feasible]
+        feasible = [(u, s) for u, s, passes in screened if passes]
         assert len(feasible) < len(screened)
         assert calls == feasible
 
@@ -387,15 +391,32 @@ class TestCli:
         doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
         doc["uavs"][0]["base"] = [1.7e308, 1.7e308, 1.7e308]
         report = run_match(scenario_from_dict(doc))
-        assert not any(r.feasible for r in report.feasibility["u1"].values())
+        screen = report.feasibility["u1"]
+        assert not screen.feasible and not any(screen.passes)
         assert "u1" not in report.match.assignment
+
+    def test_upload_rate_underflow_exits_one_at_the_uav(self, tmp_path, capsys):
+        # 1e-200 * 1e-200 is 0 in float64: the upload time would divide by 0
+        doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
+        doc["subregions"][0]["rate_factor"] = 1e-200
+        doc["uavs"][0]["transmit_power"] = 1e-200
+        bad = tmp_path / "slow.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("contract", "match", "verify"):
+            code = main([command, "--scenario", str(bad), "--out", str(tmp_path / command)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == (
+                "invalid scenario:\n"
+                "  $.uavs[0]: subregion 's1': rate_factor * transmit_power underflows to 0\n"
+            )
 
     def test_verify_grid_points_below_three_exits_one(self, tmp_path, capsys):
         scn = str(fixture_path("demo_grid.scn"))
         code = main(["verify", "--scenario", scn, "--out", str(tmp_path), "--grid-points", "2"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "--grid-points: must be >= 3" in captured.err
+        assert captured.err == "invalid option --grid-points:\n  --grid-points: must be >= 3\n"
         assert "Traceback" not in captured.err
 
     def test_negative_seed_in_the_file_exits_one_with_its_path(self, tmp_path, capsys):
@@ -415,7 +436,7 @@ class TestCli:
         code = main(["verify", "--scenario", scn, "--out", str(tmp_path), "--seed", "-1"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "--seed: must be >= 0" in captured.err
+        assert captured.err == "invalid option --seed:\n  --seed: must be >= 0\n"
         assert "Traceback" not in captured.err
 
     def test_reward_sum_overflow_exits_one(self, tmp_path, capsys):
@@ -457,7 +478,9 @@ class TestCli:
         code = main(["match", "--scenario", str(fixture_path("fig6.scn")), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
-        assert f"--out: cannot create directory {out}: " in captured.err
+        heading = f"invalid option --out:\n  --out: cannot create directory {out}: "
+        assert captured.err.startswith(heading)
+        assert "invalid scenario" not in captured.err
         assert "Traceback" not in captured.err
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
