@@ -278,8 +278,9 @@ class TestFeasibility:
     def test_fields_are_plain_values_aligned_with_the_subregions(self):
         far = make_sub(id="s2", center=Position(0.0, 3e5, 40.0))
         report = screen([make_sub(), far, make_sub(id="s3", deadline=1.0)])
-        for name, kind in (("time_ok", bool), ("energy_ok", bool), ("passes", bool),
-                           ("total_time", float), ("total_energy", float)):
+        kinds = dict(time_ok=bool, energy_ok=bool, total_time=float, total_energy=float, passes=bool)
+        assert tuple(kinds) == report._fields
+        for name, kind in kinds.items():
             values = getattr(report, name)
             assert type(values) is tuple and len(values) == 3, name
             assert all(type(v) is kind for v in values), name
