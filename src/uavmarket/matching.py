@@ -1,11 +1,12 @@
 """Two-sided assignment of UAVs to subregions by deferred acceptance.
 
-Subregions propose, walking down their marginal-cost-ordered candidate
-lists; UAVs hold their best offer so far and reject the rest. When a
-subregion's best remaining candidates are tied on marginal cost, the
-subregion calibrates its published rewards downward until all but one
-tied candidate would rather take an outside option; the reduced rewards
-stick and are what the eventual partner is paid.
+Subregions propose, walking down their candidates in ladder order; UAVs
+hold their best offer so far and reject the rest. When a subregion's best
+remaining candidates are tied on marginal cost, the subregion calibrates
+its published rewards downward until all but one tied candidate would
+rather take an outside option; the reduced rewards stick and are what the
+eventual partner is paid. A tie still intact at zero rewards goes to the
+first tied candidate in ladder order.
 
 Unmatched outcomes are first-class results, not errors.
 """
@@ -13,13 +14,15 @@ Unmatched outcomes are first-class results, not errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .contract import ContractSchedule
 from .economics import EconomyParams, payoff
 from .errors import UnresolvedTieError
 
-UPSILON_TIE_TOLERANCE = 0.0  # marginal costs tie only on exact equality
+# Exact ties only: the calibration fallback takes the first tied candidate in
+# ladder order, and the ladder orders by psi and zeta only among equal upsilons.
+UPSILON_TIE_TOLERANCE = 0.0
 
 
 @dataclass(frozen=True)
@@ -213,21 +216,18 @@ def rewards_calibration(
     option (its best alternative, floored at the zero payoff of staying
     unmatched), and candidates whose outside option weakly dominates drop
     out. The survivor is proposed to and the reduced vector remains in
-    force. If the vector hits zero with the tie intact, the tie breaks
-    deterministically by lower traversal cost, then lower upload cost,
-    then candidate order. Raises after ``policy.max_rounds`` steps.
+    force. If the vector hits zero with the tie intact, or one step loses
+    every candidate at once, the first candidate left (with the best
+    margin) wins. Raises after ``policy.max_rounds`` steps.
+
+    ``tied`` must come in ladder order. Ties are exact and ``sort_ladder``
+    orders equal marginal costs by lower traversal cost, then lower upload
+    cost, then announcement order, so the first is the lowest of those.
     """
     candidates = list(tied)
     if len(candidates) == 1:
         return candidates[0]
     outside = {u: max(outside_utility(u), 0.0) for u in candidates}
-    schedule = market.schedules[sub_id]
-    order = {u: i for i, u in enumerate(candidates)}
-
-    def fallback_key(uav: str):
-        costs = schedule.ladder[schedule.rank_of(uav) - 1].costs
-        return (costs.psi, costs.zeta, order[uav])
-
     before = market.coverage_rewards(sub_id)
     rounds = 0
     survivor: str | None = None
@@ -240,13 +240,11 @@ def rewards_calibration(
             # A step (or the initial offer) lost every candidate at once;
             # keep the one that held on longest.
             best = max(margins.values())
-            survivor = min(
-                (u for u in candidates if margins[u] == best), key=fallback_key
-            )
+            survivor = next(u for u in candidates if margins[u] == best)
         else:
             candidates = alive
             if market.at_floor(sub_id):
-                survivor = min(candidates, key=fallback_key)
+                survivor = candidates[0]
                 break
             if rounds >= policy.max_rounds:
                 raise UnresolvedTieError(sub_id, rounds)
@@ -257,15 +255,15 @@ def rewards_calibration(
     return survivor
 
 
-def _leading_tie(pref: PreferenceList, remaining: Sequence[str]) -> list[str]:
-    head = remaining[0]
-    head_score = pref.score_of(head)
-    tie = [head]
-    for uav in remaining[1:]:
-        if abs(pref.score_of(uav) - head_score) <= UPSILON_TIE_TOLERANCE:
-            tie.append(uav)
-        else:
+def _leading_tie(pref: PreferenceList, candidates: Iterable[str]) -> list[str]:
+    """The head of ``candidates`` and every candidate tied with it, in order."""
+    walk = iter(candidates)
+    tie = [next(walk)]
+    score = pref.score_of(tie[0])
+    for uav in walk:
+        if not abs(pref.score_of(uav) - score) <= UPSILON_TIE_TOLERANCE:
             break
+        tie.append(uav)
     return tie
 
 
@@ -285,6 +283,9 @@ def gs_match(
     matched or has exhausted its list. Without a ``market``, payoffs are
     frozen at the scores in ``uav_prefs`` and ties cannot be calibrated.
 
+    Every candidate on a subregion's list must have a list in
+    ``uav_prefs``, possibly empty; ``run_match`` gives every UAV one.
+
     With a ``market``, the scores in ``uav_prefs`` must be that market's
     payoffs before any calibration (``build_uav_preferences`` on the
     fresh market). Calibration only lowers rewards and a payoff rises
@@ -293,43 +294,28 @@ def gs_match(
     cannot beat.
     """
     policy = policy or CalibrationPolicy()
-    remaining = {sub: list(pref.ranked) for sub, pref in sub_prefs.items()}
-    # the same candidates as sets, for membership tests
-    still_open = {sub: set(cands) for sub, cands in remaining.items()}
-    acceptable = {uav: set(pref.ranked) for uav, pref in uav_prefs.items()}
-    uav_order = list(uav_prefs)
-
-    def live_utility(uav: str, sub: str) -> float:
-        if market is not None:
-            return market.utility(uav, sub)
-        return uav_prefs[uav].score_of(sub)
+    # each subregion's open candidates in list order; a rejection strikes one
+    candidates = {sub: dict.fromkeys(pref.ranked) for sub, pref in sub_prefs.items()}
+    utility = market.utility if market is not None else lambda u, s: uav_prefs[u].score_of(s)
 
     def outside_for(uav: str, sub: str) -> float:
         best = 0.0
-        pref = uav_prefs.get(uav)
-        if pref is None:
-            return best
+        pref = uav_prefs[uav]
         for alt, score in zip(pref.ranked, pref.scores):
             if score <= best:
                 break  # scores descend and bound live utilities from above
-            if alt == sub or uav not in still_open.get(alt, ()):
+            if alt == sub or uav not in candidates.get(alt, ()):
                 continue
-            best = max(best, live_utility(uav, alt))
+            best = max(best, utility(uav, alt))
         return best
 
-    state = MatchState()
     hold: dict[str, str] = {}  # uav -> subregion it currently holds
-    pool = [s for s in sub_prefs]
-    exhausted: set[str] = set()
+    pool = [s for s in sub_prefs if candidates[s]]
 
     while pool:
         proposals: dict[str, list[str]] = {}
         for sub in pool:
-            cands = remaining[sub]
-            if not cands:
-                exhausted.add(sub)
-                continue
-            tie = _leading_tie(sub_prefs[sub], cands)
+            tie = _leading_tie(sub_prefs[sub], candidates[sub])
             if len(tie) > 1:
                 if market is None:
                     raise UnresolvedTieError(sub, 0)
@@ -340,48 +326,32 @@ def gs_match(
                 target = tie[0]
             proposals.setdefault(target, []).append(sub)
 
-        returned: list[str] = []
-        resolve_order = [u for u in uav_order if u in proposals]
-        resolve_order += sorted(u for u in proposals if u not in uav_prefs)
-        for uav in resolve_order:
-            ok = acceptable.get(uav, set())
-            incumbent = hold.get(uav)
-            best_sub = incumbent
-            best_u = live_utility(uav, incumbent) if incumbent is not None else None
+        returned: list[str] = []  # in uav_prefs order, which orders the next round
+        for uav in filter(proposals.__contains__, uav_prefs):
+            best_sub = hold.get(uav)  # the incumbent
+            best_u = utility(uav, best_sub) if best_sub is not None else None
             rejected: list[str] = []
             for sub in proposals[uav]:
-                if sub not in ok:
+                # unacceptable, or an offer calibrated below break-even
+                if sub not in uav_prefs[uav] or (u := utility(uav, sub)) < 0.0:
                     rejected.append(sub)
-                    continue
-                u = live_utility(uav, sub)
-                if u < 0.0:
-                    # an offer calibrated below break-even is declined
-                    rejected.append(sub)
-                    continue
-                if best_u is None or u > best_u:
+                elif best_u is None or u > best_u:
                     if best_sub is not None:
                         rejected.append(best_sub)
                     best_sub, best_u = sub, u
                 else:
                     rejected.append(sub)
             for sub in rejected:
-                remaining[sub].remove(uav)
-                still_open[sub].discard(uav)
+                del candidates[sub][uav]
                 returned.append(sub)
             if best_sub is not None:
                 hold[uav] = best_sub
 
         held = set(hold.values())
-        next_pool = [s for s in pool if s not in held and s not in exhausted]
-        for sub in returned:
-            if sub not in next_pool and sub not in held:
-                next_pool.append(sub)
-        pool = next_pool
+        pool = [s for s in dict.fromkeys(pool + returned) if s not in held and candidates[s]]
 
-    state.assignment = dict(sorted(hold.items()))
-    if market is not None:
-        state.calibration_log = list(market.calibration_log)
-    return state
+    log = list(market.calibration_log) if market is not None else []
+    return MatchState(dict(sorted(hold.items())), log)
 
 
 def stability_audit(
@@ -405,7 +375,7 @@ def stability_audit(
         for uav in pref.ranked:
             if uav == current:
                 continue
-            if uav not in uav_prefs or sub not in uav_prefs[uav]:
+            if sub not in uav_prefs[uav]:
                 continue
             # subregion side: strictly cheaper than its current partner
             if current_score is not None and pref.score_of(uav) >= current_score:

@@ -373,8 +373,8 @@ def verify_schedule(schedule: ContractSchedule) -> VerifyCheck:
 
 
 def sweep_values(start: float, stop: float, steps: int) -> list[float]:
-    if steps <= 0:
-        return []
+    if steps < 1:
+        raise OptionError("--steps", "must be >= 1")
     if steps == 1:
         return [float(start)]
     return [float(v) for v in np.linspace(start, stop, steps)]
@@ -428,19 +428,19 @@ def _locate(doc: Any, param: str) -> tuple[Any, Any]:
     for segment in param.split("."):
         if isinstance(node, Mapping):
             if segment not in node:
-                raise ScenarioError([(param, f"unknown parameter (no field {segment!r})")])
+                raise OptionError("--param", f"{param}: unknown parameter (no field {segment!r})")
             key = segment
         elif isinstance(node, list):
             try:
                 key = int(segment)
                 node[key]  # an index out of range fails here
             except (ValueError, IndexError):
-                raise ScenarioError([(param, f"bad list index {segment!r}")]) from None
+                raise OptionError("--param", f"{param}: bad list index {segment!r}") from None
         else:
-            raise ScenarioError([(param, f"cannot descend into {type(node).__name__}")])
+            raise OptionError("--param", f"{param}: cannot descend into {type(node).__name__}")
         parent, node = node, node[key]
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ScenarioError([(param, "parameter is not numeric")])
+        raise OptionError("--param", f"{param}: parameter is not numeric")
     return parent, key
 
 

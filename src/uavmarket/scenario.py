@@ -120,6 +120,11 @@ _list_error = _expect(list, "expected a list")
 _values_error = _expect(Mapping, "expected a map of subregion id to number")
 
 
+def _count_error(raw: Any) -> str | None:
+    """Why ``raw`` is not an integer that converts to a float, or None."""
+    return _integer_error(raw) or _number_error(raw)
+
+
 def _position_error(raw: Any) -> str | None:
     if not isinstance(raw, (list, tuple)) or not 2 <= len(raw) <= 3 or any(map(_number_error, raw)):
         return "expected [x, y] or [x, y, z] finite numbers"
@@ -211,12 +216,18 @@ class _Node:
                 self.problems.append((path, "expected an object"))
 
     def build(self, cls, optional=(), **kwargs):
-        """Close the node, then ``cls(**kwargs)`` once every value not ``optional`` parsed.
+        """Close the node, then ``cls(**kwargs)`` once every value parsed.
 
-        A ``ValueError`` from the constructor is reported at the node's path.
+        An ``optional`` value may be absent instead; one that is present
+        but failed to parse blocks the record, as a required one does, so
+        that a bad field draws its own message only. A ``ValueError`` from
+        the constructor is reported at the node's path.
         """
         self.close()
-        if any(value is None and key not in optional for key, value in kwargs.items()):
+        if any(
+            value is None and (key not in optional or key in self.mapping)
+            for key, value in kwargs.items()
+        ):
             return None
         try:
             return cls(**kwargs)
@@ -296,7 +307,10 @@ def _declared_uav(node: _Node, uid: str | None, subs: Mapping) -> DirectUavTypes
     velocity, power = node.read("velocity", None), node.read("power", None)
     node.close()
     found = len(node.problems)
-    if columns["psi"] is None and None in (base, velocity, power):
+    # psi, or what derives it; only an absent field draws the record's message
+    derived = "psi" not in node.mapping
+    source = (base, velocity, power) if derived else (columns["psi"],)
+    if derived and not {"base", "velocity", "power"} <= node.mapping.keys():
         node.error("direct mode needs psi, or base+velocity+power to derive it")
     for name, value in (("velocity", velocity), ("power", power)):
         if value is not None and value <= 0:
@@ -309,10 +323,10 @@ def _declared_uav(node: _Node, uid: str | None, subs: Mapping) -> DirectUavTypes
             node.error("must be > 0", name)
         elif low < 0:
             node.error("must be >= 0", name)
-    required = (uid, columns["alpha"], columns["beta"], columns["zeta"])
+    required = (uid, columns["alpha"], columns["beta"], columns["zeta"], *source)
     if len(node.problems) > found or None in required:
         return None
-    if columns["psi"] is None:
+    if derived:
         columns["psi"] = [power * base.distance_to(s.center) / velocity for s in subs.values()]
     costs = {}
     for sub_id, *values in zip(subs, *columns.values()):
@@ -385,7 +399,7 @@ def scenario_from_dict(data: Any) -> Scenario:
             delta=node.read("delta"),
             local_accuracy=node.read("local_accuracy"),
             update_size=node.read("update_size"),
-            rounds_override=node.integer("rounds_override", None),
+            rounds_override=node.read("rounds_override", None, _count_error, int),
         )
 
     reward_hats = dict.fromkeys(subs, 0.0)

@@ -47,8 +47,11 @@ def baseline_preferences():
     return sub_prefs, uav_prefs
 
 
-def tie_market(psi_by_uav_sub, alpha=250.0, beta=20.0, reward_hat=0.0, sigma=100.0):
-    """A small market of declared types; equal (alpha, beta) everywhere."""
+def tie_market(
+    psi_by_uav_sub, alpha=250.0, beta=20.0, reward_hat=0.0, sigma=100.0, zeta_by_uav_sub=None
+):
+    """A small market of declared types; equal (alpha, beta) everywhere, zeta 0 by default."""
+    zeta_by_uav_sub = zeta_by_uav_sub or {}
     uav_ids = sorted({u for u, _ in psi_by_uav_sub})
     sub_ids = sorted({s for _, s in psi_by_uav_sub})
     econ = EconomyParams(phi=0.05, mu=1.0, sigma=sigma, n_subregions=len(sub_ids))
@@ -60,7 +63,7 @@ def tie_market(psi_by_uav_sub, alpha=250.0, beta=20.0, reward_hat=0.0, sigma=100
     schedules = {}
     for s in sub_ids:
         announcements = {
-            u: CostVector(alpha, beta, psi_by_uav_sub[(u, s)], 0.0)
+            u: CostVector(alpha, beta, psi_by_uav_sub[(u, s)], zeta_by_uav_sub.get((u, s), 0.0))
             for u in uav_ids
             if (u, s) in psi_by_uav_sub
         }
@@ -239,6 +242,30 @@ class TestRewardsCalibration:
         assert {e.subregion_id for e in state.calibration_log} <= {"s1", "s2"}
         final_prefs = {u: build_uav_preferences(u, market) for u in ("a", "b")}
         assert stability_audit(state, sub_prefs, final_prefs) == []
+
+    @pytest.mark.parametrize(
+        "psi,zeta",
+        [
+            ({("a", "s1"): 20.0, ("b", "s1"): 10.0}, {}),
+            ({("a", "s1"): 10.0, ("b", "s1"): 10.0}, {("a", "s1"): 6.0, ("b", "s1"): 3.0}),
+        ],
+        ids=["lower-psi", "equal-psi-lower-zeta"],
+    )
+    def test_gs_match_breaks_a_tie_at_the_floor_in_ladder_order(self, psi, zeta):
+        # equal alpha and beta tie exactly on upsilon; the fixed reward keeps
+        # both payoffs positive, so the rewards walk to zero with the tie
+        # intact. "b", announced second, is cheaper to fly or to upload from,
+        # so the ladder lists it first and it wins.
+        market = tie_market(psi, reward_hat=50.0, zeta_by_uav_sub=zeta)
+        sub_prefs = {"s1": build_subregion_preferences(market.schedules["s1"])}
+        assert sub_prefs["s1"].ranked == ("b", "a")
+        assert sub_prefs["s1"].scores[0] == sub_prefs["s1"].scores[1]
+        uav_prefs = {u: build_uav_preferences(u, market) for u in ("a", "b")}
+        policy = CalibrationPolicy(delta_mode="absolute", delta_value=1.0, max_rounds=500)
+        state = gs_match(sub_prefs, uav_prefs, policy, market)
+        assert state.assignment == {"b": "s1"}
+        assert market.at_floor("s1")
+        assert [e.subregion_id for e in state.calibration_log] == ["s1"]
 
 
 class TestMarket:

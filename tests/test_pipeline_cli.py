@@ -6,7 +6,7 @@ import pytest
 
 from uavmarket.cli import main
 from uavmarket.economics import model_accuracy, payoff
-from uavmarket.errors import ScenarioError
+from uavmarket.errors import OptionError, ScenarioError
 from uavmarket.pipeline import (
     VerifyCheck,
     VerifyReport,
@@ -253,14 +253,19 @@ class TestSweep:
     )
     def test_bad_parameter_path_rejected(self, param, message):
         doc = json.loads(fixture_path("demo_grid.scn").read_text())
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(OptionError) as err:
             run_sweep(doc, param, [1.0])
-        assert err.value.problems == [(param, message)]
+        assert err.value.problems == [("--param", f"{param}: {message}")]
 
     def test_sweep_values_endpoints(self):
         assert sweep_values(0.0, 1.0, 3) == [0.0, 0.5, 1.0]
         assert sweep_values(2.0, 2.0, 1) == [2.0]
-        assert sweep_values(0.0, 1.0, 0) == []
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_fewer_than_one_step_rejected(self, steps):
+        with pytest.raises(OptionError) as err:
+            sweep_values(0.0, 1.0, steps)
+        assert err.value.problems == [("--steps", "must be >= 1")]
 
 
 class TestCli:
@@ -489,6 +494,27 @@ class TestCli:
         code = main(["match", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option,value,problem",
+        [
+            ("--steps", "-3", "--steps: must be >= 1"),
+            ("--param", "economy.nope",
+             "--param: economy.nope: unknown parameter (no field 'nope')"),
+        ],
+        ids=["steps", "param"],
+    )
+    def test_bad_sweep_option_exits_one_under_its_name(
+        self, tmp_path, capsys, option, value, problem
+    ):
+        options = {"--param": "economy.sigma", "--from": "50", "--to": "150", "--steps": "3"}
+        options[option] = value
+        argv = ["sweep", "--scenario", str(fixture_path("demo_grid.scn")), "--out", str(tmp_path)]
+        code = main(argv + [part for pair in options.items() for part in pair])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"invalid option {option}:\n  {problem}\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

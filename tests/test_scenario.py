@@ -491,6 +491,10 @@ REFUSALS = {
         edit(minimal_doc, {"fl.rounds_override": 2.5}),
         [("$.fl.rounds_override", "expected an integer, got float")],
     ),
+    "fl_rounds_override_beyond_the_float_range": (
+        edit(minimal_doc, {"fl.rounds_override": 10**400}),
+        [("$.fl.rounds_override", "expected a finite number, got an out-of-range integer")],
+    ),
     "fl_rounds_override_zero": (
         edit(minimal_doc, {"fl.rounds_override": 0}),
         [("$.fl", "rounds_override must be a positive integer")],
@@ -631,8 +635,11 @@ REFUSALS = {
         edit(physical_doc, {"uavs.1.power_coefficients": [1.0]}),
         [
             ("$.uavs[1].power_coefficients", "expected [c_drag, c_lift] finite numbers"),
-            ("$.uavs[1]", "uav u2: set exactly one of power / power_coefficients"),
         ],
+    ),
+    "physical_power_not_a_number": (
+        edit(physical_doc, {"uavs.0.power": "high"}),
+        [("$.uavs[0].power", "expected a number, got str")],
     ),
     "physical_power_and_coefficients": (
         edit(physical_doc, {"uavs.1.power": 20.0}),
@@ -663,21 +670,18 @@ REFUSALS = {
         edit(minimal_doc, {"uavs.0.psi": {"s1": True}}),
         [
             ("$.uavs[0].psi", "subregion 's1': expected a number, got bool"),
-            ("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it"),
         ],
     ),
     "direct_psi_map_entry_missing": (
         edit(two_subregions, {"uavs.0.psi": {"s1": 10.0}}),
         [
             ("$.uavs[0].psi", "missing value for subregion(s) ['s2']"),
-            ("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it"),
         ],
     ),
     "direct_psi_map_entry_unknown": (
         edit(minimal_doc, {"uavs.0.psi": {"s1": 10.0, "s9": 1.0, "s8": 2.0}}),
         [
             ("$.uavs[0].psi", "unknown subregion id(s) ['s9', 's8']"),
-            ("$.uavs[0]", "direct mode needs psi, or base+velocity+power to derive it"),
         ],
     ),
     "direct_base_not_a_position": (
@@ -687,6 +691,14 @@ REFUSALS = {
     "direct_velocity_not_a_number": (
         edit(minimal_doc, {"uavs.0.velocity": [10.0]}),
         [("$.uavs[0].velocity", "expected a number, got list")],
+    ),
+    "direct_derivation_power_not_a_number": (
+        edit(
+            minimal_doc,
+            {"uavs.0.psi": DROP, "uavs.0.base": [0.0, 0.0], "uavs.0.velocity": 10.0,
+             "uavs.0.power": "high"},
+        ),
+        [("$.uavs[0].power", "expected a number, got str")],
     ),
     "direct_needs_psi_or_flight": (
         edit(minimal_doc, {"uavs.0.psi": DROP, "uavs.0.velocity": 10.0}),
