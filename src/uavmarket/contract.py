@@ -145,7 +145,7 @@ def optimal_coverage(aux: AuxiliaryType, sub: Subregion, econ: EconomyParams) ->
     ``(sigma / (N * upsilon) - 1) / (mu * D)``, with ``D`` the subregion's
     data volume, maximises the owner's per-subregion coverage payoff
     ``sigma / (N * mu * D) * ln(1 + mu * theta * D) - upsilon * theta``
-    (the objective ``verification.coverage_payoff`` scans), not
+    (the objective ``verification.grid_oracle_coverage`` scans), not
     ``economics.owner_profit``; cheap types are asked to cover more.
     """
     raw = (econ.sigma / (econ.n_subregions * aux.upsilon) - 1.0) / (econ.mu * sub.data_volume)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import itertools
 import math
 import sys
@@ -250,10 +251,17 @@ def run_verify(
 ) -> VerifyReport:
     """Certify the scenario's analytic outputs against the brute-force oracles.
 
-    The coverage oracle scans ``grid_points`` evenly spaced coverages.
+    The coverage oracle scans ``grid_points`` evenly spaced coverages. A
+    grid numpy cannot allocate is refused before the market runs.
     """
     if grid_points < 3:
         raise OptionError("--grid-points", "must be >= 3")
+    try:
+        np.empty(grid_points)  # reserved, never written: numpy's own size and memory checks
+    except (ValueError, MemoryError) as exc:
+        raise OptionError(
+            "--grid-points", f"numpy cannot allocate a grid of {grid_points} points: {exc}"
+        ) from None
     if seed is not None and seed < 0:
         raise OptionError("--seed", "must be >= 0")
     used_seed = scenario.seed if seed is None else seed
@@ -266,12 +274,12 @@ def run_verify(
         schedule = run.published.get(sub.id)
         if schedule is None:
             continue
-        reward_hat = scenario.reward_hats[sub.id]
+        scanned = grid_oracle_coverage(
+            schedule.ladder, sub, econ, scenario.reward_hats[sub.id], grid_points
+        )
         worst = 0.0
-        for aux in schedule.ladder:
-            closed = optimal_coverage(aux, sub, econ)
-            scanned = grid_oracle_coverage(aux, sub, econ, reward_hat, grid_points)
-            worst = max(worst, abs(closed - scanned))
+        for aux, theta in zip(schedule.ladder, scanned):
+            worst = max(worst, abs(optimal_coverage(aux, sub, econ) - theta))
         report.checks.append(
             VerifyCheck(
                 name=f"coverage_oracle[{sub.id}]",
@@ -286,9 +294,8 @@ def run_verify(
     worst = 0.0
     for _ in range(RANDOM_DRAWS):
         aux, sub, draw_econ = random_coverage_draw(rng)
-        closed = optimal_coverage(aux, sub, draw_econ)
-        scanned = grid_oracle_coverage(aux, sub, draw_econ, 0.0, grid_points)
-        worst = max(worst, abs(closed - scanned))
+        (scanned,) = grid_oracle_coverage((aux,), sub, draw_econ, 0.0, grid_points)
+        worst = max(worst, abs(optimal_coverage(aux, sub, draw_econ) - scanned))
     report.checks.append(
         VerifyCheck(
             name="coverage_oracle[random_sweep]",
@@ -450,41 +457,74 @@ def _locate(doc: Any, param: str) -> tuple[Any, Any]:
 # ---------------------------------------------------------------------------
 
 
+FLOAT_FORMAT = "%.12g"
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return FLOAT_FORMAT % value
     return str(value)
+
+
+def _csv_writer(fh):
+    return csv.writer(fh, lineterminator="\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one cell of a row of several, quoted as ``_write_csv`` quotes it."""
+    buf = io.StringIO()
+    _csv_writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-2]  # drop the empty second cell's comma and the line end
+
+
+def _write_ic_matrix_csv(path: Path, schedules: Iterable[tuple[str, ContractSchedule]]) -> None:
+    """Every menu's misreport matrix, one block of rows per menu.
+
+    A menu's block is one ``%`` template, the row heads ``<id>,<i>,<k>,``
+    written out with a ``FLOAT_FORMAT`` slot after each, filled from the
+    matrix in one pass. The bytes are those ``_write_csv`` writes for the
+    rows ``(subregion, i, k, utility)``; only one menu's rows exist at a
+    time.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    slot = FLOAT_FORMAT + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _csv_writer(fh).writerow(("subregion", "i", "k", "utility"))
+        for sub_id, schedule in schedules:
+            subregion = _csv_cell(sub_id).replace("%", "%%")  # a literal % in the template
+            ranks = range(1, len(schedule.ladder) + 1)
+            ks = [f"{k}," for k in ranks]
+            heads = (f"{subregion},{i}," for i in ranks)
+            template = "".join(head + (slot + head).join(ks) + slot for head in heads)
+            fh.write(template % tuple(ic_matrix(schedule).ravel().tolist()))
+
+
 def _write_contract_csvs(report: RunReport, out_dir: Path) -> None:
     scenario = report.scenario
     econ = scenario.economy
-    coverage_rows, reward_rows, ic_rows, profit_rows = [], [], [], []
+    coverage_rows, reward_rows, profit_rows = [], [], []
+    menus = []
     for sub in scenario.subregions:
         schedule = report.schedules.get(sub.id)
         if schedule is None:
             continue
-        matrix = ic_matrix(schedule)
+        menus.append((sub.id, schedule))
         for aux, item in zip(schedule.ladder, schedule.items):
             coverage_rows.append((sub.id, aux.rank, aux.upsilon, item.theta))
             reward_rows.append(
                 (sub.id, aux.rank, item.coverage_reward, item.fixed_reward, item.total_reward)
             )
-        for i in range(len(schedule.ladder)):
-            for k in range(len(schedule.ladder)):
-                ic_rows.append((sub.id, i + 1, k + 1, float(matrix[i, k])))
-        for aux, item in zip(schedule.ladder, schedule.items):
             # owner payoff if this rank were the one matched, other
             # subregions held at zero coverage and zero reward
             revenue = (
@@ -499,7 +539,7 @@ def _write_contract_csvs(report: RunReport, out_dir: Path) -> None:
         ("subregion", "rank", "coverage_reward", "fixed_reward", "total_reward"),
         reward_rows,
     )
-    _write_csv(out_dir / "ic_matrix.csv", ("subregion", "i", "k", "utility"), ic_rows)
+    _write_ic_matrix_csv(out_dir / "ic_matrix.csv", menus)
     _write_csv(out_dir / "profit.csv", ("subregion", "winner_rank", "profit"), profit_rows)
 
 

@@ -9,7 +9,7 @@ filtering on blocking pairs.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,42 +24,36 @@ MAX_ENUM_SIZE = 8  # stable matchings are enumerated up to this many agents per 
 RANDOM_DRAWS = 200  # random interior parameter sets in the coverage oracle's sweep
 
 
-def coverage_payoff(
-    theta: np.ndarray | float,
-    upsilon: float,
-    sub: Subregion,
-    econ: EconomyParams,
-    reward_hat: float = 0.0,
-) -> np.ndarray | float:
-    """Owner's per-subregion payoff of asking this type for coverage ``theta``.
-
-    The accuracy revenue is normalised by the data scale ``mu * volume`` so
-    that one unit of coverage trades against the marginal coverage cost
-    ``upsilon`` one for one; this is the objective whose maximiser the
-    ladder's closed-form coverage claims to be.
-    """
-    scale = econ.mu * sub.data_volume
-    # dividing the log by the scale, not sigma, keeps a tiny normal scale
-    # from overflowing the factor to inf and turning theta = 0 into nan
-    revenue = econ.sigma / econ.n_subregions * (np.log1p(scale * theta) / scale)
-    return revenue - reward_hat - upsilon * theta
-
-
 def grid_oracle_coverage(
-    aux: AuxiliaryType,
+    ladder: Sequence[AuxiliaryType],
     sub: Subregion,
     econ: EconomyParams,
     reward_hat: float = 0.0,
     grid_points: int = 10001,
-) -> float:
-    """Coverage that maximises the payoff over ``grid_points`` even steps of [0, 1].
+) -> list[float]:
+    """Per rung of ``ladder``, the grid coverage that maximises the owner's payoff.
 
-    Ties resolve to the smallest grid point; ``np.argmax`` already returns
-    the first maximiser.
+    The grid is ``grid_points`` evenly spaced coverages over [0, 1].
+
+    The payoff of asking a type of marginal cost ``upsilon`` for coverage
+    ``theta`` is ``sigma / N * ln(1 + mu * D * theta) / (mu * D) -
+    reward_hat - upsilon * theta``: the accuracy revenue is normalised by
+    the data scale ``mu * D`` so that one unit of coverage trades against
+    ``upsilon`` one for one. This is the objective whose maximiser the
+    ladder's closed-form coverage claims to be.
+
+    The grid and the revenue minus the fixed reward are computed once for
+    the menu; each rung then costs one subtraction and one argmax. Ties
+    resolve to the smallest grid point; ``np.argmax`` already returns the
+    first maximiser.
     """
     thetas = np.linspace(0.0, 1.0, grid_points)
-    payoff = coverage_payoff(thetas, aux.upsilon, sub, econ, reward_hat)
-    return float(thetas[int(np.argmax(payoff))])
+    scale = econ.mu * sub.data_volume
+    # dividing the log by the scale, not sigma, keeps a tiny normal scale
+    # from overflowing the factor to inf and turning theta = 0 into nan
+    revenue = econ.sigma / econ.n_subregions * (np.log1p(scale * thetas) / scale)
+    base = revenue - reward_hat
+    return [float(thetas[(base - aux.upsilon * thetas).argmax()]) for aux in ladder]
 
 
 def ic_matrix(schedule: ContractSchedule) -> np.ndarray:

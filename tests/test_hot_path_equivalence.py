@@ -8,23 +8,27 @@ per-pair body, ``core._pair_terms``, which the screen runs on numpy
 columns to check one UAV against every subregion at once; the loader
 resolves each declared UAV's cost vectors and each subregion's fixed
 reward once; deferred acceptance prices a tied candidate's outside
-option only down to the first published score it cannot beat. Each must
-agree exactly (``==``, not approximately) with the straightforward
-computation it replaces, so that fixture outputs and every audit flag
-stay bit-identical.
+option only down to the first published score it cannot beat; the grid
+oracle scans one revenue curve per menu; ``ic_matrix.csv`` is written
+one block of rows per menu. Each must agree exactly (``==``, not
+approximately) with the straightforward computation it replaces, so that
+fixture outputs and every audit flag stay bit-identical.
 """
 
+import csv
 import dataclasses
+import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import demo_subregion
+from conftest import coverage_payoff, demo_subregion
 from uavmarket.contract import (
     AUDIT_TOLERANCE,
     AuditReport,
@@ -60,8 +64,9 @@ from uavmarket.matching import (
     gs_match,
     stability_audit,
 )
-from uavmarket.pipeline import run_match
-from uavmarket.scenario import load_scenario, scenario_from_dict
+from uavmarket.pipeline import run_contract, run_match
+from uavmarket.scenario import fixture_path, load_scenario, scenario_from_dict
+from uavmarket.verification import grid_oracle_coverage, ic_matrix
 
 PHI = 0.05
 
@@ -959,3 +964,96 @@ class TestDeferredAcceptance:
         report = run_match(load_scenario(corpus / "ties-abs-0.scn"))
         assert report.match.calibration_log
         assert calls <= 2000
+
+
+@st.composite
+def coverage_menus(draw):
+    """A ladder of 1..40 rungs, its subregion and economy, a fixed reward and a grid size."""
+    upsilons = draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40))
+    ladder = [
+        AuxiliaryType(rank=r, uav_id=f"u{r}", upsilon=u, costs=CostVector(u / PHI, 0.0, 0.0, 0.0))
+        for r, u in enumerate(sorted(upsilons), start=1)
+    ]
+    econ = EconomyParams(
+        phi=PHI,
+        mu=draw(st.floats(1e-3, 1e3)),
+        sigma=draw(st.floats(1e-3, 1e6)),
+        n_subregions=draw(st.integers(1, 8)),
+    )
+    sub = demo_subregion(data_volume=draw(st.floats(1e-2, 1e4)))
+    reward_hat = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
+    grid_points = draw(st.sampled_from([3, 4, 101, 10001]))
+    return ladder, sub, econ, reward_hat, grid_points
+
+
+class TestMenuGridOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(menu=coverage_menus())
+    def test_equals_one_payoff_scan_per_rung(self, menu):
+        ladder, sub, econ, reward_hat, grid_points = menu
+        thetas = np.linspace(0.0, 1.0, grid_points)
+        expected = []
+        for aux in ladder:
+            payoff = coverage_payoff(thetas, aux.upsilon, sub, econ, reward_hat)
+            expected.append(float(thetas[int(np.argmax(payoff))]))
+        assert grid_oracle_coverage(ladder, sub, econ, reward_hat, grid_points) == expected
+
+
+def reference_cell(value):
+    """One CSV cell: floats at 12 significant digits, anything else as ``str``."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def reference_write_ic_matrix_csv(path, report):
+    """``ic_matrix.csv`` one ``csv.writer`` row per matrix entry, every cell formatted alone."""
+    rows = []
+    for sub in report.scenario.subregions:
+        schedule = report.schedules.get(sub.id)
+        if schedule is None:
+            continue
+        matrix = ic_matrix(schedule)
+        for i in range(len(schedule.ladder)):
+            for k in range(len(schedule.ladder)):
+                rows.append((sub.id, i + 1, k + 1, float(matrix[i, k])))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("subregion", "i", "k", "utility"))
+        for row in rows:
+            writer.writerow([reference_cell(v) for v in row])
+
+
+FIXTURES = ("demo_grid.scn", "fig6.scn", "fig7.scn", "fig8.scn", "physical.scn", "table3.scn")
+# subregion ids the csv module must quote, or that only look as if it might,
+# and the start of their first ic_matrix.csv row
+ODD_IDS = {
+    's,1 "q"': '"s,1 ""q""",1,1,',
+    "  s1  ": "  s1  ,1,1,",
+    "Ωμ-区域": "Ωμ-区域,1,1,",
+    "s\n1": '"s\n1",1,1,',
+    "s%d1": "s%d1,1,1,",
+}
+
+
+def fig6_with_s1_renamed(sub_id: str):
+    text = fixture_path("fig6.scn").read_text(encoding="utf-8")
+    return scenario_from_dict(json.loads(text.replace('"s1"', json.dumps(sub_id))))
+
+
+class TestIcMatrixCsv:
+    def assert_same_bytes(self, scenario, tmp_path):
+        report = run_contract(scenario, tmp_path / "fast")
+        reference_write_ic_matrix_csv(tmp_path / "reference.csv", report)
+        produced = (tmp_path / "fast" / "ic_matrix.csv").read_bytes()
+        assert produced == (tmp_path / "reference.csv").read_bytes()
+        return produced.decode("utf-8")
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_bytes_equal_the_row_by_row_writer(self, name, tmp_path):
+        self.assert_same_bytes(load_scenario(fixture_path(name)), tmp_path)
+
+    @pytest.mark.parametrize("sub_id", sorted(ODD_IDS))
+    def test_odd_subregion_ids_are_quoted_as_the_row_by_row_writer_quotes_them(
+        self, sub_id, tmp_path
+    ):
+        text = self.assert_same_bytes(fig6_with_s1_renamed(sub_id), tmp_path)
+        assert f"\n{ODD_IDS[sub_id]}" in text

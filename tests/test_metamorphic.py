@@ -1,0 +1,120 @@
+"""Metamorphic relations of the whole market pass, on every bundled file.
+
+Each test changes a scenario document in a way whose effect on the
+outcome is known without knowing the outcome, runs both documents
+through ``run_match`` and compares the two results:
+
+(a) Doubling every money-valued input (sigma, each declared alpha, beta,
+    psi, zeta and cruise power, the fixed rewards, and an absolute
+    calibration step) is a change of currency unit. Coverage depends only
+    on ratios of these, and each is scaled by an exact power of two, so
+    the assignment stays and the owner's profit doubles exactly.
+(b) The order in which UAVs are listed carries no meaning. Reversing it
+    keeps the assignment, up to the ids of exact twins (UAVs declared
+    identically, whose order in a tie is their announcement order), and
+    the owner's profit.
+
+A file whose ties stay unresolved must stay unresolved, with the same
+message.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from uavmarket.errors import UnresolvedTieError
+from uavmarket.pipeline import run_match
+from uavmarket.scenario import fixture_path, scenario_from_dict
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
+FIXTURES = ("demo_grid.scn", "fig6.scn", "fig7.scn", "fig8.scn", "physical.scn", "table3.scn")
+FILES = sorted(CORPUS.glob("*.scn")) + [fixture_path(name) for name in FIXTURES]
+
+
+def document(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def outcome(doc: dict):
+    """The report of one market pass, or the message of its unresolved tie."""
+    try:
+        return run_match(scenario_from_dict(doc))
+    except UnresolvedTieError as exc:
+        return str(exc)
+
+
+def twice(value):
+    return {key: 2 * v for key, v in value.items()} if isinstance(value, dict) else 2 * value
+
+
+def in_doubled_currency(doc: dict) -> dict:
+    doc = copy.deepcopy(doc)
+    doc["economy"]["sigma"] *= 2
+    for uav in doc["uavs"]:
+        for name in ("alpha", "beta", "psi", "zeta", "power"):
+            if name in uav:
+                uav[name] = twice(uav[name])
+    policy = doc.get("reward_hat_policy", {})
+    for name in ("value", "values", "psi_ref", "zeta_ref"):
+        if name in policy:
+            policy[name] = twice(policy[name])
+    calibration = doc.get("calibration", {})
+    if calibration.get("delta_mode") == "absolute":
+        calibration["delta_value"] *= 2
+    return doc
+
+
+def declared_only(path: Path) -> bool:
+    return all(uav.get("mode") == "direct" for uav in document(path)["uavs"])
+
+
+DIRECT_FILES = [path for path in FILES if declared_only(path)]
+
+
+def test_the_relations_cover_the_corpus_and_the_fixtures():
+    assert len(FILES) == 37
+    # physical UAVs derive their costs from hardware constants that (a)
+    # leaves alone, so (a) runs on the declared-type files only
+    assert len(DIRECT_FILES) == 28
+    assert {p.name for p in DIRECT_FILES} >= {
+        *(f"{family}-{i}.scn" for family in ("direct", "hetero") for i in range(5)),
+        *(f"values-{i}.scn" for i in range(3)),
+        "fig6.scn",
+        "table3.scn",
+    }
+
+
+@pytest.mark.parametrize("path", DIRECT_FILES, ids=lambda p: p.name)
+def test_doubling_the_currency_keeps_the_assignment_and_doubles_the_profit(path):
+    doc = document(path)
+    before, after = outcome(doc), outcome(in_doubled_currency(doc))
+    if isinstance(before, str):
+        assert after == before
+        return
+    assert after.match.assignment == before.match.assignment
+    assert after.owner_profit == 2 * before.owner_profit
+    assert len(after.match.calibration_log) == len(before.match.calibration_log)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_reversing_the_uavs_keeps_the_assignment_up_to_twins_and_the_profit(path):
+    doc = document(path)
+    reversed_doc = copy.deepcopy(doc)
+    reversed_doc["uavs"].reverse()
+    before, after = outcome(doc), outcome(reversed_doc)
+    if isinstance(before, str):
+        assert after == before
+        return
+    # a UAV's declaration without its id: exact twins share it
+    kind = {
+        uav["id"]: json.dumps({k: v for k, v in uav.items() if k != "id"}, sort_keys=True)
+        for uav in doc["uavs"]
+    }
+
+    def up_to_twins(report):
+        return {sub: kind[uav] for sub, uav in report.match.subregion_assignment().items()}
+
+    assert up_to_twins(after) == up_to_twins(before)
+    assert after.owner_profit == before.owner_profit

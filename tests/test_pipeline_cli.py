@@ -424,6 +424,21 @@ class TestCli:
         assert captured.err == "invalid option --grid-points:\n  --grid-points: must be >= 3\n"
         assert "Traceback" not in captured.err
 
+    def test_verify_grid_numpy_cannot_allocate_exits_one(self, tmp_path, capsys):
+        # 2**62 float64s overflow numpy's size limit, so nothing is reserved;
+        # never test a size numpy could actually reserve
+        scn = str(fixture_path("demo_grid.scn"))
+        argv = ["verify", "--scenario", scn, "--out", str(tmp_path), "--grid-points", str(2**62)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(
+            "invalid option --grid-points:\n"
+            f"  --grid-points: numpy cannot allocate a grid of {2**62} points: array is too big"
+        )
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_in_the_file_exits_one_with_its_path(self, tmp_path, capsys):
         doc = json.loads(fixture_path("fig6.scn").read_text(encoding="utf-8"))
         doc["seed"] = -5

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import demo_econ, demo_subregion, random_matching_instance, random_schedule
+from conftest import (
+    coverage_payoff,
+    demo_econ,
+    demo_subregion,
+    random_matching_instance,
+    random_schedule,
+)
 from uavmarket.contract import AuxiliaryType, build_schedule, optimal_coverage
 from uavmarket.core import CostVector
 from uavmarket.errors import ScenarioError
@@ -12,7 +18,6 @@ from uavmarket.pipeline import run_verify
 from uavmarket.scenario import fixture_path, load_scenario
 from uavmarket.verification import (
     MAX_ENUM_SIZE,
-    coverage_payoff,
     diagonal_dominant,
     enumerate_stable_matchings,
     grid_oracle_coverage,
@@ -34,16 +39,16 @@ def aux(upsilon, rank=1):
 class TestGridOracle:
     def test_agrees_with_closed_form_on_worked_examples(self):
         sub, econ = demo_subregion(), demo_econ()
-        for upsilon, expected in ((13.5, 0.64074), (47.25, 0.11164)):
-            scanned = grid_oracle_coverage(aux(upsilon), sub, econ)
-            assert scanned == pytest.approx(expected, abs=2e-4)
-            assert scanned == pytest.approx(
-                optimal_coverage(aux(upsilon), sub, econ), abs=2e-4
-            )
+        ladder = [aux(13.5), aux(47.25, rank=2)]
+        scanned = grid_oracle_coverage(ladder, sub, econ)
+        assert len(scanned) == 2
+        for rung, theta, expected in zip(ladder, scanned, (0.64074, 0.11164)):
+            assert theta == pytest.approx(expected, abs=2e-4)
+            assert theta == pytest.approx(optimal_coverage(rung, sub, econ), abs=2e-4)
 
     def test_vanishing_revenue_drives_coverage_to_zero(self):
-        scanned = grid_oracle_coverage(aux(13.5), demo_subregion(), demo_econ(sigma=1e-6))
-        assert scanned == 0.0
+        scanned = grid_oracle_coverage([aux(13.5)], demo_subregion(), demo_econ(sigma=1e-6))
+        assert scanned == [0.0]
 
     def test_payoff_is_unimodal_along_grid(self):
         rng = np.random.default_rng(5)
@@ -68,8 +73,19 @@ class TestGridOracle:
             run_verify(load_scenario(fixture_path("demo_grid.scn")), grid_points=2)
         assert err.value.problems == [("--grid-points", "must be >= 3")]
         sub, econ = demo_subregion(), demo_econ()
-        assert grid_oracle_coverage(aux(13.5), sub, econ, grid_points=3) == 0.5
-        assert grid_oracle_coverage(aux(13.5), sub, econ, grid_points=10001) == 0.6407
+        assert grid_oracle_coverage([aux(13.5)], sub, econ, grid_points=3) == [0.5]
+        assert grid_oracle_coverage([aux(13.5)], sub, econ, grid_points=10001) == [0.6407]
+
+    def test_grid_numpy_cannot_allocate_is_refused_before_the_market_runs(self, monkeypatch):
+        def no_market(scenario):
+            raise AssertionError("the market ran before the grid was checked")
+
+        monkeypatch.setattr("uavmarket.pipeline.run_match", no_market)
+        with pytest.raises(ScenarioError) as err:
+            run_verify(load_scenario(fixture_path("demo_grid.scn")), grid_points=2**62)
+        ((where, message),) = err.value.problems
+        assert where == "--grid-points"
+        assert message.startswith(f"numpy cannot allocate a grid of {2**62} points: ")
 
 
 class TestIcMatrix:
