@@ -3,41 +3,51 @@
 The owner cannot observe UAV cost types, so it publishes a menu of
 (coverage, reward) items built so that each announced type picks the item
 meant for it. Types are collapsed onto a one-dimensional ladder ordered by
-the marginal cost of coverage ``upsilon = phi * (alpha + beta)``; coverage
-targets come from a closed form evaluated per rung, monotonicity is
-repaired by pooling if needed, and rewards are set by a backward recursion
-that leaves the costliest type exactly at break-even.
+the marginal cost of coverage ``upsilon = phi * (alpha + beta)``, priced
+once per announcement; coverage targets come from a closed form evaluated
+over the whole ladder, monotonicity is repaired by pooling if needed, and
+rewards are set by a backward recursion that leaves the costliest type
+exactly at break-even. The audit takes the menu's upsilon, coverage and
+reward columns; the build hands it the coverages it computed. A rung,
+``AuxiliaryType``, is a validated named tuple, like ``CostVector`` and
+``ContractItem``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CostVector, Subregion
+from .core import CostVector, Subregion, _validated_make
 from .economics import ContractItem, EconomyParams
 
 AUDIT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class AuxiliaryType:
-    """A ladder rung: one announcer at its position in the marginal-cost order.
-
-    ``costs`` is the cost vector the UAV announced to this subregion.
-    """
-
+class _RungFields(NamedTuple):
     rank: int            # 1-based, 1 = cheapest coverage
     uav_id: str
     upsilon: float
     costs: CostVector
 
-    def __post_init__(self):
-        if self.upsilon <= 0:
-            raise ValueError("upsilon must be > 0")
+
+class AuxiliaryType(_RungFields):
+    """A ladder rung: one announcer at its position in the marginal-cost order.
+
+    ``costs`` is the cost vector the UAV announced to this subregion.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, rank: int, uav_id: str, upsilon: float, costs: CostVector):
+        if not 0 < upsilon < math.inf:  # one comparison chain: false for <= 0, inf and NaN
+            shown = "> 0" if upsilon <= 0 else f"finite, got {upsilon}"
+            raise ValueError(f"upsilon must be {shown}")
+        return tuple.__new__(cls, (rank, uav_id, upsilon, costs))
 
 
 @dataclass(frozen=True)
@@ -96,12 +106,9 @@ class ContractSchedule:
         items = tuple(
             item.with_coverage_reward(r) for item, r in zip(self.items, rewards)
         )
-        return ContractSchedule(
-            self.subregion_id,
-            self.ladder,
-            items,
-            _audit(self.ladder, items, AUDIT_TOLERANCE),
-        )
+        thetas = [item.theta for item in items]
+        audit = _audit([aux.upsilon for aux in self.ladder], thetas, rewards, AUDIT_TOLERANCE)
+        return ContractSchedule(self.subregion_id, self.ladder, items, audit)
 
 
 def marginal_cost(alpha: float, beta: float, phi: float) -> float:
@@ -128,28 +135,39 @@ def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[Aux
     """
     if not announcements:
         raise ValueError("at least one announcement is required")
-    # the position i is unique, so the ids and vectors are never compared
-    keyed = sorted(
-        (marginal_cost(c.alpha, c.beta, phi), c.psi, c.zeta, i, uav_id, c)
-        for i, (uav_id, c) in enumerate(announcements.items())
-    )
+    keyed = []
+    for i, (uav_id, c) in enumerate(announcements.items()):
+        upsilon = phi * (c.alpha + c.beta)
+        if not (c.alpha > 0 and c.beta > 0 and 0 < upsilon < math.inf):
+            upsilon = marginal_cost(c.alpha, c.beta, phi)  # raises its message
+        # the position i is unique, so the ids and vectors are never compared
+        keyed.append((upsilon, c.psi, c.zeta, i, uav_id, c))
+    keyed.sort()
     return [
-        AuxiliaryType(rank=rank, uav_id=uav_id, upsilon=upsilon, costs=c)
+        AuxiliaryType(rank, uav_id, upsilon, c)
         for rank, (upsilon, _, _, _, uav_id, c) in enumerate(keyed, start=1)
     ]
 
 
-def optimal_coverage(aux: AuxiliaryType, sub: Subregion, econ: EconomyParams) -> float:
-    """Closed-form coverage target for this rung, clamped into [0, 1].
+def optimal_coverage(
+    ladder: Sequence[AuxiliaryType], sub: Subregion, econ: EconomyParams
+) -> list[float]:
+    """Closed-form coverage target per rung of ``ladder``, clamped into [0, 1].
 
     ``(sigma / (N * upsilon) - 1) / (mu * D)``, with ``D`` the subregion's
     data volume, maximises the owner's per-subregion coverage payoff
     ``sigma / (N * mu * D) * ln(1 + mu * theta * D) - upsilon * theta``
     (the objective ``verification.grid_oracle_coverage`` scans), not
-    ``economics.owner_profit``; cheap types are asked to cover more.
+    ``economics.owner_profit``; cheap types are asked to cover more. The
+    data scale ``mu * D`` is computed once for the menu.
     """
-    raw = (econ.sigma / (econ.n_subregions * aux.upsilon) - 1.0) / (econ.mu * sub.data_volume)
-    return min(1.0, max(0.0, raw))
+    sigma, n, scale = econ.sigma, econ.n_subregions, econ.mu * sub.data_volume
+    coverages = []
+    for aux in ladder:
+        raw = (sigma / (n * aux.upsilon) - 1.0) / scale
+        # min(1.0, max(0.0, raw)) without the calls, NaN and -0.0 included
+        coverages.append(1.0 if raw > 1.0 else raw if raw > 0.0 else 0.0)
+    return coverages
 
 
 def iron_schedule(coverages: Sequence[float]) -> list[float]:
@@ -157,8 +175,11 @@ def iron_schedule(coverages: Sequence[float]) -> list[float]:
 
     Adjacent entries that violate the order are replaced by their
     arithmetic mean, repeatedly, until the whole sequence is monotone.
-    Already monotone input comes back unchanged.
+    Already monotone input, which the closed-form coverages always are,
+    comes back as floats without pooling.
     """
+    if all(a >= b for a, b in zip(coverages, coverages[1:])):
+        return [float(v) for v in coverages]
     blocks: list[tuple[float, int]] = []  # (sum, count), earliest first
     for value in coverages:
         total, count = float(value), 1
@@ -187,18 +208,14 @@ def reward_schedule(
     """
     if len(ladder) != len(coverages):
         raise ValueError("ladder and coverages must have equal length")
-    for a, b in zip(coverages, coverages[1:]):
-        if b > a + 1e-12:
-            raise ValueError("coverages must be non-increasing; run iron_schedule first")
+    if any(b > a + 1e-12 for a, b in zip(coverages, coverages[1:])):
+        raise ValueError("coverages must be non-increasing; run iron_schedule first")
     n = len(ladder)
     rewards = [0.0] * n
     rewards[-1] = ladder[-1].upsilon * coverages[-1]
     for i in range(n - 2, -1, -1):
         rewards[i] = rewards[i + 1] + ladder[i].upsilon * (coverages[i] - coverages[i + 1])
-    return [
-        ContractItem(theta=theta, coverage_reward=r, fixed_reward=reward_hat)
-        for theta, r in zip(coverages, rewards)
-    ]
+    return [ContractItem(theta, r, reward_hat) for theta, r in zip(coverages, rewards)]
 
 
 def build_schedule(
@@ -209,25 +226,22 @@ def build_schedule(
 ) -> ContractSchedule:
     """Full pipeline: ladder, coverage targets, pooling, rewards, audit."""
     ladder = tuple(sort_ladder(announcements, econ.phi))
-    coverages = iron_schedule([optimal_coverage(aux, sub, econ) for aux in ladder])
+    coverages = iron_schedule(optimal_coverage(ladder, sub, econ))
     items = tuple(reward_schedule(ladder, coverages, reward_hat))
-    return ContractSchedule(
-        subregion_id=sub.id,
-        ladder=ladder,
-        items=items,
-        audit=_audit(ladder, items, AUDIT_TOLERANCE),
-    )
+    rewards = [item.coverage_reward for item in items]
+    audit = _audit([aux.upsilon for aux in ladder], coverages, rewards, AUDIT_TOLERANCE)
+    return ContractSchedule(sub.id, ladder, items, audit)
 
 
 def _audit(
-    ladder: Sequence[AuxiliaryType],
-    items: Sequence[ContractItem],
+    upsilons: Sequence[float],
+    thetas: Sequence[float],
+    rewards: Sequence[float],
     tolerance: float,
 ) -> AuditReport:
-    n = len(ladder)
-    upsilons = np.array([aux.upsilon for aux in ladder], dtype=float)
-    thetas = np.array([item.theta for item in items], dtype=float)
-    rewards = np.array([item.coverage_reward for item in items], dtype=float)
+    """Self-selection audit of a menu from its rungs' upsilon, theta and reward columns."""
+    n = len(upsilons)
+    upsilons, thetas, rewards = (np.array(c, dtype=float) for c in (upsilons, thetas, rewards))
     # payoff[i, k]: coverage-linked payoff of the type at rank i + 1
     # taking the item meant for rank k + 1; the diagonal is its own item.
     # Every item carries the same fixed reward, so it cancels out of each

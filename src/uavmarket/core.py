@@ -20,7 +20,9 @@ elementwise float64 operation as Python does, so the two see
 bit-identical numbers.
 
 All functions are pure and all types are immutable after construction, so
-values can be shared freely across threads. Units are metres, seconds,
+values can be shared freely across threads. ``CostVector``, made once per
+announced pair, is a validated named tuple: cheaper to build than a frozen
+dataclass. Units are metres, seconds,
 joules, and watts throughout; data volume and upload size use whatever
 data unit the scenario author picked, consistently per scenario.
 """
@@ -39,6 +41,11 @@ DEFAULT_THETA_HAT = 0.8
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _validated_make(cls, iterable):
+    """A validated named tuple's ``_make``: through ``__new__``, so ``_replace`` checks too."""
+    return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -180,11 +187,14 @@ class FlHyperParams:
             _require(self.rounds_override > 0, "rounds_override must be a positive integer")
 
 
-_COST_FIELDS = ("alpha", "beta", "psi", "zeta")
+class _CostFields(NamedTuple):
+    alpha: float
+    beta: float
+    psi: float
+    zeta: float
 
 
-@dataclass(frozen=True)
-class CostVector:
+class CostVector(_CostFields):
     """Per-(UAV, subregion) cost quadruple.
 
     ``alpha`` and ``beta`` are joules per unit coverage (sensing flight and
@@ -192,17 +202,16 @@ class CostVector:
     for base-to-subregion traversal and for parameter upload.
     """
 
-    alpha: float
-    beta: float
-    psi: float
-    zeta: float
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        values = (self.alpha, self.beta, self.psi, self.zeta)
-        for name, v in zip(_COST_FIELDS, values):
-            # one comparison chain per field: false for negatives, inf and NaN
-            if not 0 <= v < math.inf:
-                raise ValueError(f"cost vector field {name} must be finite and >= 0")
+    def __new__(cls, alpha: float, beta: float, psi: float, zeta: float):
+        # one comparison chain: false as soon as a field is negative, inf or NaN
+        if not 0 <= alpha < math.inf > beta >= 0 <= psi < math.inf > zeta >= 0:
+            values = (alpha, beta, psi, zeta)
+            name = next(n for n, v in zip(cls._fields, values) if not 0 <= v < math.inf)
+            raise ValueError(f"cost vector field {name} must be finite and >= 0")
+        return tuple.__new__(cls, (alpha, beta, psi, zeta))
 
 
 @dataclass(frozen=True)
@@ -330,7 +339,7 @@ def derive_cost_vector(sub: Subregion, profile: UavProfile, fl: FlHyperParams) -
     """Compose the three phases into one cost record for this pair."""
     base_leg = profile.base.distance_to(sub.center)
     _, _, alpha, psi, _, _, beta, _, zeta = _pair_terms(1.0, sub, base_leg, profile, fl)
-    return CostVector(alpha=alpha, beta=beta, psi=psi, zeta=zeta)
+    return CostVector(alpha, beta, psi, zeta)
 
 
 def check_feasibility(

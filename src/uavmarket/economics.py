@@ -3,34 +3,42 @@
 A UAV's payoff is its contract reward minus its energy bill at the unit
 energy price ``phi``. The owner values coverage through a concave
 accuracy proxy and pays the contract rewards out of the resulting profit.
+A menu item, ``ContractItem``, is a validated named tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import CostVector
+from .core import CostVector, _validated_make
 
-@dataclass(frozen=True)
-class ContractItem:
-    """One rung of a contract: a coverage fraction and its two-part pay.
-
-    ``coverage_reward`` compensates the coverage-linked sensing and
-    computation costs; ``fixed_reward`` compensates the coverage-independent
-    traversal and upload costs.
-    """
-
+class _ItemFields(NamedTuple):
     theta: float
     coverage_reward: float
     fixed_reward: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
-        if self.total_reward < 0:
+
+class ContractItem(_ItemFields):
+    """One rung of a contract: a coverage fraction and its two-part pay.
+
+    ``coverage_reward`` compensates the coverage-linked sensing and
+    computation costs; ``fixed_reward`` compensates the coverage-independent
+    traversal and upload costs. The total reward may be inf, so that
+    ``pipeline.prepare`` can report it at its source, but not NaN.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, theta: float, coverage_reward: float, fixed_reward: float = 0.0):
+        # both chains are false for NaN
+        if not (0.0 <= theta <= 1.0 and coverage_reward + fixed_reward >= 0):
+            if not 0.0 <= theta <= 1.0:
+                raise ValueError(f"theta must be in [0, 1], got {theta}")
             raise ValueError("total reward must be >= 0")
+        return tuple.__new__(cls, (theta, coverage_reward, fixed_reward))
 
     @property
     def total_reward(self) -> float:

@@ -270,6 +270,10 @@ def run_verify(
     econ = scenario.economy
     step = 1.0 / (grid_points - 1)
 
+    def coverage_check(name: str, closed, scanned, detail: str) -> VerifyCheck:
+        worst = max(0.0, *(abs(c - s) for c, s in zip(closed, scanned)))
+        return VerifyCheck(f"coverage_oracle[{name}]", worst <= 2 * step, worst, detail)
+
     for sub in scenario.subregions:
         schedule = run.published.get(sub.id)
         if schedule is None:
@@ -277,44 +281,23 @@ def run_verify(
         scanned = grid_oracle_coverage(
             schedule.ladder, sub, econ, scenario.reward_hats[sub.id], grid_points
         )
-        worst = 0.0
-        for aux, theta in zip(schedule.ladder, scanned):
-            worst = max(worst, abs(optimal_coverage(aux, sub, econ) - theta))
-        report.checks.append(
-            VerifyCheck(
-                name=f"coverage_oracle[{sub.id}]",
-                passed=worst <= 2 * step,
-                magnitude=worst,
-                detail=f"max |closed form - grid argmax| over {len(schedule.ladder)} ranks",
-            )
-        )
-        report.checks.append(verify_schedule(schedule))
+        closed = optimal_coverage(schedule.ladder, sub, econ)
+        detail = f"max |closed form - grid argmax| over {len(schedule.ladder)} ranks"
+        report.checks += [coverage_check(sub.id, closed, scanned, detail), verify_schedule(schedule)]
 
     rng = np.random.default_rng(used_seed)
-    worst = 0.0
+    closed, scanned = [], []
     for _ in range(RANDOM_DRAWS):
         aux, sub, draw_econ = random_coverage_draw(rng)
-        (scanned,) = grid_oracle_coverage((aux,), sub, draw_econ, 0.0, grid_points)
-        worst = max(worst, abs(optimal_coverage(aux, sub, draw_econ) - scanned))
-    report.checks.append(
-        VerifyCheck(
-            name="coverage_oracle[random_sweep]",
-            passed=worst <= 2 * step,
-            magnitude=worst,
-            detail=f"{RANDOM_DRAWS} random interior draws, seed {used_seed}",
-        )
-    )
+        scanned += grid_oracle_coverage((aux,), sub, draw_econ, 0.0, grid_points)
+        closed += optimal_coverage((aux,), sub, draw_econ)
+    detail = f"{RANDOM_DRAWS} random interior draws, seed {used_seed}"
+    report.checks.append(coverage_check("random_sweep", closed, scanned, detail))
 
     state, sub_prefs, final_uav_prefs = run.match, run.sub_prefs, run.uav_prefs
     blocking = run.blocking_pairs
-    report.checks.append(
-        VerifyCheck(
-            name="no_blocking_pairs",
-            passed=not blocking,
-            magnitude=float(len(blocking)),
-            detail=str(blocking) if blocking else "assignment is stable",
-        )
-    )
+    detail = str(blocking) if blocking else "assignment is stable"
+    report.checks.append(VerifyCheck("no_blocking_pairs", not blocking, float(len(blocking)), detail))
 
     enum_prefs_ok = all(
         len(set(p.scores)) == len(p.scores)
@@ -326,32 +309,16 @@ def run_verify(
         gs_assignment = state.subregion_assignment()
         member = gs_assignment in stable_set
         optimal = member and is_subregion_optimal(gs_assignment, stable_set, sub_prefs)
-        report.checks.append(
-            VerifyCheck(
-                name="gs_in_stable_set",
-                passed=member,
-                magnitude=float(len(stable_set)),
-                detail=f"{len(stable_set)} stable assignment(s) enumerated",
-            )
-        )
-        report.checks.append(
-            VerifyCheck(
-                name="gs_subregion_optimal",
-                passed=optimal,
-                magnitude=0.0,
-                detail="proposer-side optimality over the enumerated set",
-            )
-        )
+        report.checks += [
+            VerifyCheck("gs_in_stable_set", member, float(len(stable_set)),
+                        f"{len(stable_set)} stable assignment(s) enumerated"),
+            VerifyCheck("gs_subregion_optimal", optimal, 0.0,
+                        "proposer-side optimality over the enumerated set"),
+        ]
     else:
-        why = "ties or calibration present" if not (enum_prefs_ok and not state.calibration_log) else "instance above enumeration cap"
-        report.checks.append(
-            VerifyCheck(
-                name="gs_in_stable_set",
-                passed=True,
-                magnitude=0.0,
-                detail=f"skipped: {why}",
-            )
-        )
+        tied = not (enum_prefs_ok and not state.calibration_log)
+        why = "ties or calibration present" if tied else "instance above enumeration cap"
+        report.checks.append(VerifyCheck("gs_in_stable_set", True, 0.0, f"skipped: {why}"))
 
     if out_dir is not None:
         _write_csv(

@@ -90,6 +90,8 @@ def _number_error(raw: Any) -> str | None:
     Python's JSON reader accepts ``NaN``, ``Infinity`` and ``-Infinity``;
     they are rejected here so that they never reach the model as numbers.
     """
+    if type(raw) is float and -math.inf < raw < math.inf:  # the common case, first
+        return None
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         return f"expected a number, got {type(raw).__name__}"
     try:

@@ -200,9 +200,7 @@ def random_coverage_draw(
     n_subregions = int(rng.integers(1, 9))
     target = rng.uniform(0.02, 0.95)
     sigma = n_subregions * upsilon * (1.0 + mu * volume * target)
-    aux = AuxiliaryType(
-        rank=1, uav_id="draw", upsilon=upsilon, costs=CostVector(alpha, beta, 0.0, 0.0)
-    )
+    aux = AuxiliaryType(1, "draw", upsilon, CostVector(alpha, beta, 0.0, 0.0))
     sub = Subregion(
         id="draw",
         center=Position(0.0, 0.0, 0.0),

@@ -91,7 +91,7 @@ def test_criterion_05_closed_form_vs_grid_oracle():
     worst = 0.0
     for _ in range(1000):
         aux, sub, econ = random_coverage_draw(rng)
-        closed = optimal_coverage(aux, sub, econ)
+        (closed,) = optimal_coverage((aux,), sub, econ)
         (scanned,) = grid_oracle_coverage((aux,), sub, econ, 0.0, grid_points=10001)
         worst = max(worst, abs(closed - scanned))
     assert worst <= 2e-4

@@ -95,7 +95,7 @@ class TestOptimalCoverage:
         aux = AuxiliaryType(
             rank=1, uav_id="x", upsilon=13.5, costs=CostVector(250.0, 20.0, 0.0, 0.0)
         )
-        value = optimal_coverage(aux, demo_subregion(), demo_econ())
+        (value,) = optimal_coverage((aux,), demo_subregion(), demo_econ())
         assert value == pytest.approx((100.0 / 13.5 - 1.0) / 10.0)
         assert value == pytest.approx(0.64074, abs=1e-5)
 
@@ -103,15 +103,15 @@ class TestOptimalCoverage:
         aux = AuxiliaryType(
             rank=6, uav_id="y", upsilon=47.25, costs=CostVector(875.0, 70.0, 0.0, 0.0)
         )
-        value = optimal_coverage(aux, demo_subregion(), demo_econ())
+        (value,) = optimal_coverage((aux,), demo_subregion(), demo_econ())
         assert value == pytest.approx(0.11164, abs=1e-5)
 
     def test_clamping(self):
         aux = AuxiliaryType(
             rank=1, uav_id="x", upsilon=13.5, costs=CostVector(250.0, 20.0, 0.0, 0.0)
         )
-        assert optimal_coverage(aux, demo_subregion(), demo_econ(sigma=10.0)) == 0.0
-        assert optimal_coverage(aux, demo_subregion(), demo_econ(sigma=1e6)) == 1.0
+        assert optimal_coverage((aux,), demo_subregion(), demo_econ(sigma=10.0)) == [0.0]
+        assert optimal_coverage((aux,), demo_subregion(), demo_econ(sigma=1e6)) == [1.0]
 
 
 class TestIronSchedule:
@@ -196,7 +196,7 @@ class TestBuildSchedule:
         rng = np.random.default_rng(3)
         for _ in range(25):
             schedule, sub, econ = random_schedule(rng)
-            raw = [optimal_coverage(aux, sub, econ) for aux in schedule.ladder]
+            raw = optimal_coverage(schedule.ladder, sub, econ)
             assert iron_schedule(raw) == raw
 
     @settings(max_examples=300, deadline=None)
@@ -227,7 +227,7 @@ class TestBuildSchedule:
         ]
         sub = Subregion("s1", Position(0.0, 0.0), 1.0, volume, 1.0)
         econ = EconomyParams(phi=0.05, mu=mu, sigma=sigma, n_subregions=n_subregions)
-        raw = [optimal_coverage(aux, sub, econ) for aux in ladder]
+        raw = optimal_coverage(ladder, sub, econ)
         assert all(a >= b for a, b in zip(raw, raw[1:]))
         assert iron_schedule(raw) == raw
 

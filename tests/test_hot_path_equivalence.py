@@ -10,9 +10,13 @@ resolves each declared UAV's cost vectors and each subregion's fixed
 reward once; deferred acceptance prices a tied candidate's outside
 option only down to the first published score it cannot beat; the grid
 oracle scans one revenue curve per menu; ``ic_matrix.csv`` is written
-one block of rows per menu. Each must agree exactly (``==``, not
-approximately) with the straightforward computation it replaces, so that
-fixture outputs and every audit flag stay bit-identical.
+one block of rows per menu; the closed-form coverage is priced once per
+menu, ironing returns monotone coverages without pooling, the ladder
+prices each pair inline and falls back to ``marginal_cost`` only for its
+message, and the audit takes the columns the menu build holds. Each
+must agree exactly (``==``, not approximately) with the straightforward
+computation it replaces, so that fixture outputs and every audit flag
+stay bit-identical.
 """
 
 import csv
@@ -35,6 +39,9 @@ from uavmarket.contract import (
     AuxiliaryType,
     _audit,
     build_schedule,
+    iron_schedule,
+    optimal_coverage,
+    sort_ladder,
 )
 from uavmarket.core import (
     DEFAULT_THETA_HAT,
@@ -95,6 +102,12 @@ def reference_audit(ladder, items, tolerance):
         worst_ic_violation=worst,
         binding_ir_rank=min(range(1, n + 1), key=lambda r: own[r - 1]) if n else 0,
     )
+
+
+def audit_columns(ladder, items):
+    """The upsilon, theta and reward columns ``_audit`` takes."""
+    thetas = [item.theta for item in items]
+    return [aux.upsilon for aux in ladder], thetas, [item.coverage_reward for item in items]
 
 
 def uav_utility(item, costs, econ):
@@ -179,7 +192,7 @@ class TestVectorisedAudit:
         rewards = data.draw(reward_vectors(schedule))
         items = [item.with_coverage_reward(r) for item, r in zip(schedule.items, rewards)]
         assert_same_report(
-            _audit(schedule.ladder, items, tolerance),
+            _audit(*audit_columns(schedule.ladder, items), tolerance),
             reference_audit(schedule.ladder, items, tolerance),
         )
 
@@ -202,7 +215,8 @@ class TestVectorisedAudit:
         ]
         items = [ContractItem(theta=theta, coverage_reward=r) for _, theta, r in rows]
         assert_same_report(
-            _audit(ladder, items, tolerance), reference_audit(ladder, items, tolerance)
+            _audit(*audit_columns(ladder, items), tolerance),
+            reference_audit(ladder, items, tolerance),
         )
 
     def test_reaudit_after_reward_change_matches_reference(self):
@@ -1057,3 +1071,158 @@ class TestIcMatrixCsv:
     ):
         text = self.assert_same_bytes(fig6_with_s1_renamed(sub_id), tmp_path)
         assert f"\n{ODD_IDS[sub_id]}" in text
+
+
+def reference_optimal_coverage(aux, sub, econ):
+    """One rung's closed-form coverage, priced one call per rung."""
+    raw = (econ.sigma / (econ.n_subregions * aux.upsilon) - 1.0) / (econ.mu * sub.data_volume)
+    return min(1.0, max(0.0, raw))
+
+
+def reference_iron_schedule(coverages):
+    """Pooling of adjacent violators, with no shortcut for monotone input."""
+    blocks = []  # (sum, count), earliest first
+    for value in coverages:
+        total, count = float(value), 1
+        while blocks and blocks[-1][0] * count < total * blocks[-1][1]:
+            prev_total, prev_count = blocks.pop()
+            total += prev_total
+            count += prev_count
+        blocks.append((total, count))
+    out = []
+    for total, count in blocks:
+        out.extend([total / count] * count)
+    return out
+
+
+def reference_marginal_cost(alpha, beta, phi):
+    if alpha <= 0 or beta <= 0 or phi <= 0:
+        raise ValueError("alpha, beta, and phi must be > 0")
+    upsilon = phi * (alpha + beta)
+    if not 0 < upsilon < math.inf:
+        raise ValueError(f"marginal cost phi * (alpha + beta) must be finite and > 0, got {upsilon}")
+    return upsilon
+
+
+def reference_sort_ladder(announcements, phi):
+    """``(rank, uav id, upsilon, costs)`` per rung, every pair priced by ``reference_marginal_cost``."""
+    if not announcements:
+        raise ValueError("at least one announcement is required")
+    keyed = sorted(
+        (reference_marginal_cost(c.alpha, c.beta, phi), c.psi, c.zeta, i, uav_id, c)
+        for i, (uav_id, c) in enumerate(announcements.items())
+    )
+    return [
+        (rank, uav_id, upsilon, c)
+        for rank, (upsilon, _, _, _, uav_id, c) in enumerate(keyed, start=1)
+    ]
+
+
+def bits(values):
+    """Each float's repr, so that 0.0 and -0.0 differ."""
+    return [repr(v) for v in values]
+
+
+def outcome(function, *args):
+    """``function(*args)``, or the message of the ``ValueError`` it raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def coverage_ladders(draw):
+    """1..60 rungs whose closed forms fall below 0, inside [0, 1] and above 1.
+
+    Each rung is drawn as its ratio ``sigma / (N * upsilon)``: below 1 it
+    clamps to 0, above ``1 + mu * D`` to 1. The data scale ``mu * D`` runs
+    from 1e-300 to 1e300.
+    """
+    n_subregions = draw(st.integers(1, 50))
+    sigma = draw(st.floats(1e-3, 1e6))
+    mu = draw(st.floats(1e-3, 1e3))
+    scale = draw(st.sampled_from([1e-300, 1e-12, 1.0, 1e12, 1e300]) | st.floats(1e-300, 1e300))
+    ratios = draw(st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 1e3]) | st.floats(1e-3, 1e3), min_size=1, max_size=60
+    ))
+    upsilons = sorted(sigma / (n_subregions * ratio) for ratio in ratios)
+    ladder = [
+        AuxiliaryType(r, f"u{r}", u, CostVector(u / PHI, 0.0, 0.0, 0.0))
+        for r, u in enumerate(upsilons, start=1)
+    ]
+    econ = EconomyParams(phi=PHI, mu=mu, sigma=sigma, n_subregions=n_subregions)
+    return ladder, demo_subregion(data_volume=scale / mu), econ
+
+
+@st.composite
+def priced_announcements(draw):
+    """Announcements in which some pairs cannot be priced, and a phi that may be bad too."""
+    kinds = draw(st.lists(
+        st.sampled_from(["good", "good", "alpha 0", "beta 0", "overflow", "tiny"]),
+        min_size=1,
+        max_size=8,
+    ))
+    announcements = {}
+    for i, kind in enumerate(kinds):
+        alpha, beta = {
+            "good": (draw(st.floats(1.0, 1000.0)), draw(st.sampled_from([10.0, 20.0]))),
+            "alpha 0": (0.0, 10.0),
+            "beta 0": (10.0, 0.0),
+            "overflow": (1.5e308, 1.5e308),  # alpha + beta is inf
+            "tiny": (1e-10, 1e-10),  # phi * (alpha + beta) underflows to 0 at phi 5e-324
+        }[kind]
+        psi, zeta = draw(st.sampled_from([0.0, 1.0])), draw(st.sampled_from([0.0, 1.0]))
+        announcements[f"u{i}"] = CostVector(alpha, beta, psi, zeta)
+    phi = draw(st.sampled_from([0.05, 0.0, -1.0, math.nan, 5e-324]) | st.floats(1e-3, 10.0))
+    return announcements, phi
+
+
+class TestMenuBuildPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(menu=coverage_ladders())
+    def test_ladder_coverage_equals_the_per_rung_formula(self, menu):
+        ladder, sub, econ = menu
+        fast = optimal_coverage(ladder, sub, econ)
+        slow = [reference_optimal_coverage(aux, sub, econ) for aux in ladder]
+        assert fast == slow
+        assert bits(fast) == bits(slow)
+
+    def test_ladder_coverage_clamps_at_both_ends_at_every_scale(self):
+        econ = EconomyParams(phi=PHI, mu=1.0, sigma=120.0, n_subregions=2)
+        # ratios 0.5, 1, 1.5, 3 and 1e9 at sigma / N = 60
+        ladder = [
+            AuxiliaryType(r, f"u{r}", u, CostVector(u / PHI, 0.0, 0.0, 0.0))
+            for r, u in enumerate([6e-8, 20.0, 40.0, 60.0, 120.0], start=1)
+        ]
+        for scale in (1e-300, 1e-12, 1.0, 1e12, 1e300):
+            sub = demo_subregion(data_volume=scale)
+            fast = optimal_coverage(ladder, sub, econ)
+            assert bits(fast) == bits([reference_optimal_coverage(a, sub, econ) for a in ladder])
+            assert fast[-1] == 0.0 and fast[-2] == 0.0  # ratio 0.5 and exactly 1
+            if scale <= 1.0:
+                assert fast[0] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1]) | st.floats(0.0, 1.0), max_size=30
+        ),
+        monotone=st.booleans(),
+    )
+    def test_iron_schedule_equals_pooling(self, values, monotone):
+        if monotone:
+            # stable, so equal neighbours keep their order: 0.0 before -0.0 or after it
+            values = sorted(values, reverse=True)
+        assert bits(iron_schedule(values)) == bits(reference_iron_schedule(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(market=priced_announcements())
+    def test_sort_ladder_raises_for_the_first_bad_pair_in_announcement_order(self, market):
+        announcements, phi = market
+        fast = outcome(sort_ladder, announcements, phi)
+        slow = outcome(reference_sort_ladder, announcements, phi)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert [tuple(aux) for aux in fast] == slow

@@ -42,9 +42,10 @@ class TestGridOracle:
         ladder = [aux(13.5), aux(47.25, rank=2)]
         scanned = grid_oracle_coverage(ladder, sub, econ)
         assert len(scanned) == 2
-        for rung, theta, expected in zip(ladder, scanned, (0.64074, 0.11164)):
+        closed = optimal_coverage(ladder, sub, econ)
+        for theta, value, expected in zip(scanned, closed, (0.64074, 0.11164)):
             assert theta == pytest.approx(expected, abs=2e-4)
-            assert theta == pytest.approx(optimal_coverage(rung, sub, econ), abs=2e-4)
+            assert theta == pytest.approx(value, abs=2e-4)
 
     def test_vanishing_revenue_drives_coverage_to_zero(self):
         scanned = grid_oracle_coverage([aux(13.5)], demo_subregion(), demo_econ(sigma=1e-6))
@@ -65,7 +66,7 @@ class TestGridOracle:
         rng = np.random.default_rng(17)
         for _ in range(50):
             a, sub, econ = random_coverage_draw(rng)
-            value = optimal_coverage(a, sub, econ)
+            (value,) = optimal_coverage((a,), sub, econ)
             assert 0.0 < value < 1.0
 
     def test_grid_config(self):
