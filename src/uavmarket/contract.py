@@ -139,7 +139,7 @@ def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[Aux
     for i, (uav_id, c) in enumerate(announcements.items()):
         upsilon = phi * (c.alpha + c.beta)
         if not (c.alpha > 0 and c.beta > 0 and 0 < upsilon < math.inf):
-            upsilon = marginal_cost(c.alpha, c.beta, phi)  # raises its message
+            upsilon = marginal_cost(c.alpha, c.beta, phi)  # raises with the reason
         # the position i is unique, so the ids and vectors are never compared
         keyed.append((upsilon, c.psi, c.zeta, i, uav_id, c))
     keyed.sort()

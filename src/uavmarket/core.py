@@ -21,10 +21,10 @@ bit-identical numbers.
 
 All functions are pure and all types are immutable after construction, so
 values can be shared freely across threads. ``CostVector``, made once per
-announced pair, is a validated named tuple: cheaper to build than a frozen
-dataclass. Units are metres, seconds,
-joules, and watts throughout; data volume and upload size use whatever
-data unit the scenario author picked, consistently per scenario.
+announced pair, is a validated named tuple, cheaper to build than a frozen
+dataclass. Units are metres, seconds, joules, and watts throughout; data
+volume and upload size use whatever data unit the scenario author picked,
+consistently per scenario.
 """
 
 from __future__ import annotations

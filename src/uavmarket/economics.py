@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import CostVector, _validated_make
 
+
 class _ItemFields(NamedTuple):
     theta: float
     coverage_reward: float

@@ -38,17 +38,10 @@ numbers = st.one_of(
 valid_costs = st.tuples(*[st.floats(0.0, 1e300) | st.integers(0, 5)] * 4)
 
 
-def construct(cls, args):
-    """``cls(*args)``, or the message of the ``ValueError`` it raised."""
+def construct(cls, args=(), **kwargs):
+    """``cls(*args, **kwargs)``, or the message of the ``ValueError`` it raised."""
     try:
-        return cls(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-def construct_by_keyword(cls, args):
-    try:
-        return cls(**dict(zip(cls._fields, args)))
+        return cls(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
 
@@ -69,7 +62,7 @@ def assert_like_reference(new_cls, ref_cls, new_args, ref_args, refused_since=No
     dataclass accepted the input.
     """
     new, ref = construct(new_cls, new_args), construct(ref_cls, ref_args)
-    assert construct_by_keyword(new_cls, new_args) == new
+    assert construct(new_cls, **dict(zip(new_cls._fields, new_args))) == new
     if refused_since is not None:
         assert isinstance(ref, ref_cls)
         assert new == refused_since
