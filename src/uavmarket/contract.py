@@ -7,8 +7,8 @@ the marginal cost of coverage ``upsilon = phi * (alpha + beta)``, priced
 once per announcement; coverage targets come from a closed form evaluated
 over the whole ladder, monotonicity is repaired by pooling if needed, and
 rewards are set by a backward recursion that leaves the costliest type
-exactly at break-even. The audit takes the menu's upsilon, coverage and
-reward columns; the build hands it the coverages it computed. A rung,
+exactly at break-even. Every step after the sort reads only the
+ladder's upsilon column, which the build lists once. A rung,
 ``AuxiliaryType``, is a validated named tuple, like ``CostVector`` and
 ``ContractItem``.
 """
@@ -71,7 +71,7 @@ class ContractSchedule:
     """The published menu for one subregion, plus its audit.
 
     ``ladder`` and ``items`` are aligned: item ``i`` is meant for the type
-    at rank ``i + 1``. All items share the same fixed reward.
+    at rank ``i + 1``. All items share one fixed reward; the audit leaves it out.
     """
 
     subregion_id: str
@@ -82,6 +82,8 @@ class ContractSchedule:
     def __post_init__(self):
         if len(self.ladder) != len(self.items):
             raise ValueError("ladder and items must have equal length")
+        if len({item.fixed_reward for item in self.items}) > 1:
+            raise ValueError("items must share one fixed reward")
         object.__setattr__(self, "ladder", tuple(self.ladder))
         object.__setattr__(self, "items", tuple(self.items))
         # reversed, so a repeated id keeps its first (cheapest) rank
@@ -150,21 +152,21 @@ def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[Aux
 
 
 def optimal_coverage(
-    ladder: Sequence[AuxiliaryType], sub: Subregion, econ: EconomyParams
+    upsilons: Sequence[float], data_volume: float, econ: EconomyParams
 ) -> list[float]:
-    """Closed-form coverage target per rung of ``ladder``, clamped into [0, 1].
+    """Closed-form coverage target per marginal cost in ``upsilons``, clamped into [0, 1].
 
     ``(sigma / (N * upsilon) - 1) / (mu * D)``, with ``D`` the subregion's
-    data volume, maximises the owner's per-subregion coverage payoff
+    ``data_volume``, maximises the owner's per-subregion coverage payoff
     ``sigma / (N * mu * D) * ln(1 + mu * theta * D) - upsilon * theta``
     (the objective ``verification.grid_oracle_coverage`` scans), not
     ``economics.owner_profit``; cheap types are asked to cover more. The
     data scale ``mu * D`` is computed once for the menu.
     """
-    sigma, n, scale = econ.sigma, econ.n_subregions, econ.mu * sub.data_volume
+    sigma, n, scale = econ.sigma, econ.n_subregions, econ.mu * data_volume
     coverages = []
-    for aux in ladder:
-        raw = (sigma / (n * aux.upsilon) - 1.0) / scale
+    for upsilon in upsilons:
+        raw = (sigma / (n * upsilon) - 1.0) / scale
         # min(1.0, max(0.0, raw)) without the calls, NaN and -0.0 included
         coverages.append(1.0 if raw > 1.0 else raw if raw > 0.0 else 0.0)
     return coverages
@@ -196,25 +198,25 @@ def iron_schedule(coverages: Sequence[float]) -> list[float]:
 
 
 def reward_schedule(
-    ladder: Sequence[AuxiliaryType],
+    upsilons: Sequence[float],
     coverages: Sequence[float],
     reward_hat: float,
 ) -> list[ContractItem]:
-    """Backward reward recursion over a monotone coverage ladder.
+    """Backward reward recursion over a ladder's upsilon and monotone coverage columns.
 
     The costliest rung is paid exactly its coverage-linked cost; every
     rung above is paid the next rung's reward plus its own marginal cost
     on the extra coverage it takes on. Requires non-increasing coverages.
     """
-    if len(ladder) != len(coverages):
-        raise ValueError("ladder and coverages must have equal length")
+    if len(upsilons) != len(coverages):
+        raise ValueError("upsilons and coverages must have equal length")
     if any(b > a + 1e-12 for a, b in zip(coverages, coverages[1:])):
         raise ValueError("coverages must be non-increasing; run iron_schedule first")
-    n = len(ladder)
+    n = len(upsilons)
     rewards = [0.0] * n
-    rewards[-1] = ladder[-1].upsilon * coverages[-1]
+    rewards[-1] = upsilons[-1] * coverages[-1]
     for i in range(n - 2, -1, -1):
-        rewards[i] = rewards[i + 1] + ladder[i].upsilon * (coverages[i] - coverages[i + 1])
+        rewards[i] = rewards[i + 1] + upsilons[i] * (coverages[i] - coverages[i + 1])
     return [ContractItem(theta, r, reward_hat) for theta, r in zip(coverages, rewards)]
 
 
@@ -226,10 +228,11 @@ def build_schedule(
 ) -> ContractSchedule:
     """Full pipeline: ladder, coverage targets, pooling, rewards, audit."""
     ladder = tuple(sort_ladder(announcements, econ.phi))
-    coverages = iron_schedule(optimal_coverage(ladder, sub, econ))
-    items = tuple(reward_schedule(ladder, coverages, reward_hat))
+    upsilons = [aux.upsilon for aux in ladder]
+    coverages = iron_schedule(optimal_coverage(upsilons, sub.data_volume, econ))
+    items = tuple(reward_schedule(upsilons, coverages, reward_hat))
     rewards = [item.coverage_reward for item in items]
-    audit = _audit([aux.upsilon for aux in ladder], coverages, rewards, AUDIT_TOLERANCE)
+    audit = _audit(upsilons, coverages, rewards, AUDIT_TOLERANCE)
     return ContractSchedule(sub.id, ladder, items, audit)
 
 

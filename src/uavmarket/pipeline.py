@@ -252,45 +252,39 @@ def run_verify(
     """Certify the scenario's analytic outputs against the brute-force oracles.
 
     The coverage oracle scans ``grid_points`` evenly spaced coverages. A
-    grid numpy cannot allocate is refused before the market runs.
+    grid numpy cannot allocate is refused before the market runs. A
+    menu's row certifies the coverages it publishes.
     """
     if grid_points < 3:
         raise OptionError("--grid-points", "must be >= 3")
-    try:
-        np.empty(grid_points)  # reserved, never written: numpy's own size and memory checks
-    except (ValueError, MemoryError) as exc:
-        raise OptionError(
-            "--grid-points", f"numpy cannot allocate a grid of {grid_points} points: {exc}"
-        ) from None
+    _reserve("--grid-points", grid_points, f"a grid of {grid_points} points")
     if seed is not None and seed < 0:
         raise OptionError("--seed", "must be >= 0")
     used_seed = scenario.seed if seed is None else seed
     report = VerifyReport(seed=used_seed)
     run = run_match(scenario)
-    econ = scenario.economy
     step = 1.0 / (grid_points - 1)
 
-    def coverage_check(name: str, closed, scanned, detail: str) -> VerifyCheck:
-        worst = max(0.0, *(abs(c - s) for c, s in zip(closed, scanned)))
+    def coverage_check(name: str, claimed, scanned, detail: str) -> VerifyCheck:
+        worst = max(0.0, *(abs(c - s) for c, s in zip(claimed, scanned)))
         return VerifyCheck(f"coverage_oracle[{name}]", worst <= 2 * step, worst, detail)
 
     for sub in scenario.subregions:
         schedule = run.published.get(sub.id)
         if schedule is None:
             continue
-        scanned = grid_oracle_coverage(
-            schedule.ladder, sub, econ, scenario.reward_hats[sub.id], grid_points
-        )
-        closed = optimal_coverage(schedule.ladder, sub, econ)
-        detail = f"max |closed form - grid argmax| over {len(schedule.ladder)} ranks"
-        report.checks += [coverage_check(sub.id, closed, scanned, detail), verify_schedule(schedule)]
+        upsilons = [aux.upsilon for aux in schedule.ladder]
+        scanned = grid_oracle_coverage(upsilons, sub.data_volume, scenario.economy, grid_points)
+        thetas = [item.theta for item in schedule.items]
+        detail = f"max |closed form - grid argmax| over {len(upsilons)} ranks"
+        report.checks += [coverage_check(sub.id, thetas, scanned, detail), verify_schedule(schedule)]
 
     rng = np.random.default_rng(used_seed)
     closed, scanned = [], []
     for _ in range(RANDOM_DRAWS):
-        aux, sub, draw_econ = random_coverage_draw(rng)
-        scanned += grid_oracle_coverage((aux,), sub, draw_econ, 0.0, grid_points)
-        closed += optimal_coverage((aux,), sub, draw_econ)
+        upsilon, volume, econ = random_coverage_draw(rng)
+        scanned += grid_oracle_coverage((upsilon,), volume, econ, grid_points)
+        closed += optimal_coverage((upsilon,), volume, econ)
     detail = f"{RANDOM_DRAWS} random interior draws, seed {used_seed}"
     report.checks.append(coverage_check("random_sweep", closed, scanned, detail))
 
@@ -346,12 +340,29 @@ def verify_schedule(schedule: ContractSchedule) -> VerifyCheck:
     )
 
 
+def _reserve(option: str, count: int, what: str) -> None:
+    """Refuse a ``count`` of floats that numpy cannot allocate, as an error in ``option``."""
+    try:
+        np.empty(count)  # reserved, never written: numpy's own size and memory checks
+    except (ValueError, MemoryError) as exc:
+        raise OptionError(option, f"numpy cannot allocate {what}: {exc}") from None
+
+
 def sweep_values(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced values from ``start`` to ``stop``; an unusable range is refused."""
     if steps < 1:
         raise OptionError("--steps", "must be >= 1")
+    for option, value in (("--from", start), ("--to", stop)):
+        if not math.isfinite(value):
+            raise OptionError(option, f"must be a finite number, got {value}")
     if steps == 1:
-        return [float(start)]
-    return [float(v) for v in np.linspace(start, stop, steps)]
+        return [float(start)]  # np.linspace(1e308, -1e308, 1) is [nan]
+    _reserve("--steps", steps, f"{steps} values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(start, stop, steps)
+    if not np.isfinite(values).all():
+        raise OptionError("--to", f"the range from {start} to {stop} overflows")
+    return values.tolist()
 
 
 def run_sweep(
@@ -428,8 +439,6 @@ FLOAT_FORMAT = "%.12g"
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return FLOAT_FORMAT % value
     return str(value)

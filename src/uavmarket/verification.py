@@ -13,8 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contract import AuxiliaryType, ContractSchedule
-from .core import CostVector, Position, Subregion
+from .contract import ContractSchedule
 from .economics import EconomyParams
 from .matching import PreferenceList
 
@@ -25,35 +24,34 @@ RANDOM_DRAWS = 200  # random interior parameter sets in the coverage oracle's sw
 
 
 def grid_oracle_coverage(
-    ladder: Sequence[AuxiliaryType],
-    sub: Subregion,
+    upsilons: Sequence[float],
+    data_volume: float,
     econ: EconomyParams,
-    reward_hat: float = 0.0,
     grid_points: int = 10001,
 ) -> list[float]:
-    """Per rung of ``ladder``, the grid coverage that maximises the owner's payoff.
+    """Per marginal cost in ``upsilons``, the grid coverage that maximises the owner's payoff.
 
     The grid is ``grid_points`` evenly spaced coverages over [0, 1].
 
     The payoff of asking a type of marginal cost ``upsilon`` for coverage
     ``theta`` is ``sigma / N * ln(1 + mu * D * theta) / (mu * D) -
-    reward_hat - upsilon * theta``: the accuracy revenue is normalised by
-    the data scale ``mu * D`` so that one unit of coverage trades against
-    ``upsilon`` one for one. This is the objective whose maximiser the
-    ladder's closed-form coverage claims to be.
+    upsilon * theta``, ``D`` being ``data_volume``: the accuracy revenue
+    is normalised by the data scale ``mu * D`` so that one unit of
+    coverage trades against ``upsilon`` one for one. This is the objective
+    whose maximiser the closed-form coverage claims to be; a fixed reward,
+    constant in ``theta``, cannot move it and is left out.
 
-    The grid and the revenue minus the fixed reward are computed once for
-    the menu; each rung then costs one subtraction and one argmax. Ties
-    resolve to the smallest grid point; ``np.argmax`` already returns the
-    first maximiser.
+    The grid and the revenue curve are computed once for the menu; each
+    rung then costs one subtraction and one argmax. Ties resolve to the
+    smallest grid point; ``np.argmax`` already returns the first
+    maximiser.
     """
     thetas = np.linspace(0.0, 1.0, grid_points)
-    scale = econ.mu * sub.data_volume
+    scale = econ.mu * data_volume
     # dividing the log by the scale, not sigma, keeps a tiny normal scale
     # from overflowing the factor to inf and turning theta = 0 into nan
     revenue = econ.sigma / econ.n_subregions * (np.log1p(scale * thetas) / scale)
-    base = revenue - reward_hat
-    return [float(thetas[(base - aux.upsilon * thetas).argmax()]) for aux in ladder]
+    return [float(thetas[(revenue - upsilon * thetas).argmax()]) for upsilon in upsilons]
 
 
 def ic_matrix(schedule: ContractSchedule) -> np.ndarray:
@@ -183,10 +181,8 @@ def is_subregion_optimal(
     return True
 
 
-def random_coverage_draw(
-    rng: np.random.Generator,
-) -> tuple[AuxiliaryType, Subregion, EconomyParams]:
-    """A random parameter set whose closed-form coverage is strictly interior.
+def random_coverage_draw(rng: np.random.Generator) -> tuple[float, float, EconomyParams]:
+    """A random ``(upsilon, data_volume, econ)`` whose closed-form coverage is strictly interior.
 
     The revenue scale is back-solved from a target coverage drawn in
     (0.02, 0.95), which keeps the optimum away from the clamp boundaries.
@@ -200,13 +196,4 @@ def random_coverage_draw(
     n_subregions = int(rng.integers(1, 9))
     target = rng.uniform(0.02, 0.95)
     sigma = n_subregions * upsilon * (1.0 + mu * volume * target)
-    aux = AuxiliaryType(1, "draw", upsilon, CostVector(alpha, beta, 0.0, 0.0))
-    sub = Subregion(
-        id="draw",
-        center=Position(0.0, 0.0, 0.0),
-        full_distance=1.0,
-        data_volume=volume,
-        rate_factor=1.0,
-    )
-    econ = EconomyParams(phi=phi, mu=mu, sigma=sigma, n_subregions=n_subregions)
-    return aux, sub, econ
+    return upsilon, volume, EconomyParams(phi=phi, mu=mu, sigma=sigma, n_subregions=n_subregions)

@@ -26,13 +26,14 @@ def demo_econ(sigma=100.0, n_subregions=1, mu=1.0, phi=0.05):
     return EconomyParams(phi=phi, mu=mu, sigma=sigma, n_subregions=n_subregions)
 
 
-def coverage_payoff(theta, upsilon, sub, econ, reward_hat=0.0):
+def coverage_payoff(theta, upsilon, data_volume, econ, reward_hat=0.0):
     """Owner's per-subregion payoff of asking a type of marginal cost ``upsilon`` for ``theta``.
 
     The reference for ``verification.grid_oracle_coverage``, which must
-    pick, rung by rung, the grid point this maximises first.
+    pick, rung by rung, the grid point this maximises first at no fixed
+    reward.
     """
-    scale = econ.mu * sub.data_volume
+    scale = econ.mu * data_volume
     revenue = econ.sigma / econ.n_subregions * (np.log1p(scale * theta) / scale)
     return revenue - reward_hat - upsilon * theta
 

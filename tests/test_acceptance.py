@@ -90,9 +90,9 @@ def test_criterion_05_closed_form_vs_grid_oracle():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(1000):
-        aux, sub, econ = random_coverage_draw(rng)
-        (closed,) = optimal_coverage((aux,), sub, econ)
-        (scanned,) = grid_oracle_coverage((aux,), sub, econ, 0.0, grid_points=10001)
+        upsilon, volume, econ = random_coverage_draw(rng)
+        (closed,) = optimal_coverage((upsilon,), volume, econ)
+        (scanned,) = grid_oracle_coverage((upsilon,), volume, econ, grid_points=10001)
         worst = max(worst, abs(closed - scanned))
     assert worst <= 2e-4
     report(5, f"1000 draws (seed 2024), max |closed - oracle| = {worst:.2e} <= 2e-4")

@@ -22,7 +22,7 @@ from uavmarket.contract import (
     reward_schedule,
     sort_ladder,
 )
-from uavmarket.core import CostVector, Position, Subregion
+from uavmarket.core import CostVector
 from uavmarket.economics import EconomyParams
 
 
@@ -91,27 +91,19 @@ class TestSortLadder:
 
 
 class TestOptimalCoverage:
+    # the demo subregion holds a data volume of 10
     def test_cheap_type(self):
-        aux = AuxiliaryType(
-            rank=1, uav_id="x", upsilon=13.5, costs=CostVector(250.0, 20.0, 0.0, 0.0)
-        )
-        (value,) = optimal_coverage((aux,), demo_subregion(), demo_econ())
+        (value,) = optimal_coverage((13.5,), 10.0, demo_econ())
         assert value == pytest.approx((100.0 / 13.5 - 1.0) / 10.0)
         assert value == pytest.approx(0.64074, abs=1e-5)
 
     def test_dear_type(self):
-        aux = AuxiliaryType(
-            rank=6, uav_id="y", upsilon=47.25, costs=CostVector(875.0, 70.0, 0.0, 0.0)
-        )
-        (value,) = optimal_coverage((aux,), demo_subregion(), demo_econ())
+        (value,) = optimal_coverage((47.25,), 10.0, demo_econ())
         assert value == pytest.approx(0.11164, abs=1e-5)
 
     def test_clamping(self):
-        aux = AuxiliaryType(
-            rank=1, uav_id="x", upsilon=13.5, costs=CostVector(250.0, 20.0, 0.0, 0.0)
-        )
-        assert optimal_coverage((aux,), demo_subregion(), demo_econ(sigma=10.0)) == [0.0]
-        assert optimal_coverage((aux,), demo_subregion(), demo_econ(sigma=1e6)) == [1.0]
+        assert optimal_coverage((13.5,), 10.0, demo_econ(sigma=10.0)) == [0.0]
+        assert optimal_coverage((13.5,), 10.0, demo_econ(sigma=1e6)) == [1.0]
 
 
 class TestIronSchedule:
@@ -151,8 +143,8 @@ class TestRewardSchedule:
 
     def test_single_type_break_even(self):
         only = {"only": CostVector(250.0, 20.0, 0.0, 0.0)}
-        ladder = sort_ladder(only, phi=0.05)
-        items = reward_schedule(ladder, [0.4], reward_hat=0.0)
+        (aux,) = sort_ladder(only, phi=0.05)
+        items = reward_schedule([aux.upsilon], [0.4], reward_hat=0.0)
         assert items[0].coverage_reward == pytest.approx(13.5 * 0.4)
         assert menu_utility(
             build_schedule(only, demo_subregion(), demo_econ()),
@@ -161,15 +153,15 @@ class TestRewardSchedule:
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_coverages_equal_rewards(self):
-        ladder = sort_ladder(grid_announcements(), phi=0.05)
-        items = reward_schedule(ladder, [0.3] * 6, reward_hat=1.0)
+        upsilons = [aux.upsilon for aux in sort_ladder(grid_announcements(), phi=0.05)]
+        items = reward_schedule(upsilons, [0.3] * 6, reward_hat=1.0)
         rewards = {item.coverage_reward for item in items}
         assert len(rewards) == 1
 
     def test_non_monotone_rejected(self):
-        ladder = sort_ladder(grid_announcements(), phi=0.05)[:2]
+        upsilons = [aux.upsilon for aux in sort_ladder(grid_announcements(), phi=0.05)[:2]]
         with pytest.raises(ValueError):
-            reward_schedule(ladder, [0.2, 0.5], reward_hat=0.0)
+            reward_schedule(upsilons, [0.2, 0.5], reward_hat=0.0)
 
 
 class TestBuildSchedule:
@@ -196,7 +188,8 @@ class TestBuildSchedule:
         rng = np.random.default_rng(3)
         for _ in range(25):
             schedule, sub, econ = random_schedule(rng)
-            raw = optimal_coverage(schedule.ladder, sub, econ)
+            upsilons = [aux.upsilon for aux in schedule.ladder]
+            raw = optimal_coverage(upsilons, sub.data_volume, econ)
             assert iron_schedule(raw) == raw
 
     @settings(max_examples=300, deadline=None)
@@ -221,13 +214,8 @@ class TestBuildSchedule:
             elif tie == "ulp":
                 ladder_upsilons[i] = math.nextafter(ladder_upsilons[i - 1], math.inf)
         ladder_upsilons.sort()  # a 1-ulp step can pass a later duplicate
-        ladder = [
-            AuxiliaryType(rank, f"u{rank}", upsilon, CostVector(1.0, 1.0, 0.0, 0.0))
-            for rank, upsilon in enumerate(ladder_upsilons, start=1)
-        ]
-        sub = Subregion("s1", Position(0.0, 0.0), 1.0, volume, 1.0)
         econ = EconomyParams(phi=0.05, mu=mu, sigma=sigma, n_subregions=n_subregions)
-        raw = optimal_coverage(ladder, sub, econ)
+        raw = optimal_coverage(ladder_upsilons, volume, econ)
         assert all(a >= b for a, b in zip(raw, raw[1:]))
         assert iron_schedule(raw) == raw
 
@@ -265,6 +253,14 @@ class TestAuditSchedule:
             for i in range(len(thetas)):
                 for k in range(len(thetas)):
                     assert (thetas[i] < thetas[k]) == (rewards[i] < rewards[k])
+
+    def test_items_with_different_fixed_rewards_are_refused(self):
+        # the audit leaves the fixed reward out as common to every item;
+        # here rank 1 would get 3.77 from its own item and 53.77 from the other
+        schedule = two_type_schedule()
+        items = (schedule.items[0], schedule.items[1]._replace(fixed_reward=50.0))
+        with pytest.raises(ValueError, match="items must share one fixed reward"):
+            ContractSchedule(schedule.subregion_id, schedule.ladder, items, schedule.audit)
 
     def test_fixed_reward_invariance(self):
         base = two_type_schedule(reward_hat=0.0)

@@ -982,7 +982,7 @@ class TestDeferredAcceptance:
 
 @st.composite
 def coverage_menus(draw):
-    """A ladder of 1..40 rungs, its subregion and economy, a fixed reward and a grid size."""
+    """A ladder of 1..40 rungs, its subregion and economy, and a grid size."""
     upsilons = draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40))
     ladder = [
         AuxiliaryType(rank=r, uav_id=f"u{r}", upsilon=u, costs=CostVector(u / PHI, 0.0, 0.0, 0.0))
@@ -995,22 +995,22 @@ def coverage_menus(draw):
         n_subregions=draw(st.integers(1, 8)),
     )
     sub = demo_subregion(data_volume=draw(st.floats(1e-2, 1e4)))
-    reward_hat = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
     grid_points = draw(st.sampled_from([3, 4, 101, 10001]))
-    return ladder, sub, econ, reward_hat, grid_points
+    return ladder, sub, econ, grid_points
 
 
 class TestMenuGridOracle:
     @settings(max_examples=200, deadline=None)
     @given(menu=coverage_menus())
     def test_equals_one_payoff_scan_per_rung(self, menu):
-        ladder, sub, econ, reward_hat, grid_points = menu
+        ladder, sub, econ, grid_points = menu
         thetas = np.linspace(0.0, 1.0, grid_points)
         expected = []
         for aux in ladder:
-            payoff = coverage_payoff(thetas, aux.upsilon, sub, econ, reward_hat)
+            payoff = coverage_payoff(thetas, aux.upsilon, sub.data_volume, econ)
             expected.append(float(thetas[int(np.argmax(payoff))]))
-        assert grid_oracle_coverage(ladder, sub, econ, reward_hat, grid_points) == expected
+        upsilons = [aux.upsilon for aux in ladder]
+        assert grid_oracle_coverage(upsilons, sub.data_volume, econ, grid_points) == expected
 
 
 def reference_cell(value):
@@ -1183,7 +1183,7 @@ class TestMenuBuildPieces:
     @given(menu=coverage_ladders())
     def test_ladder_coverage_equals_the_per_rung_formula(self, menu):
         ladder, sub, econ = menu
-        fast = optimal_coverage(ladder, sub, econ)
+        fast = optimal_coverage([aux.upsilon for aux in ladder], sub.data_volume, econ)
         slow = [reference_optimal_coverage(aux, sub, econ) for aux in ladder]
         assert fast == slow
         assert bits(fast) == bits(slow)
@@ -1197,7 +1197,7 @@ class TestMenuBuildPieces:
         ]
         for scale in (1e-300, 1e-12, 1.0, 1e12, 1e300):
             sub = demo_subregion(data_volume=scale)
-            fast = optimal_coverage(ladder, sub, econ)
+            fast = optimal_coverage([aux.upsilon for aux in ladder], scale, econ)
             assert bits(fast) == bits([reference_optimal_coverage(a, sub, econ) for a in ladder])
             assert fast[-1] == 0.0 and fast[-2] == 0.0  # ratio 0.5 and exactly 1
             if scale <= 1.0:

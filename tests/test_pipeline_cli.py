@@ -260,6 +260,9 @@ class TestSweep:
     def test_sweep_values_endpoints(self):
         assert sweep_values(0.0, 1.0, 3) == [0.0, 0.5, 1.0]
         assert sweep_values(2.0, 2.0, 1) == [2.0]
+        # one step never reads the width, which would overflow here
+        assert sweep_values(1e308, -1e308, 1) == [1e308]
+        assert sweep_values(0.0, 1.7976931348623157e308, 3)[-1] == 1.7976931348623157e308
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_fewer_than_one_step_rejected(self, steps):
@@ -529,6 +532,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"invalid option {option}:\n  {problem}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+    @pytest.mark.parametrize(
+        "changes,option,problem",
+        [
+            ({"--from": "nan"}, "--from", "--from: must be a finite number, got nan\n"),
+            ({"--to": "-inf"}, "--to", "--to: must be a finite number, got -inf\n"),
+            (
+                {"--from": "1e308", "--to": "-1e308"},
+                "--to",
+                "--to: the range from 1e+308 to -1e+308 overflows\n",
+            ),
+            # 2**62 float64s overflow numpy's size limit, so nothing is reserved;
+            # never test a count numpy could actually reserve
+            ({"--steps": str(2**62)}, "--steps", f"--steps: numpy cannot allocate {2**62} values: "),
+        ],
+        ids=["from-nan", "to-inf", "range-overflows", "steps-numpy-refuses"],
+    )
+    def test_unusable_sweep_range_exits_one_under_its_option(
+        self, tmp_path, capsys, changes, option, problem
+    ):
+        options = {"--param": "economy.sigma", "--from": "50", "--to": "150", "--steps": "3"}
+        options.update(changes)
+        argv = ["sweep", "--scenario", str(fixture_path("demo_grid.scn")), "--out", str(tmp_path)]
+        code = main(argv + [f"{name}={value}" for name, value in options.items()])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"invalid option {option}:\n  {problem}")
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_parse_error_exits_one(self, tmp_path, capsys):

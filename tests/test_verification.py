@@ -10,7 +10,7 @@ from conftest import (
     random_matching_instance,
     random_schedule,
 )
-from uavmarket.contract import AuxiliaryType, build_schedule, optimal_coverage
+from uavmarket.contract import build_schedule, optimal_coverage
 from uavmarket.core import CostVector
 from uavmarket.errors import ScenarioError
 from uavmarket.matching import PreferenceList, gs_match
@@ -27,36 +27,28 @@ from uavmarket.verification import (
 )
 
 
-def aux(upsilon, rank=1):
-    return AuxiliaryType(
-        rank=rank,
-        uav_id=f"t{rank}",
-        upsilon=upsilon,
-        costs=CostVector(upsilon / 0.05 - 10.0, 10.0, 0.0, 0.0),
-    )
-
-
 class TestGridOracle:
+    # the demo subregion holds a data volume of 10
     def test_agrees_with_closed_form_on_worked_examples(self):
-        sub, econ = demo_subregion(), demo_econ()
-        ladder = [aux(13.5), aux(47.25, rank=2)]
-        scanned = grid_oracle_coverage(ladder, sub, econ)
+        econ = demo_econ()
+        upsilons = [13.5, 47.25]
+        scanned = grid_oracle_coverage(upsilons, 10.0, econ)
         assert len(scanned) == 2
-        closed = optimal_coverage(ladder, sub, econ)
+        closed = optimal_coverage(upsilons, 10.0, econ)
         for theta, value, expected in zip(scanned, closed, (0.64074, 0.11164)):
             assert theta == pytest.approx(expected, abs=2e-4)
             assert theta == pytest.approx(value, abs=2e-4)
 
     def test_vanishing_revenue_drives_coverage_to_zero(self):
-        scanned = grid_oracle_coverage([aux(13.5)], demo_subregion(), demo_econ(sigma=1e-6))
+        scanned = grid_oracle_coverage([13.5], 10.0, demo_econ(sigma=1e-6))
         assert scanned == [0.0]
 
     def test_payoff_is_unimodal_along_grid(self):
         rng = np.random.default_rng(5)
         thetas = np.linspace(0.0, 1.0, 2001)
         for _ in range(20):
-            a, sub, econ = random_coverage_draw(rng)
-            values = coverage_payoff(thetas, a.upsilon, sub, econ)
+            upsilon, volume, econ = random_coverage_draw(rng)
+            values = coverage_payoff(thetas, upsilon, volume, econ)
             increases = np.diff(values) > 0
             # once the payoff starts falling it never rises again
             switched = np.diff(increases.astype(int))
@@ -65,17 +57,17 @@ class TestGridOracle:
     def test_random_draws_are_interior(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            a, sub, econ = random_coverage_draw(rng)
-            (value,) = optimal_coverage((a,), sub, econ)
+            upsilon, volume, econ = random_coverage_draw(rng)
+            (value,) = optimal_coverage((upsilon,), volume, econ)
             assert 0.0 < value < 1.0
 
     def test_grid_config(self):
         with pytest.raises(ScenarioError) as err:
             run_verify(load_scenario(fixture_path("demo_grid.scn")), grid_points=2)
         assert err.value.problems == [("--grid-points", "must be >= 3")]
-        sub, econ = demo_subregion(), demo_econ()
-        assert grid_oracle_coverage([aux(13.5)], sub, econ, grid_points=3) == [0.5]
-        assert grid_oracle_coverage([aux(13.5)], sub, econ, grid_points=10001) == [0.6407]
+        econ = demo_econ()
+        assert grid_oracle_coverage([13.5], 10.0, econ, grid_points=3) == [0.5]
+        assert grid_oracle_coverage([13.5], 10.0, econ, grid_points=10001) == [0.6407]
 
     def test_grid_numpy_cannot_allocate_is_refused_before_the_market_runs(self, monkeypatch):
         def no_market(scenario):
