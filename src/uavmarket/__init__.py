@@ -10,7 +10,6 @@ rule. A verification layer re-derives the analytic pieces by brute force.
 
 from .contract import (
     AuditReport,
-    AuxiliaryType,
     ContractSchedule,
     build_schedule,
     iron_schedule,

@@ -8,46 +8,24 @@ once per announcement; coverage targets come from a closed form evaluated
 over the whole ladder, monotonicity is repaired by pooling if needed, and
 rewards are set by a backward recursion that leaves the costliest type
 exactly at break-even. Every step after the sort reads only the
-ladder's upsilon column, which the build lists once. A rung,
-``AuxiliaryType``, is a validated named tuple, like ``CostVector`` and
-``ContractItem``.
+ladder's upsilon column. A menu, ``ContractSchedule``, holds its ladder
+as aligned columns, one entry per rank, and one fixed reward; the one
+``ContractItem`` a matched pair is paid is built on demand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CostVector, Subregion, _validated_make
+from .core import CostVector, Subregion
 from .economics import ContractItem, EconomyParams
 
 AUDIT_TOLERANCE = 1e-9
-
-
-class _RungFields(NamedTuple):
-    rank: int            # 1-based, 1 = cheapest coverage
-    uav_id: str
-    upsilon: float
-    costs: CostVector
-
-
-class AuxiliaryType(_RungFields):
-    """A ladder rung: one announcer at its position in the marginal-cost order.
-
-    ``costs`` is the cost vector the UAV announced to this subregion.
-    """
-
-    __slots__ = ()
-    _make = classmethod(_validated_make)
-
-    def __new__(cls, rank: int, uav_id: str, upsilon: float, costs: CostVector):
-        if not 0 < upsilon < math.inf:  # one comparison chain: false for <= 0, inf and NaN
-            shown = "> 0" if upsilon <= 0 else f"finite, got {upsilon}"
-            raise ValueError(f"upsilon must be {shown}")
-        return tuple.__new__(cls, (rank, uav_id, upsilon, costs))
 
 
 @dataclass(frozen=True)
@@ -68,49 +46,61 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class ContractSchedule:
-    """The published menu for one subregion, plus its audit.
+    """The published menu for one subregion as aligned columns, plus its audit.
 
-    ``ladder`` and ``items`` are aligned: item ``i`` is meant for the type
-    at rank ``i + 1``. All items share one fixed reward; the audit leaves it out.
+    Entry ``i`` of each column belongs to the type at rank ``i + 1``:
+    ``ladder`` holds the announcers' ids, cheapest first, ``upsilons``
+    their marginal costs, ``costs`` the cost vectors they announced, and
+    ``thetas`` and ``coverage_rewards`` the item meant for them. Every
+    item carries the one ``fixed_reward``; the audit leaves it out. The
+    checks are ``ContractItem``'s, plus an upsilon that is finite and > 0.
     """
 
     subregion_id: str
-    ladder: tuple[AuxiliaryType, ...]
-    items: tuple[ContractItem, ...]
+    ladder: tuple[str, ...]
+    upsilons: tuple[float, ...]
+    costs: tuple[CostVector, ...]
+    thetas: tuple[float, ...]
+    coverage_rewards: tuple[float, ...]
+    fixed_reward: float
     audit: AuditReport
 
     def __post_init__(self):
-        if len(self.ladder) != len(self.items):
-            raise ValueError("ladder and items must have equal length")
-        if len({item.fixed_reward for item in self.items}) > 1:
-            raise ValueError("items must share one fixed reward")
-        object.__setattr__(self, "ladder", tuple(self.ladder))
-        object.__setattr__(self, "items", tuple(self.items))
+        columns = ("ladder", "upsilons", "costs", "thetas", "coverage_rewards")
+        for name in columns:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in columns}) > 1:
+            raise ValueError("menu columns must have equal length")
+        fixed = self.fixed_reward
+        for upsilon, theta, reward in zip(self.upsilons, self.thetas, self.coverage_rewards):
+            # each chain is false for NaN; upsilon's also for <= 0 and inf
+            if not (0 < upsilon < math.inf and 0.0 <= theta <= 1.0 and reward + fixed >= 0):
+                if not 0 < upsilon < math.inf:
+                    shown = "> 0" if upsilon <= 0 else f"finite, got {upsilon}"
+                    raise ValueError(f"upsilon must be {shown}")
+                if not 0.0 <= theta <= 1.0:
+                    raise ValueError(f"theta must be in [0, 1], got {theta}")
+                raise ValueError("total reward must be >= 0")
         # reversed, so a repeated id keeps its first (cheapest) rank
-        object.__setattr__(
-            self, "_ranks", {aux.uav_id: aux.rank for aux in reversed(self.ladder)}
-        )
+        ranks = dict(zip(reversed(self.ladder), range(len(self.ladder), 0, -1)))
+        object.__setattr__(self, "_ranks", ranks)
 
     def rank_of(self, uav_id: str) -> int | None:
         return self._ranks.get(uav_id)
 
     def item_for(self, uav_id: str) -> ContractItem | None:
-        rank = self.rank_of(uav_id)
-        return None if rank is None else self.items[rank - 1]
-
-    def coverage_rewards(self) -> tuple[float, ...]:
-        return tuple(item.coverage_reward for item in self.items)
+        """The item ``uav_id`` is meant to sign, or None when it is not on the ladder."""
+        i = self._ranks.get(uav_id, 0) - 1
+        if i < 0:
+            return None
+        return ContractItem(self.thetas[i], self.coverage_rewards[i], self.fixed_reward)
 
     def with_coverage_rewards(self, rewards: Sequence[float]) -> "ContractSchedule":
         """Same menu with a replaced reward vector, re-audited."""
-        if len(rewards) != len(self.items):
+        if len(rewards) != len(self.ladder):
             raise ValueError("reward vector length mismatch")
-        items = tuple(
-            item.with_coverage_reward(r) for item, r in zip(self.items, rewards)
-        )
-        thetas = [item.theta for item in items]
-        audit = _audit([aux.upsilon for aux in self.ladder], thetas, rewards, AUDIT_TOLERANCE)
-        return ContractSchedule(self.subregion_id, self.ladder, items, audit)
+        audit = _audit(self.upsilons, self.thetas, rewards, AUDIT_TOLERANCE)
+        return dataclasses.replace(self, coverage_rewards=rewards, audit=audit)
 
 
 def marginal_cost(alpha: float, beta: float, phi: float) -> float:
@@ -127,13 +117,16 @@ def marginal_cost(alpha: float, beta: float, phi: float) -> float:
     return upsilon
 
 
-def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[AuxiliaryType]:
+def sort_ladder(
+    announcements: Mapping[str, CostVector], phi: float
+) -> tuple[tuple[str, ...], tuple[float, ...], tuple[CostVector, ...]]:
     """Order announcers by ascending marginal cost of coverage.
 
     ``announcements`` maps each UAV id to the costs it announced, in
-    announcement order. Ties are broken by lower traversal cost, then
-    lower upload cost, then the mapping's order, so ladders are
-    deterministic.
+    announcement order. Returns the ladder's columns: the ids, their
+    marginal costs and their cost vectors, cheapest first. Ties are
+    broken by lower traversal cost, then lower upload cost, then the
+    mapping's order, so ladders are deterministic.
     """
     if not announcements:
         raise ValueError("at least one announcement is required")
@@ -145,10 +138,8 @@ def sort_ladder(announcements: Mapping[str, CostVector], phi: float) -> list[Aux
         # the position i is unique, so the ids and vectors are never compared
         keyed.append((upsilon, c.psi, c.zeta, i, uav_id, c))
     keyed.sort()
-    return [
-        AuxiliaryType(rank, uav_id, upsilon, c)
-        for rank, (upsilon, _, _, _, uav_id, c) in enumerate(keyed, start=1)
-    ]
+    upsilons, _, _, _, ids, costs = zip(*keyed)
+    return ids, upsilons, costs
 
 
 def optimal_coverage(
@@ -197,16 +188,13 @@ def iron_schedule(coverages: Sequence[float]) -> list[float]:
     return out
 
 
-def reward_schedule(
-    upsilons: Sequence[float],
-    coverages: Sequence[float],
-    reward_hat: float,
-) -> list[ContractItem]:
+def reward_schedule(upsilons: Sequence[float], coverages: Sequence[float]) -> list[float]:
     """Backward reward recursion over a ladder's upsilon and monotone coverage columns.
 
-    The costliest rung is paid exactly its coverage-linked cost; every
-    rung above is paid the next rung's reward plus its own marginal cost
-    on the extra coverage it takes on. Requires non-increasing coverages.
+    Returns the coverage-reward column. The costliest rung is paid
+    exactly its coverage-linked cost; every rung above is paid the next
+    rung's reward plus its own marginal cost on the extra coverage it
+    takes on. Requires non-increasing coverages.
     """
     if len(upsilons) != len(coverages):
         raise ValueError("upsilons and coverages must have equal length")
@@ -217,7 +205,7 @@ def reward_schedule(
     rewards[-1] = upsilons[-1] * coverages[-1]
     for i in range(n - 2, -1, -1):
         rewards[i] = rewards[i + 1] + upsilons[i] * (coverages[i] - coverages[i + 1])
-    return [ContractItem(theta, r, reward_hat) for theta, r in zip(coverages, rewards)]
+    return rewards
 
 
 def build_schedule(
@@ -226,14 +214,15 @@ def build_schedule(
     econ: EconomyParams,
     reward_hat: float = 0.0,
 ) -> ContractSchedule:
-    """Full pipeline: ladder, coverage targets, pooling, rewards, audit."""
-    ladder = tuple(sort_ladder(announcements, econ.phi))
-    upsilons = [aux.upsilon for aux in ladder]
+    """Full pipeline: ladder, coverage targets, pooling, rewards, audit.
+
+    ``reward_hat`` is the menu's fixed reward, the same on every item.
+    """
+    ids, upsilons, costs = sort_ladder(announcements, econ.phi)
     coverages = iron_schedule(optimal_coverage(upsilons, sub.data_volume, econ))
-    items = tuple(reward_schedule(upsilons, coverages, reward_hat))
-    rewards = [item.coverage_reward for item in items]
+    rewards = reward_schedule(upsilons, coverages)
     audit = _audit(upsilons, coverages, rewards, AUDIT_TOLERANCE)
-    return ContractSchedule(sub.id, ladder, items, audit)
+    return ContractSchedule(sub.id, ids, upsilons, costs, coverages, rewards, reward_hat, audit)
 
 
 def _audit(

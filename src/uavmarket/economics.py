@@ -22,7 +22,7 @@ class _ItemFields(NamedTuple):
 
 
 class ContractItem(_ItemFields):
-    """One rung of a contract: a coverage fraction and its two-part pay.
+    """The item a matched type signs: a coverage fraction and its two-part pay.
 
     ``coverage_reward`` compensates the coverage-linked sensing and
     computation costs; ``fixed_reward`` compensates the coverage-independent
@@ -44,9 +44,6 @@ class ContractItem(_ItemFields):
     @property
     def total_reward(self) -> float:
         return self.coverage_reward + self.fixed_reward
-
-    def with_coverage_reward(self, value: float) -> "ContractItem":
-        return ContractItem(self.theta, value, self.fixed_reward)
 
 
 @dataclass(frozen=True)

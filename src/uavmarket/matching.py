@@ -104,17 +104,17 @@ class MatchState:
 class Market:
     """Live pricing view used while a match runs.
 
-    Holds the built schedules, whose ladders carry each announcer's cost
-    vector, and the current (possibly calibrated-down) reward vectors.
-    Utilities are always computed against the current vectors, so every
-    participant sees a reduction as soon as it happens.
+    Holds the built schedules, whose ``costs`` column carries each
+    announcer's cost vector, and the current (possibly calibrated-down)
+    reward vectors. Utilities are always computed against the current
+    vectors, so every participant sees a reduction as soon as it happens.
     """
 
     def __init__(self, schedules: Mapping[str, ContractSchedule], econ: EconomyParams):
         self.schedules = dict(schedules)
         self.econ = econ
         self._rewards: dict[str, list[float]] = {
-            sub_id: list(s.coverage_rewards()) for sub_id, s in self.schedules.items()
+            sub_id: list(s.coverage_rewards) for sub_id, s in self.schedules.items()
         }
         self.calibration_log: list[CalibrationEvent] = []
 
@@ -127,14 +127,9 @@ class Market:
         rank = schedule.rank_of(uav_id)
         if rank is None:
             raise KeyError(f"uav {uav_id!r} is not on the ladder of {sub_id!r}")
-        item = schedule.items[rank - 1]
-        return payoff(
-            item.theta,
-            self._rewards[sub_id][rank - 1],
-            item.fixed_reward,
-            schedule.ladder[rank - 1].costs,
-            self.econ.phi,
-        )
+        i = rank - 1
+        theta, costs = schedule.thetas[i], schedule.costs[i]
+        return payoff(theta, self._rewards[sub_id][i], schedule.fixed_reward, costs, self.econ.phi)
 
     def reduce_rewards(self, sub_id: str, policy: CalibrationPolicy) -> None:
         vector = self._rewards[sub_id]
@@ -158,7 +153,7 @@ class Market:
         out = {}
         for sub_id, schedule in self.schedules.items():
             rewards = self.coverage_rewards(sub_id)
-            if rewards == schedule.coverage_rewards():
+            if rewards == schedule.coverage_rewards:
                 out[sub_id] = schedule
             else:
                 out[sub_id] = schedule.with_coverage_rewards(rewards)
@@ -171,11 +166,7 @@ def build_subregion_preferences(schedule: ContractSchedule) -> PreferenceList:
     It is the menu's ladder as it stands: ascending marginal cost, with
     the ladder's tie-break, scored by each rung's upsilon.
     """
-    return PreferenceList(
-        owner=schedule.subregion_id,
-        ranked=tuple(aux.uav_id for aux in schedule.ladder),
-        scores=tuple(aux.upsilon for aux in schedule.ladder),
-    )
+    return PreferenceList(schedule.subregion_id, schedule.ladder, schedule.upsilons)
 
 
 def build_uav_preferences(uav_id: str, market: Market) -> PreferenceList:

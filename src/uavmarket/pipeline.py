@@ -157,10 +157,10 @@ def prepare(scenario: Scenario) -> RunReport:
             schedule = schedules[sub.id] = build_schedule(
                 announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
             )
-            top = schedule.items[0]  # rank 1: the largest coverage and reward
-            revenue = econ.sigma * model_accuracy([(top.theta, sub.data_volume)], econ.mu)
+            top_reward = schedule.coverage_rewards[0] + schedule.fixed_reward  # rank 1: the largest
+            revenue = econ.sigma * model_accuracy([(schedule.thetas[0], sub.data_volume)], econ.mu)
             for path, what, value in (
-                ("$.reward_hat_policy", "the top total reward", top.total_reward),
+                ("$.reward_hat_policy", "the top total reward", top_reward),
                 ("$.economy", "the owner revenue at the top coverage", revenue),
             ):
                 if not math.isfinite(value):
@@ -169,7 +169,7 @@ def prepare(scenario: Scenario) -> RunReport:
         # marginal costs are only priced while the ladders are sorted, so
         # the pairs announced so far are rescanned for a failing one
         raise _marginal_cost_error(scenario, announcements) or exc from None
-    if not math.isfinite(sum(s.items[0].total_reward for s in schedules.values())):
+    if not math.isfinite(sum(m.coverage_rewards[0] + m.fixed_reward for m in schedules.values())):
         raise ScenarioError([("$.reward_hat_policy", "the menus' top total rewards sum to inf")])
     return RunReport(
         scenario=scenario, feasibility=feasibility, published=schedules, schedules=schedules
@@ -273,9 +273,8 @@ def run_verify(
         schedule = run.published.get(sub.id)
         if schedule is None:
             continue
-        upsilons = [aux.upsilon for aux in schedule.ladder]
+        upsilons, thetas = schedule.upsilons, schedule.thetas
         scanned = grid_oracle_coverage(upsilons, sub.data_volume, scenario.economy, grid_points)
-        thetas = [item.theta for item in schedule.items]
         detail = f"max |closed form - grid argmax| over {len(upsilons)} ranks"
         report.checks += [coverage_check(sub.id, thetas, scanned, detail), verify_schedule(schedule)]
 
@@ -496,19 +495,19 @@ def _write_contract_csvs(report: RunReport, out_dir: Path) -> None:
         if schedule is None:
             continue
         menus.append((sub.id, schedule))
-        for aux, item in zip(schedule.ladder, schedule.items):
-            coverage_rows.append((sub.id, aux.rank, aux.upsilon, item.theta))
-            reward_rows.append(
-                (sub.id, aux.rank, item.coverage_reward, item.fixed_reward, item.total_reward)
-            )
+        fixed = schedule.fixed_reward
+        columns = zip(schedule.upsilons, schedule.thetas, schedule.coverage_rewards)
+        for rank, (upsilon, theta, reward) in enumerate(columns, start=1):
+            coverage_rows.append((sub.id, rank, upsilon, theta))
+            reward_rows.append((sub.id, rank, reward, fixed, reward + fixed))
             # owner payoff if this rank were the one matched, other
             # subregions held at zero coverage and zero reward
             revenue = (
                 econ.sigma
-                * model_accuracy([(item.theta, sub.data_volume)], econ.mu)
+                * model_accuracy([(theta, sub.data_volume)], econ.mu)
                 / econ.n_subregions
             )
-            profit_rows.append((sub.id, aux.rank, revenue - item.total_reward))
+            profit_rows.append((sub.id, rank, revenue - (reward + fixed)))
     _write_csv(out_dir / "coverage.csv", ("subregion", "rank", "upsilon", "theta"), coverage_rows)
     _write_csv(
         out_dir / "rewards.csv",

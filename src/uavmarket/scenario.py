@@ -11,7 +11,8 @@ reads: ``read`` takes a typed field (number, integer, string, position,
 coefficient pair), ``child`` an object section, ``entries`` each object
 of a list section, and ``build`` makes a record from the values read,
 reporting the record's own ``ValueError`` at the object's path. A file
-that cannot be read, decoded or parsed fails at ``$``.
+that cannot be read, decoded or parsed fails at ``$``, and a key that
+one object repeats fails at its own path.
 
 UAV entries come in two modes:
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
@@ -82,6 +84,17 @@ class Scenario:
     theta_hat: float = DEFAULT_THETA_HAT
     calibration: CalibrationPolicy = field(default_factory=CalibrationPolicy)
     seed: int = 0
+
+
+class _JsonObject(dict):
+    """A parsed JSON object that lists the keys it repeats; each keeps its last value."""
+
+    duplicates: tuple[str, ...] = ()
+
+    def __init__(self, pairs=()):
+        super().__init__(pairs)
+        if len(self) < len(pairs):
+            self.duplicates = tuple(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
 
 
 def _number_error(raw: Any) -> str | None:
@@ -238,12 +251,16 @@ class _Node:
             return None
 
     def close(self) -> None:
+        for key in getattr(self.mapping, "duplicates", ()):
+            self.error("duplicate key", key)
         for key in sorted(set(self.mapping) - self._seen):
             self.problems.append((f"{self.path}.{key}", "unknown field"))
 
 
 def _subregion_column(node: _Node, key: str, raw: Mapping, subs: Mapping) -> list[float] | None:
     """A map's finite number for each subregion, in subregion order, or None."""
+    for sub_id in getattr(raw, "duplicates", ()):
+        node.error("duplicate key", f"{key}.{sub_id}")
     values = {}
     for sub_id, v in raw.items():
         problem = _number_error(v)
@@ -485,7 +502,7 @@ def read_document(path: str | Path) -> Any:
     """Parse a scenario file's JSON, unvalidated.
 
     A file that cannot be read or decoded as UTF-8, and a syntax error,
-    fail at ``$``.
+    fail at ``$``; a repeated key is left for the validator to report.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -494,7 +511,7 @@ def read_document(path: str | Path) -> Any:
     except UnicodeDecodeError as exc:
         raise ScenarioError([("$", f"cannot read {path}: {exc}")]) from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             [("$", f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")]

@@ -60,9 +60,9 @@ def ic_matrix(schedule: ContractSchedule) -> np.ndarray:
     Both indices are zero-based rank positions. A self-selecting menu has a
     weakly dominant diagonal in every row.
     """
-    upsilons = np.array([aux.upsilon for aux in schedule.ladder])
-    thetas = np.array([item.theta for item in schedule.items])
-    rewards = np.array([item.coverage_reward for item in schedule.items])
+    upsilons = np.array(schedule.upsilons)
+    thetas = np.array(schedule.thetas)
+    rewards = np.array(schedule.coverage_rewards)
     return rewards[None, :] - upsilons[:, None] * thetas[None, :]
 
 

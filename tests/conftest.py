@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,20 @@ from uavmarket.contract import build_schedule
 from uavmarket.core import CostVector, Position, Subregion
 from uavmarket.economics import EconomyParams
 from uavmarket.matching import PreferenceList
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def load_benchmark(name: str):
+    """``benchmarks/<name>.py`` as a module, read only; skips when the file is absent."""
+    path = BENCHMARKS / f"{name}.py"
+    if not path.exists():
+        pytest.skip("benchmarks/ is not in this checkout")
+    spec = importlib.util.spec_from_file_location(f"uavmarket_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 GRID_ALPHAS = [250.0 + 125.0 * k for k in range(6)]
 GRID_BETAS = [20.0 + 10.0 * k for k in range(6)]

@@ -1,7 +1,9 @@
-"""The cost, rung and item records as the frozen dataclasses they used to be.
+"""The cost and item records as the frozen dataclasses they used to be.
 
-``CostVector``, ``AuxiliaryType`` and ``ContractItem`` are now validated
-named tuples. These copies of the dataclasses they replaced are the
+``CostVector`` and ``ContractItem`` are now validated named tuples, and
+the ladder rung record is gone: a menu holds its upsilons as a column of
+``ContractSchedule``, which keeps the rung's upsilon refusals (see
+``test_records.py``). These copies of the dataclasses they replaced are the
 reference that ``test_records.py`` holds them to: the same inputs
 accepted and refused with the same message, the same fields, equality,
 hash and repr. The classes sit at module level so that their
@@ -33,18 +35,6 @@ class CostVector:
 
 
 @dataclass(frozen=True)
-class AuxiliaryType:
-    rank: int            # 1-based, 1 = cheapest coverage
-    uav_id: str
-    upsilon: float
-    costs: CostVector
-
-    def __post_init__(self):
-        if self.upsilon <= 0:
-            raise ValueError("upsilon must be > 0")
-
-
-@dataclass(frozen=True)
 class ContractItem:
     theta: float
     coverage_reward: float
@@ -59,6 +49,3 @@ class ContractItem:
     @property
     def total_reward(self) -> float:
         return self.coverage_reward + self.fixed_reward
-
-    def with_coverage_reward(self, value: float) -> "ContractItem":
-        return ContractItem(self.theta, value, self.fixed_reward)

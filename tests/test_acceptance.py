@@ -58,8 +58,7 @@ def test_criterion_01_training_round_constants_exact():
 
 
 def test_criterion_02_contract_monotonicity(six_type_schedule):
-    thetas = [item.theta for item in six_type_schedule.items]
-    rewards = [item.coverage_reward for item in six_type_schedule.items]
+    thetas, rewards = six_type_schedule.thetas, six_type_schedule.coverage_rewards
     assert all(a > b for a, b in zip(thetas, thetas[1:]))
     assert all(a > b for a, b in zip(rewards, rewards[1:]))
     assert 0.0 < thetas[0] < 1.0 and 0.0 < thetas[-1] < 1.0
@@ -77,10 +76,10 @@ def test_criterion_03_incentive_compatibility(six_type_schedule):
 
 
 def test_criterion_04_profit_ordering(six_type_schedule):
-    econ = demo_econ()
+    econ, menu = demo_econ(), six_type_schedule
     profits = [
-        owner_profit([(item.theta, 10.0)], [item.total_reward], econ)
-        for item in six_type_schedule.items
+        owner_profit([(theta, 10.0)], [reward + menu.fixed_reward], econ)
+        for theta, reward in zip(menu.thetas, menu.coverage_rewards)
     ]
     assert all(a > b for a, b in zip(profits, profits[1:]))
     report(4, "hypothetical owner profit strictly decreasing in winner rank")
@@ -153,8 +152,7 @@ def test_criterion_11_coverage_reward_comonotonicity():
     rng = np.random.default_rng(4242)
     for _ in range(200):
         schedule, _, _ = random_schedule(rng)
-        thetas = [item.theta for item in schedule.items]
-        rewards = [item.coverage_reward for item in schedule.items]
+        thetas, rewards = schedule.thetas, schedule.coverage_rewards
         for i in range(len(thetas)):
             for k in range(len(thetas)):
                 assert (thetas[i] < thetas[k]) == (rewards[i] < rewards[k])
@@ -166,7 +164,7 @@ def test_criterion_12_reward_minimality():
     checked = 0
     for _ in range(50):
         schedule, _, _ = random_schedule(rng)
-        base = list(schedule.coverage_rewards())
+        base = list(schedule.coverage_rewards)
         for i in range(len(base)):
             perturbed = list(base)
             perturbed[i] -= 1e-3 * perturbed[i]
@@ -180,7 +178,7 @@ def test_criterion_13_fixed_reward_invariance():
     rng = np.random.default_rng(31)
     for _ in range(20):
         base_schedule, sub, econ = random_schedule(rng, reward_hat=0.0)
-        announcements = {aux.uav_id: aux.costs for aux in base_schedule.ladder}
+        announcements = dict(zip(base_schedule.ladder, base_schedule.costs))
         reference = None
         for rhat in (0.0, 1.0, 1e3):
             schedule = build_schedule(announcements, sub, econ, reward_hat=rhat)

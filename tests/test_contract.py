@@ -5,6 +5,7 @@ backward-recursion evaluation; menu properties are checked on random
 instances as well.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import demo_econ, demo_subregion, grid_announcements, random_schedule
 from uavmarket.contract import (
-    AuxiliaryType,
     ContractSchedule,
     build_schedule,
     iron_schedule,
@@ -28,15 +28,15 @@ from uavmarket.economics import EconomyParams
 
 def menu_utility(schedule: ContractSchedule, rank: int, item_rank: int) -> float:
     """Coverage-linked payoff of the type at ``rank`` taking the item at ``item_rank``."""
-    aux = schedule.ladder[rank - 1]
-    item = schedule.items[item_rank - 1]
-    return item.coverage_reward - aux.upsilon * item.theta
+    upsilon = schedule.upsilons[rank - 1]
+    k = item_rank - 1
+    return schedule.coverage_rewards[k] - upsilon * schedule.thetas[k]
 
 
-def select_winner(schedule: ContractSchedule) -> list[AuxiliaryType]:
-    """The cheapest rung(s) of the ladder: every rung tied at the minimum upsilon."""
-    best = schedule.ladder[0].upsilon
-    return [aux for aux in schedule.ladder if aux.upsilon == best]
+def select_winner(schedule: ContractSchedule) -> list[tuple[str, float]]:
+    """The cheapest rung(s) of the ladder, as (id, upsilon): every rung tied at the minimum."""
+    best = schedule.upsilons[0]
+    return [(uav_id, u) for uav_id, u in zip(schedule.ladder, schedule.upsilons) if u == best]
 
 
 def two_type_schedule(reward_hat=0.0):
@@ -55,35 +55,33 @@ class TestMarginalCost:
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             marginal_cost(0.0, 20.0, 0.05)
-        with pytest.raises(ValueError):
-            AuxiliaryType(rank=1, uav_id="x", upsilon=0.0, costs=CostVector(1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="upsilon must be > 0"):
+            dataclasses.replace(two_type_schedule(), upsilons=(0.0, 47.25))
 
 
 class TestSortLadder:
     def test_demo_grid_order(self):
-        ladder = sort_ladder(grid_announcements(), phi=0.05)
-        assert [aux.rank for aux in ladder] == [1, 2, 3, 4, 5, 6]
-        assert [aux.upsilon for aux in ladder] == pytest.approx(
-            [13.5, 20.25, 27.0, 33.75, 40.5, 47.25]
-        )
-        assert [aux.uav_id for aux in ladder] == [f"u{k}" for k in range(1, 7)]
+        ids, upsilons, costs = sort_ladder(grid_announcements(), phi=0.05)
+        assert upsilons == pytest.approx((13.5, 20.25, 27.0, 33.75, 40.5, 47.25))
+        assert ids == tuple(f"u{k}" for k in range(1, 7))
+        assert costs == tuple(grid_announcements().values())
 
     def test_single_announcer(self):
-        ladder = sort_ladder({"only": CostVector(100.0, 10.0, 0.0, 0.0)}, phi=0.05)
-        assert len(ladder) == 1 and ladder[0].rank == 1
+        ids, upsilons, costs = sort_ladder({"only": CostVector(100.0, 10.0, 0.0, 0.0)}, phi=0.05)
+        assert ids == ("only",) and len(upsilons) == len(costs) == 1
 
     def test_tie_broken_by_traversal_cost(self):
         # traversal cost decides before upload cost
         near = CostVector(100.0, 10.0, 5.0, 9.0)
         far = CostVector(100.0, 10.0, 50.0, 0.0)
-        ladder = sort_ladder({"far": far, "near": near}, phi=0.05)
-        assert [aux.uav_id for aux in ladder] == ["near", "far"]
-        assert [aux.costs for aux in ladder] == [near, far]
+        ids, _, costs = sort_ladder({"far": far, "near": near}, phi=0.05)
+        assert ids == ("near", "far")
+        assert costs == (near, far)
 
     def test_full_tie_broken_by_mapping_order(self):
         same = CostVector(100.0, 10.0, 5.0, 1.0)
-        ladder = sort_ladder({"b": same, "a": same}, phi=0.05)
-        assert [aux.uav_id for aux in ladder] == ["b", "a"]
+        ids, _, _ = sort_ladder({"b": same, "a": same}, phi=0.05)
+        assert ids == ("b", "a")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -126,26 +124,23 @@ class TestIronSchedule:
 
 class TestRewardSchedule:
     def test_two_type_recursion(self):
-        schedule = two_type_schedule()
-        rewards = [item.coverage_reward for item in schedule.items]
+        rewards = two_type_schedule().coverage_rewards
         assert rewards[1] == pytest.approx(5.2750, abs=1e-4)
         assert rewards[0] == pytest.approx(12.4178, abs=1e-4)
 
     def test_backward_recursion_against_hand_loop(self):
         schedule, _, _ = random_schedule(np.random.default_rng(7))
-        ups = [aux.upsilon for aux in schedule.ladder]
-        thetas = [item.theta for item in schedule.items]
+        ups, thetas = schedule.upsilons, schedule.thetas
         expected = [0.0] * len(ups)
         expected[-1] = ups[-1] * thetas[-1]
         for i in range(len(ups) - 2, -1, -1):
             expected[i] = expected[i + 1] + ups[i] * (thetas[i] - thetas[i + 1])
-        assert [item.coverage_reward for item in schedule.items] == pytest.approx(expected)
+        assert schedule.coverage_rewards == pytest.approx(expected)
 
     def test_single_type_break_even(self):
         only = {"only": CostVector(250.0, 20.0, 0.0, 0.0)}
-        (aux,) = sort_ladder(only, phi=0.05)
-        items = reward_schedule([aux.upsilon], [0.4], reward_hat=0.0)
-        assert items[0].coverage_reward == pytest.approx(13.5 * 0.4)
+        _, upsilons, _ = sort_ladder(only, phi=0.05)
+        assert reward_schedule(upsilons, [0.4]) == [pytest.approx(13.5 * 0.4)]
         assert menu_utility(
             build_schedule(only, demo_subregion(), demo_econ()),
             1,
@@ -153,21 +148,18 @@ class TestRewardSchedule:
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_coverages_equal_rewards(self):
-        upsilons = [aux.upsilon for aux in sort_ladder(grid_announcements(), phi=0.05)]
-        items = reward_schedule(upsilons, [0.3] * 6, reward_hat=1.0)
-        rewards = {item.coverage_reward for item in items}
-        assert len(rewards) == 1
+        _, upsilons, _ = sort_ladder(grid_announcements(), phi=0.05)
+        assert len(set(reward_schedule(upsilons, [0.3] * 6))) == 1
 
     def test_non_monotone_rejected(self):
-        upsilons = [aux.upsilon for aux in sort_ladder(grid_announcements(), phi=0.05)[:2]]
+        _, upsilons, _ = sort_ladder(grid_announcements(), phi=0.05)
         with pytest.raises(ValueError):
-            reward_schedule(upsilons, [0.2, 0.5], reward_hat=0.0)
+            reward_schedule(upsilons[:2], [0.2, 0.5])
 
 
 class TestBuildSchedule:
     def test_demo_grid_strictly_monotone(self, demo_grid_schedule):
-        thetas = [item.theta for item in demo_grid_schedule.items]
-        rewards = [item.coverage_reward for item in demo_grid_schedule.items]
+        thetas, rewards = demo_grid_schedule.thetas, demo_grid_schedule.coverage_rewards
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
         assert all(a > b for a, b in zip(rewards, rewards[1:]))
 
@@ -188,8 +180,7 @@ class TestBuildSchedule:
         rng = np.random.default_rng(3)
         for _ in range(25):
             schedule, sub, econ = random_schedule(rng)
-            upsilons = [aux.upsilon for aux in schedule.ladder]
-            raw = optimal_coverage(upsilons, sub.data_volume, econ)
+            raw = optimal_coverage(schedule.upsilons, sub.data_volume, econ)
             assert iron_schedule(raw) == raw
 
     @settings(max_examples=300, deadline=None)
@@ -234,7 +225,7 @@ class TestAuditSchedule:
 
     def test_underpaying_top_rank_breaks_selection(self):
         schedule = two_type_schedule()
-        rewards = list(schedule.coverage_rewards())
+        rewards = list(schedule.coverage_rewards)
         rewards[0] -= 1.0
         tampered = schedule.with_coverage_rewards(rewards)
         assert not tampered.audit.ic_ok
@@ -248,19 +239,18 @@ class TestAuditSchedule:
         rng = np.random.default_rng(23)
         for _ in range(25):
             schedule, _, _ = random_schedule(rng)
-            thetas = [item.theta for item in schedule.items]
-            rewards = [item.coverage_reward for item in schedule.items]
+            thetas, rewards = schedule.thetas, schedule.coverage_rewards
             for i in range(len(thetas)):
                 for k in range(len(thetas)):
                     assert (thetas[i] < thetas[k]) == (rewards[i] < rewards[k])
 
-    def test_items_with_different_fixed_rewards_are_refused(self):
+    def test_every_item_carries_the_one_fixed_reward(self):
         # the audit leaves the fixed reward out as common to every item;
-        # here rank 1 would get 3.77 from its own item and 53.77 from the other
-        schedule = two_type_schedule()
-        items = (schedule.items[0], schedule.items[1]._replace(fixed_reward=50.0))
-        with pytest.raises(ValueError, match="items must share one fixed reward"):
-            ContractSchedule(schedule.subregion_id, schedule.ladder, items, schedule.audit)
+        # a menu holds it once, so no two items can differ in it
+        schedule = two_type_schedule(reward_hat=50.0)
+        items = [schedule.item_for(uav_id) for uav_id in schedule.ladder]
+        assert [item.fixed_reward for item in items] == [50.0, 50.0]
+        assert [item.coverage_reward for item in items] == list(schedule.coverage_rewards)
 
     def test_fixed_reward_invariance(self):
         base = two_type_schedule(reward_hat=0.0)
@@ -276,7 +266,7 @@ class TestSelectWinner:
     def test_demo_grid_winner(self, demo_grid_schedule):
         winners = select_winner(demo_grid_schedule)
         assert len(winners) == 1
-        assert winners[0].uav_id == "u1" and winners[0].upsilon == pytest.approx(13.5)
+        assert winners == [("u1", pytest.approx(13.5))]
 
     def test_tied_winners_surfaced(self):
         announcements = {
@@ -286,4 +276,4 @@ class TestSelectWinner:
         }
         schedule = build_schedule(announcements, demo_subregion(), demo_econ())
         winners = select_winner(schedule)
-        assert [w.uav_id for w in winners] == ["a", "b"]
+        assert [uav_id for uav_id, _ in winners] == ["a", "b"]

@@ -13,8 +13,9 @@ oracle scans one revenue curve per menu; ``ic_matrix.csv`` is written
 one block of rows per menu; the closed-form coverage is priced once per
 menu, ironing returns monotone coverages without pooling, the ladder
 prices each pair inline and falls back to ``marginal_cost`` only for its
-message, and the audit takes the columns the menu build holds. Each
-must agree exactly (``==``, not approximately) with the straightforward
+message, and the audit takes the columns the menu build holds. A menu is
+one record of aligned columns, which must equal, published and paid, the
+per-rung records the build made before. Each must agree exactly (``==``, not approximately) with the straightforward
 computation it replaces, so that fixture outputs and every audit flag
 stay bit-identical.
 """
@@ -26,20 +27,21 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import coverage_payoff, demo_subregion
+from conftest import coverage_payoff, demo_subregion, load_benchmark
 from uavmarket.contract import (
     AUDIT_TOLERANCE,
     AuditReport,
-    AuxiliaryType,
+    ContractSchedule,
     _audit,
     build_schedule,
     iron_schedule,
+    marginal_cost,
     optimal_coverage,
     sort_ladder,
 )
@@ -71,27 +73,25 @@ from uavmarket.matching import (
     gs_match,
     stability_audit,
 )
-from uavmarket.pipeline import run_contract, run_match
+from uavmarket.pipeline import prepare, run_contract, run_match
 from uavmarket.scenario import fixture_path, load_scenario, scenario_from_dict
 from uavmarket.verification import grid_oracle_coverage, ic_matrix
 
 PHI = 0.05
 
 
-def reference_audit(ladder, items, tolerance):
+def reference_audit(upsilons, thetas, rewards, tolerance):
     """Pairwise misreport scan in plain Python, one (type, item) pair at a time."""
-    n = len(ladder)
-    own = [items[i].coverage_reward - ladder[i].upsilon * items[i].theta for i in range(n)]
+    n = len(upsilons)
+    own = [rewards[i] - upsilons[i] * thetas[i] for i in range(n)]
     ir_ok = all(u >= -tolerance for u in own)
     worst = 0.0 if n <= 1 else -float("inf")
     for i in range(n):
         for k in range(n):
             if i == k:
                 continue
-            cross = items[k].coverage_reward - ladder[i].upsilon * items[k].theta
+            cross = rewards[k] - upsilons[i] * thetas[k]
             worst = max(worst, cross - own[i])
-    thetas = [item.theta for item in items]
-    rewards = [item.coverage_reward for item in items]
     monotone_ok = all(b <= a + tolerance for a, b in zip(thetas, thetas[1:])) and all(
         b <= a + tolerance for a, b in zip(rewards, rewards[1:])
     )
@@ -102,12 +102,6 @@ def reference_audit(ladder, items, tolerance):
         worst_ic_violation=worst,
         binding_ir_rank=min(range(1, n + 1), key=lambda r: own[r - 1]) if n else 0,
     )
-
-
-def audit_columns(ladder, items):
-    """The upsilon, theta and reward columns ``_audit`` takes."""
-    thetas = [item.theta for item in items]
-    return [aux.upsilon for aux in ladder], thetas, [item.coverage_reward for item in items]
 
 
 def uav_utility(item, costs, econ):
@@ -168,7 +162,7 @@ def calibrated(rewards, mode, delta, steps):
 @st.composite
 def reward_vectors(draw, schedule):
     """The built rewards, a tampered copy, or a calibrated copy."""
-    rewards = list(schedule.coverage_rewards())
+    rewards = list(schedule.coverage_rewards)
     kind = draw(st.sampled_from(["built", "tampered", "relative", "absolute"]))
     if kind == "tampered":
         for _ in range(draw(st.integers(1, 3))):
@@ -189,12 +183,8 @@ class TestVectorisedAudit:
     @given(data=st.data(), tolerance=tolerances)
     def test_matches_reference_on_built_tampered_and_calibrated_menus(self, data, tolerance):
         schedule = data.draw(built_menus())
-        rewards = data.draw(reward_vectors(schedule))
-        items = [item.with_coverage_reward(r) for item, r in zip(schedule.items, rewards)]
-        assert_same_report(
-            _audit(*audit_columns(schedule.ladder, items), tolerance),
-            reference_audit(schedule.ladder, items, tolerance),
-        )
+        columns = schedule.upsilons, schedule.thetas, data.draw(reward_vectors(schedule))
+        assert_same_report(_audit(*columns, tolerance), reference_audit(*columns, tolerance))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -207,39 +197,38 @@ class TestVectorisedAudit:
     )
     def test_matches_reference_on_arbitrary_ladders(self, rows, tolerance):
         # no ordering at all: exercises the monotone_ok and ir_ok failures too
-        ladder = [
-            AuxiliaryType(
-                rank=i + 1, uav_id=f"u{i}", upsilon=ups, costs=CostVector(1.0, 1.0, 0.0, 0.0)
-            )
-            for i, (ups, _, _) in enumerate(rows)
-        ]
-        items = [ContractItem(theta=theta, coverage_reward=r) for _, theta, r in rows]
-        assert_same_report(
-            _audit(*audit_columns(ladder, items), tolerance),
-            reference_audit(ladder, items, tolerance),
-        )
+        columns = [list(column) for column in zip(*rows)]
+        assert_same_report(_audit(*columns, tolerance), reference_audit(*columns, tolerance))
 
     def test_reaudit_after_reward_change_matches_reference(self):
         announcements = {f"u{i}": CostVector(100.0 + 40.0 * i, 20.0, 0.0, 0.0) for i in range(12)}
         econ = EconomyParams(phi=PHI, mu=1.0, sigma=400.0, n_subregions=1)
         schedule = build_schedule(announcements, demo_subregion(), econ, 5.0)
-        rewards = list(schedule.coverage_rewards())
+        rewards = list(schedule.coverage_rewards)
         rewards[3] += 0.5  # makes rank 4's item attractive to its neighbours
         redone = schedule.with_coverage_rewards(rewards)
         assert not redone.audit.ic_ok
-        assert_same_report(
-            redone.audit, reference_audit(redone.ladder, redone.items, AUDIT_TOLERANCE)
-        )
+        assert redone.coverage_rewards == tuple(rewards)
+        columns = redone.upsilons, redone.thetas, redone.coverage_rewards
+        assert_same_report(redone.audit, reference_audit(*columns, AUDIT_TOLERANCE))
 
 
 class TestRankLookup:
     @given(schedule=built_menus())
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_ladder_scan(self, schedule):
-        for aux in schedule.ladder:
-            assert schedule.rank_of(aux.uav_id) == aux.rank
+        for rank, uav_id in enumerate(schedule.ladder, start=1):
+            assert schedule.rank_of(uav_id) == rank
         assert schedule.rank_of("absent") is None
         assert schedule.item_for("absent") is None
+
+    def test_a_repeated_id_keeps_its_cheapest_rank(self):
+        announcements = {f"u{i}": CostVector(100.0 + 40.0 * i, 20.0, 0.0, 0.0) for i in range(3)}
+        econ = EconomyParams(phi=PHI, mu=1.0, sigma=400.0, n_subregions=1)
+        schedule = build_schedule(announcements, demo_subregion(), econ)
+        repeated = dataclasses.replace(schedule, ladder=("a", "b", "a"))
+        assert repeated.rank_of("a") == 1
+        assert repeated.item_for("a") == schedule.item_for("u0")
 
 
 @st.composite
@@ -283,7 +272,7 @@ def assert_utilities_match_items(market, announced):
                     market.utility(uav_id, sub_id)
                 continue
             live_reward = market.coverage_rewards(sub_id)[rank - 1]
-            item = schedule.items[rank - 1].with_coverage_reward(live_reward)
+            item = schedule.item_for(uav_id)._replace(coverage_reward=live_reward)
             expected = uav_utility(item, announced[sub_id][uav_id], market.econ)
             assert market.utility(uav_id, sub_id) == expected
 
@@ -742,14 +731,15 @@ def reference_rewards_calibration(
         return candidates[0]
     outside = {u: max(outside_utility(u), 0.0) for u in candidates}
 
-    ladder = {aux.uav_id: aux for aux in market.schedules[sub_id].ladder}
+    schedule = market.schedules[sub_id]
+    costs = dict(zip(schedule.ladder, schedule.costs))
     order = {u: i for i, u in enumerate(candidates)}
 
     def margin(uav: str) -> float:
         return market.utility(uav, sub_id) - outside[uav]
 
     def fallback_key(uav: str):
-        return (ladder[uav].costs.psi, ladder[uav].costs.zeta, order[uav])
+        return (costs[uav].psi, costs[uav].zeta, order[uav])
 
     before = market.coverage_rewards(sub_id)
     rounds = 0
@@ -982,12 +972,8 @@ class TestDeferredAcceptance:
 
 @st.composite
 def coverage_menus(draw):
-    """A ladder of 1..40 rungs, its subregion and economy, and a grid size."""
-    upsilons = draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40))
-    ladder = [
-        AuxiliaryType(rank=r, uav_id=f"u{r}", upsilon=u, costs=CostVector(u / PHI, 0.0, 0.0, 0.0))
-        for r, u in enumerate(sorted(upsilons), start=1)
-    ]
+    """The upsilon column of a 1..40 rung ladder, its subregion and economy, and a grid size."""
+    upsilons = sorted(draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40)))
     econ = EconomyParams(
         phi=PHI,
         mu=draw(st.floats(1e-3, 1e3)),
@@ -996,20 +982,19 @@ def coverage_menus(draw):
     )
     sub = demo_subregion(data_volume=draw(st.floats(1e-2, 1e4)))
     grid_points = draw(st.sampled_from([3, 4, 101, 10001]))
-    return ladder, sub, econ, grid_points
+    return upsilons, sub, econ, grid_points
 
 
 class TestMenuGridOracle:
     @settings(max_examples=200, deadline=None)
     @given(menu=coverage_menus())
     def test_equals_one_payoff_scan_per_rung(self, menu):
-        ladder, sub, econ, grid_points = menu
+        upsilons, sub, econ, grid_points = menu
         thetas = np.linspace(0.0, 1.0, grid_points)
         expected = []
-        for aux in ladder:
-            payoff = coverage_payoff(thetas, aux.upsilon, sub.data_volume, econ)
+        for upsilon in upsilons:
+            payoff = coverage_payoff(thetas, upsilon, sub.data_volume, econ)
             expected.append(float(thetas[int(np.argmax(payoff))]))
-        upsilons = [aux.upsilon for aux in ladder]
         assert grid_oracle_coverage(upsilons, sub.data_volume, econ, grid_points) == expected
 
 
@@ -1073,9 +1058,9 @@ class TestIcMatrixCsv:
         assert f"\n{ODD_IDS[sub_id]}" in text
 
 
-def reference_optimal_coverage(aux, sub, econ):
+def reference_optimal_coverage(upsilon, sub, econ):
     """One rung's closed-form coverage, priced one call per rung."""
-    raw = (econ.sigma / (econ.n_subregions * aux.upsilon) - 1.0) / (econ.mu * sub.data_volume)
+    raw = (econ.sigma / (econ.n_subregions * upsilon) - 1.0) / (econ.mu * sub.data_volume)
     return min(1.0, max(0.0, raw))
 
 
@@ -1147,12 +1132,8 @@ def coverage_ladders(draw):
         st.sampled_from([0.5, 1.0, 1.5, 2.0, 1e3]) | st.floats(1e-3, 1e3), min_size=1, max_size=60
     ))
     upsilons = sorted(sigma / (n_subregions * ratio) for ratio in ratios)
-    ladder = [
-        AuxiliaryType(r, f"u{r}", u, CostVector(u / PHI, 0.0, 0.0, 0.0))
-        for r, u in enumerate(upsilons, start=1)
-    ]
     econ = EconomyParams(phi=PHI, mu=mu, sigma=sigma, n_subregions=n_subregions)
-    return ladder, demo_subregion(data_volume=scale / mu), econ
+    return upsilons, demo_subregion(data_volume=scale / mu), econ
 
 
 @st.composite
@@ -1182,23 +1163,20 @@ class TestMenuBuildPieces:
     @settings(max_examples=300, deadline=None)
     @given(menu=coverage_ladders())
     def test_ladder_coverage_equals_the_per_rung_formula(self, menu):
-        ladder, sub, econ = menu
-        fast = optimal_coverage([aux.upsilon for aux in ladder], sub.data_volume, econ)
-        slow = [reference_optimal_coverage(aux, sub, econ) for aux in ladder]
+        upsilons, sub, econ = menu
+        fast = optimal_coverage(upsilons, sub.data_volume, econ)
+        slow = [reference_optimal_coverage(u, sub, econ) for u in upsilons]
         assert fast == slow
         assert bits(fast) == bits(slow)
 
     def test_ladder_coverage_clamps_at_both_ends_at_every_scale(self):
         econ = EconomyParams(phi=PHI, mu=1.0, sigma=120.0, n_subregions=2)
         # ratios 0.5, 1, 1.5, 3 and 1e9 at sigma / N = 60
-        ladder = [
-            AuxiliaryType(r, f"u{r}", u, CostVector(u / PHI, 0.0, 0.0, 0.0))
-            for r, u in enumerate([6e-8, 20.0, 40.0, 60.0, 120.0], start=1)
-        ]
+        upsilons = [6e-8, 20.0, 40.0, 60.0, 120.0]
         for scale in (1e-300, 1e-12, 1.0, 1e12, 1e300):
             sub = demo_subregion(data_volume=scale)
-            fast = optimal_coverage([aux.upsilon for aux in ladder], scale, econ)
-            assert bits(fast) == bits([reference_optimal_coverage(a, sub, econ) for a in ladder])
+            fast = optimal_coverage(upsilons, scale, econ)
+            assert bits(fast) == bits([reference_optimal_coverage(u, sub, econ) for u in upsilons])
             assert fast[-1] == 0.0 and fast[-2] == 0.0  # ratio 0.5 and exactly 1
             if scale <= 1.0:
                 assert fast[0] == 1.0
@@ -1225,4 +1203,149 @@ class TestMenuBuildPieces:
         if isinstance(slow, str):
             assert fast == slow
         else:
-            assert [tuple(aux) for aux in fast] == slow
+            ids, upsilons, costs = fast
+            assert list(zip(range(1, len(ids) + 1), ids, upsilons, costs)) == slow
+
+
+# The menu build as it was when each rung was an ``AuxiliaryType`` and each
+# item a ``ContractItem``, kept verbatim apart from the names: the
+# reference that the column record must equal. ``ParentRung`` and
+# ``ParentSchedule`` stand in for the records, without their checks.
+
+
+class ParentRung(NamedTuple):
+    rank: int
+    uav_id: str
+    upsilon: float
+    costs: CostVector
+
+
+class ParentSchedule(NamedTuple):
+    subregion_id: str
+    ladder: tuple
+    items: tuple
+    audit: AuditReport
+
+
+def parent_sort_ladder(announcements, phi):
+    if not announcements:
+        raise ValueError("at least one announcement is required")
+    keyed = []
+    for i, (uav_id, c) in enumerate(announcements.items()):
+        upsilon = phi * (c.alpha + c.beta)
+        if not (c.alpha > 0 and c.beta > 0 and 0 < upsilon < math.inf):
+            upsilon = marginal_cost(c.alpha, c.beta, phi)  # raises with the reason
+        # the position i is unique, so the ids and vectors are never compared
+        keyed.append((upsilon, c.psi, c.zeta, i, uav_id, c))
+    keyed.sort()
+    return [
+        ParentRung(rank, uav_id, upsilon, c)
+        for rank, (upsilon, _, _, _, uav_id, c) in enumerate(keyed, start=1)
+    ]
+
+
+def parent_reward_schedule(upsilons, coverages, reward_hat):
+    if len(upsilons) != len(coverages):
+        raise ValueError("upsilons and coverages must have equal length")
+    if any(b > a + 1e-12 for a, b in zip(coverages, coverages[1:])):
+        raise ValueError("coverages must be non-increasing; run iron_schedule first")
+    n = len(upsilons)
+    rewards = [0.0] * n
+    rewards[-1] = upsilons[-1] * coverages[-1]
+    for i in range(n - 2, -1, -1):
+        rewards[i] = rewards[i + 1] + upsilons[i] * (coverages[i] - coverages[i + 1])
+    return [ContractItem(theta, r, reward_hat) for theta, r in zip(coverages, rewards)]
+
+
+def parent_build_schedule(announcements, sub, econ, reward_hat=0.0):
+    ladder = tuple(parent_sort_ladder(announcements, econ.phi))
+    upsilons = [aux.upsilon for aux in ladder]
+    coverages = iron_schedule(optimal_coverage(upsilons, sub.data_volume, econ))
+    items = tuple(parent_reward_schedule(upsilons, coverages, reward_hat))
+    rewards = [item.coverage_reward for item in items]
+    audit = _audit(upsilons, coverages, rewards, AUDIT_TOLERANCE)
+    return ParentSchedule(sub.id, ladder, items, audit)
+
+
+def parent_with_coverage_rewards(schedule, rewards):
+    """The parent's ``ContractSchedule.with_coverage_rewards``."""
+    if len(rewards) != len(schedule.items):
+        raise ValueError("reward vector length mismatch")
+    items = tuple(
+        ContractItem(item.theta, r, item.fixed_reward) for item, r in zip(schedule.items, rewards)
+    )
+    thetas = [item.theta for item in items]
+    audit = _audit([aux.upsilon for aux in schedule.ladder], thetas, rewards, AUDIT_TOLERANCE)
+    return ParentSchedule(schedule.subregion_id, schedule.ladder, items, audit)
+
+
+def assert_columns_are_the_records(menu: ContractSchedule, parent: ParentSchedule):
+    assert menu.subregion_id == parent.subregion_id
+    assert menu.ladder == tuple(aux.uav_id for aux in parent.ladder)
+    assert menu.upsilons == tuple(aux.upsilon for aux in parent.ladder)
+    assert menu.costs == tuple(aux.costs for aux in parent.ladder)
+    assert menu.thetas == tuple(item.theta for item in parent.items)
+    assert menu.coverage_rewards == tuple(item.coverage_reward for item in parent.items)
+    assert {item.fixed_reward for item in parent.items} == {menu.fixed_reward}
+    assert menu.audit == parent.audit
+    for aux, item in zip(parent.ladder, parent.items):
+        assert menu.rank_of(aux.uav_id) == aux.rank
+        assert type(menu.item_for(aux.uav_id)) is ContractItem
+        assert menu.item_for(aux.uav_id) == item
+    assert menu.item_for("absent") is None
+
+
+def announced_to(report, j: int, sub: Subregion) -> dict[str, CostVector]:
+    """What each UAV announced to ``sub``, the ``j``-th subregion, in announcement order."""
+    scenario = report.scenario
+    announced = {}
+    for uav in scenario.uavs:
+        if not isinstance(uav, UavProfile):
+            announced[uav.id] = uav.costs[sub.id]
+        elif report.feasibility[uav.id].passes[j]:
+            announced[uav.id] = derive_cost_vector(sub, uav, scenario.fl)
+    return announced
+
+
+@st.composite
+def generated_markets(draw):
+    """A benchmark family's document at 1..12 per side, calibrated in either step mode."""
+    gen = load_benchmark("gen")
+    family = draw(st.sampled_from(sorted(gen.FAMILIES)))
+    doc = gen.FAMILIES[family](draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(
+        st.integers(0, 10**6)
+    ))
+    if draw(st.booleans()):
+        doc["calibration"] = {"delta_mode": "relative", "delta_value": draw(
+            st.sampled_from([0.01, 0.2])
+        )}
+    else:
+        doc["calibration"] = {"delta_mode": "absolute", "delta_value": draw(
+            st.sampled_from([0.1, 2.0])
+        )}
+    return scenario_from_dict(doc)
+
+
+class TestColumnsAreTheRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=generated_markets())
+    def test_published_and_paid_menus_equal_the_parent_build(self, scenario):
+        try:
+            report = run_match(scenario)
+            log = report.match.calibration_log
+        except UnresolvedTieError:
+            report, log = prepare(scenario), []  # the published menus still compare
+        for j, sub in enumerate(scenario.subregions):
+            menu = report.published.get(sub.id)
+            announced = announced_to(report, j, sub)
+            assert (menu is None) == (not announced)
+            if menu is None:
+                continue
+            reward_hat = scenario.reward_hats[sub.id]
+            parent = parent_build_schedule(announced, sub, scenario.economy, reward_hat)
+            assert_columns_are_the_records(menu, parent)
+            # the menu as paid: the last calibrated vector, re-audited
+            events = [event for event in log if event.subregion_id == sub.id]
+            if events:
+                parent = parent_with_coverage_rewards(parent, events[-1].after)
+            assert_columns_are_the_records(report.schedules[sub.id], parent)

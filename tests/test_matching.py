@@ -273,9 +273,9 @@ class TestMarket:
         market = tie_market({("a", "s1"): 10.0, ("b", "s1"): 12.0})
         market.reduce_rewards("s1", CalibrationPolicy(delta_mode="absolute", delta_value=0.5))
         final = market.final_schedules()["s1"]
-        assert final.coverage_rewards() == market.coverage_rewards("s1")
+        assert final.coverage_rewards == market.coverage_rewards("s1")
         assert final.audit is not None
-        assert market.schedules["s1"].coverage_rewards() != final.coverage_rewards()
+        assert market.schedules["s1"].coverage_rewards != final.coverage_rewards
 
     def test_absolute_reduction_floors_at_zero(self):
         market = tie_market({("a", "s1"): 10.0})

@@ -99,7 +99,7 @@ class TestRunMatch:
         screen = report.feasibility["u3"]
         assert not screen.time_ok[s2] and not screen.passes[s2]
         assert screen.feasible  # u3 still passes elsewhere
-        announced_s2 = [aux.uav_id for aux in report.published["s2"].ladder]
+        announced_s2 = report.published["s2"].ladder
         assert "u3" not in announced_s2 and "u1" in announced_s2
         assert "u3" not in report.sub_prefs["s2"].ranked
         assert report.match.assignment == {"u1": "s1", "u2": "s2"}
@@ -107,8 +107,8 @@ class TestRunMatch:
         def realized(uav_id):
             # the paid item against the costs on its rung
             schedule = report.schedules[report.match.assignment[uav_id]]
-            rank = schedule.rank_of(uav_id)
-            item, costs = schedule.items[rank - 1], schedule.ladder[rank - 1].costs
+            item = schedule.item_for(uav_id)
+            costs = schedule.costs[schedule.rank_of(uav_id) - 1]
             phi = scenario.economy.phi
             return payoff(item.theta, item.coverage_reward, item.fixed_reward, costs, phi)
 
@@ -196,7 +196,7 @@ class TestRunVerify:
         assert a.checks == b.checks and a.seed == b.seed == 7
 
     def test_corrupted_rewards_detected(self, demo_grid_schedule):
-        rewards = list(demo_grid_schedule.coverage_rewards())
+        rewards = list(demo_grid_schedule.coverage_rewards)
         rewards[0] -= 1.0
         tampered = demo_grid_schedule.with_coverage_rewards(rewards)
         check = verify_schedule(tampered)
@@ -574,6 +574,33 @@ class TestCli:
         assert code == 1
         assert "$: JSON parse error at line 3, column 1" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["contract", "match", "verify", "sweep"])
+    @pytest.mark.parametrize(
+        "first,repeated,path",
+        [
+            ('"economy": {', '"economy": {"sigma": 1, ', "$.economy.sigma"),
+            ('"fl": {', '"fl": {"lipschitz": 1}, "fl": {', "$.fl"),
+        ],
+        ids=["value-in-a-section", "whole-section"],
+    )
+    def test_repeated_key_exits_one_at_its_path(
+        self, tmp_path, capsys, command, first, repeated, path
+    ):
+        # json.loads alone keeps the last value and drops the other silently
+        text = fixture_path("fig6.scn").read_text(encoding="utf-8")
+        assert first in text
+        bad = tmp_path / "repeated.scn"
+        bad.write_text(text.replace(first, repeated, 1), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(bad), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--param", "economy.sigma", "--from", "1", "--to", "2", "--steps", "2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"invalid scenario:\n  {path}: duplicate key\n"
+        assert list(out.iterdir()) == []
 
     def test_unresolved_tie_exits_three(self, tmp_path, capsys):
         doc = {

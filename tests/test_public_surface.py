@@ -11,6 +11,7 @@ its exception with its message here.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -82,9 +83,9 @@ def two_rung_menu() -> ContractSchedule:
     return build_schedule(announcements, demo_subregion(), demo_econ())
 
 
-def menu_with_one_item_too_few():
+def menu_with_one_theta_too_few():
     menu = two_rung_menu()
-    return ContractSchedule(menu.subregion_id, menu.ladder, menu.items[:1], menu.audit)
+    return dataclasses.replace(menu, thetas=menu.thetas[:1])
 
 
 def tied_head_without_a_market():
@@ -94,8 +95,8 @@ def tied_head_without_a_market():
 
 
 GUARDS = {
-    "schedule_ladder_and_items": (
-        menu_with_one_item_too_few, ValueError, "ladder and items must have equal length"
+    "schedule_columns": (
+        menu_with_one_theta_too_few, ValueError, "menu columns must have equal length"
     ),
     "with_coverage_rewards_length": (
         lambda: two_rung_menu().with_coverage_rewards([1.0]),
@@ -103,7 +104,7 @@ GUARDS = {
         "reward vector length mismatch",
     ),
     "reward_schedule_columns": (
-        lambda: reward_schedule([13.5, 20.0], [0.5], 0.0),
+        lambda: reward_schedule([13.5, 20.0], [0.5]),
         ValueError,
         "upsilons and coverages must have equal length",
     ),

@@ -1,16 +1,23 @@
 """The validated named-tuple records against the dataclasses they replaced.
 
-``CostVector``, ``AuxiliaryType`` and ``ContractItem`` are named tuples
-whose ``__new__`` validates. Held to the frozen dataclasses copied in
+``CostVector`` and ``ContractItem`` are named tuples whose ``__new__``
+validates. Held to the frozen dataclasses copied in
 ``dataclass_records.py``, each must accept and refuse the same inputs
 with the same message, except where the dataclasses let a value through
-that no menu can use (an upsilon of NaN or inf, a NaN total reward). An
-accepted record holds the very objects it was given and agrees with the
-dataclass on ``==`` and ``hash`` within its type, ``repr``, pickling and
-deep copies; assigning a field raises ``AttributeError``.
+that no menu can use (a NaN total reward). An accepted record holds the
+very objects it was given and agrees with the dataclass on ``==`` and
+``hash`` within its type, ``repr``, pickling and deep copies; assigning
+a field raises ``AttributeError``.
+
+A menu, ``ContractSchedule``, holds each rung's upsilon, theta and
+coverage reward as columns. It refuses an upsilon as the ladder rung
+record did (``> 0``), and also NaN and inf, and a theta or a total
+reward exactly as ``ContractItem`` does, so that ``item_for`` never
+raises.
 """
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -18,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dataclass_records as old
-from uavmarket.contract import AuxiliaryType
+from uavmarket.contract import AuditReport, ContractSchedule
 from uavmarket.core import CostVector
 from uavmarket.economics import ContractItem
 
@@ -87,14 +94,47 @@ def test_cost_vector_is_the_dataclass(args):
     assert_like_reference(CostVector, old.CostVector, args, args)
 
 
+AUDIT = AuditReport(True, True, True, 0.0, 1)
+
+
+def one_rung_menu(upsilon=1.0, theta=0.5, coverage_reward=1.0, fixed_reward=0.0, costs=None):
+    costs = CostVector(1.0, 1.0, 0.0, 0.0) if costs is None else costs
+    return ContractSchedule(
+        "s1", ("u",), (upsilon,), (costs,), (theta,), (coverage_reward,), fixed_reward, AUDIT
+    )
+
+
 @settings(max_examples=400, deadline=None)
-@given(rank=st.integers(-1, 60), uav_id=st.text(max_size=3), upsilon=numbers, costs=valid_costs)
-def test_rung_is_the_dataclass_but_refuses_nan_and_inf(rank, uav_id, upsilon, costs):
-    new_args = (rank, uav_id, upsilon, CostVector(*costs))
-    ref_args = (rank, uav_id, upsilon, old.CostVector(*costs))
-    fixed = upsilon != upsilon or upsilon == math.inf
-    since = f"upsilon must be finite, got {upsilon}" if fixed else None
-    assert_like_reference(AuxiliaryType, old.AuxiliaryType, new_args, ref_args, since)
+@given(uav_id=st.text(max_size=3), upsilon=numbers, costs=valid_costs)
+def test_a_menu_refuses_an_upsilon_as_the_rung_did_and_nan_and_inf(uav_id, upsilon, costs):
+    # the rung record refused an upsilon <= 0 and let NaN and inf through
+    if upsilon <= 0:
+        expected = "upsilon must be > 0"
+    elif upsilon != upsilon or upsilon == math.inf:
+        expected = f"upsilon must be finite, got {upsilon}"
+    else:
+        expected = None
+    vector = CostVector(*costs)
+    menu = construct(
+        ContractSchedule, ("s1", (uav_id,), (upsilon,), (vector,), (0.5,), (1.0,), 0.0, AUDIT)
+    )
+    if expected is not None:
+        assert menu == expected
+    else:
+        assert menu.ladder == (uav_id,) and menu.rank_of(uav_id) == 1
+        assert menu.upsilons[0] is upsilon and menu.costs[0] is vector
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=st.tuples(numbers, numbers) | st.tuples(numbers, numbers, numbers))
+def test_a_menu_refuses_a_theta_and_a_total_reward_as_the_item_does(args):
+    item = construct(ContractItem, args)
+    menu = construct(one_rung_menu, (1.0, *args))
+    if isinstance(item, str):
+        assert menu == item
+    else:
+        assert menu.item_for("u") == item
+        assert all(value is arg for value, arg in zip(menu.item_for("u"), args))
 
 
 @settings(max_examples=400, deadline=None)
@@ -113,20 +153,13 @@ value_classes = st.lists(st.sampled_from(VALUE_CLASSES), min_size=4, max_size=4)
 
 def twins(kind, values):
     """The record of ``kind`` made from ``values`` and its dataclass twin, or their messages."""
-    if kind == "AuxiliaryType":
-        # a valid rung: a positive finite upsilon and valid costs
-        upsilon, *costs = (v if 0 < v < math.inf else 1.0 for v in values)
-        return (
-            AuxiliaryType(1, "u", upsilon, CostVector(*costs, 0.0)),
-            old.AuxiliaryType(1, "u", upsilon, old.CostVector(*costs, 0.0)),
-        )
     new_cls = CostVector if kind == "CostVector" else ContractItem
     args = values[: len(new_cls._fields)]
     return construct(new_cls, args), construct(getattr(old, kind), args)
 
 
 @settings(max_examples=400, deadline=None)
-@given(kind=st.sampled_from(["CostVector", "AuxiliaryType", "ContractItem"]), data=st.data())
+@given(kind=st.sampled_from(["CostVector", "ContractItem"]), data=st.data())
 def test_equality_and_hash_within_a_type_are_the_dataclass(kind, data):
     # half the time the second record is equal in value to the first
     first = data.draw(value_classes)
@@ -139,11 +172,12 @@ def test_equality_and_hash_within_a_type_are_the_dataclass(kind, data):
         assert (hash(a) == hash(b)) == (hash(a_ref) == hash(b_ref))
 
 
-@pytest.mark.parametrize("upsilon", [math.nan, math.inf])
-def test_a_rung_refuses_an_upsilon_of_nan_or_inf(upsilon):
+@pytest.mark.parametrize("upsilon", [math.nan, math.inf, -math.inf])
+def test_a_menu_refuses_an_upsilon_of_nan_or_inf(upsilon):
     with pytest.raises(ValueError) as err:
-        AuxiliaryType(1, "u", upsilon, CostVector(1.0, 1.0, 0.0, 0.0))
-    assert str(err.value) == f"upsilon must be finite, got {upsilon}"
+        one_rung_menu(upsilon)
+    shown = "> 0" if upsilon < 0 else f"finite, got {upsilon}"
+    assert str(err.value) == f"upsilon must be {shown}"
 
 
 @pytest.mark.parametrize("rewards", [(math.nan,), (0.5, math.nan), (math.inf, -math.inf)])
@@ -153,9 +187,10 @@ def test_an_item_refuses_a_nan_total_reward(rewards):
     assert str(err.value) == "total reward must be >= 0"
 
 
-def test_an_item_keeps_an_inf_total_reward():
+def test_an_item_and_a_menu_keep_an_inf_total_reward():
     # so that pipeline.prepare can report it at $.reward_hat_policy
     assert ContractItem(0.5, math.inf, 1.0).total_reward == math.inf
+    assert one_rung_menu(coverage_reward=math.inf).item_for("u").total_reward == math.inf
 
 
 def test_replace_and_make_go_through_the_checks():
@@ -163,10 +198,13 @@ def test_replace_and_make_go_through_the_checks():
     assert costs._replace(psi=3.0) == CostVector(1.0, 2.0, 3.0, 0.0)
     for record, change in (
         (costs, {"beta": -1.0}),
-        (AuxiliaryType(1, "u", 1.0, costs), {"upsilon": 0.0}),
         (ContractItem(0.5, 1.0), {"theta": 2.0}),
     ):
         with pytest.raises(ValueError):
             record._replace(**change)
         with pytest.raises(ValueError):
             type(record)._make({**record._asdict(), **change}.values())
+    menu = one_rung_menu(costs=costs)
+    for change in ({"upsilons": (0.0,)}, {"thetas": (2.0,)}, {"fixed_reward": -2.0}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(menu, **change)

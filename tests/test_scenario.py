@@ -376,6 +376,24 @@ def every_section_doc():
     )
 
 
+def repeated_keys_doc():
+    """Keys repeated at the top level, in a section, in an entry and in a per-subregion map.
+
+    Parsed as ``read_document`` parses a file, so each object lists the
+    keys it repeats.
+    """
+    text = json.dumps(edit(two_subregions, {"uavs.0.alpha": {"s1": 250.0, "s2": 250.0}}))
+    for first, repeated in (
+        ('"format_version": 1', '"format_version": 2, "format_version": 1'),
+        ('"economy": {', '"economy": {"sigma": 1, '),
+        ('"data_volume": 10.0', '"data_volume": 9.0, "data_volume": 10.0'),
+        ('"alpha": {"s1": 250.0', '"alpha": {"s1": 1.0, "s1": 250.0, "s1": 3.0'),
+    ):
+        assert first in text
+        text = text.replace(first, repeated, 1)
+    return json.loads(text, object_pairs_hook=scenario_module._JsonObject)
+
+
 # Every refusal of the loader, one case per branch: the exact problem list
 # of each malformed document, in the order the loader reports it.
 REFUSALS = {
@@ -739,6 +757,16 @@ REFUSALS = {
     "direct_power_negative": (
         edit(minimal_doc, {"uavs.0.power": -5.0}),
         [("$.uavs[0]", "power must be > 0")],
+    ),
+    # a key repeated within one object, reported once however often it repeats
+    "repeated_keys": (
+        repeated_keys_doc(),
+        [
+            ("$.subregions[0].data_volume", "duplicate key"),
+            ("$.economy.sigma", "duplicate key"),
+            ("$.uavs[0].alpha.s1", "duplicate key"),
+            ("$.format_version", "duplicate key"),
+        ],
     ),
     # one problem in every section, in the order the loader reads them
     "every_section": (
