@@ -1209,25 +1209,25 @@ class TestMenuBuildPieces:
 
 # The menu build as it was when each rung was an ``AuxiliaryType`` and each
 # item a ``ContractItem``, kept verbatim apart from the names: the
-# reference that the column record must equal. ``ParentRung`` and
-# ``ParentSchedule`` stand in for the records, without their checks.
+# reference that the column record must equal. ``Rung`` and
+# ``RungMenu`` stand in for the records, without their checks.
 
 
-class ParentRung(NamedTuple):
+class Rung(NamedTuple):
     rank: int
     uav_id: str
     upsilon: float
     costs: CostVector
 
 
-class ParentSchedule(NamedTuple):
+class RungMenu(NamedTuple):
     subregion_id: str
     ladder: tuple
     items: tuple
     audit: AuditReport
 
 
-def parent_sort_ladder(announcements, phi):
+def rung_sort_ladder(announcements, phi):
     if not announcements:
         raise ValueError("at least one announcement is required")
     keyed = []
@@ -1239,12 +1239,12 @@ def parent_sort_ladder(announcements, phi):
         keyed.append((upsilon, c.psi, c.zeta, i, uav_id, c))
     keyed.sort()
     return [
-        ParentRung(rank, uav_id, upsilon, c)
+        Rung(rank, uav_id, upsilon, c)
         for rank, (upsilon, _, _, _, uav_id, c) in enumerate(keyed, start=1)
     ]
 
 
-def parent_reward_schedule(upsilons, coverages, reward_hat):
+def rung_reward_schedule(upsilons, coverages, reward_hat):
     if len(upsilons) != len(coverages):
         raise ValueError("upsilons and coverages must have equal length")
     if any(b > a + 1e-12 for a, b in zip(coverages, coverages[1:])):
@@ -1257,18 +1257,18 @@ def parent_reward_schedule(upsilons, coverages, reward_hat):
     return [ContractItem(theta, r, reward_hat) for theta, r in zip(coverages, rewards)]
 
 
-def parent_build_schedule(announcements, sub, econ, reward_hat=0.0):
-    ladder = tuple(parent_sort_ladder(announcements, econ.phi))
+def rung_build_schedule(announcements, sub, econ, reward_hat=0.0):
+    ladder = tuple(rung_sort_ladder(announcements, econ.phi))
     upsilons = [aux.upsilon for aux in ladder]
     coverages = iron_schedule(optimal_coverage(upsilons, sub.data_volume, econ))
-    items = tuple(parent_reward_schedule(upsilons, coverages, reward_hat))
+    items = tuple(rung_reward_schedule(upsilons, coverages, reward_hat))
     rewards = [item.coverage_reward for item in items]
     audit = _audit(upsilons, coverages, rewards, AUDIT_TOLERANCE)
-    return ParentSchedule(sub.id, ladder, items, audit)
+    return RungMenu(sub.id, ladder, items, audit)
 
 
-def parent_with_coverage_rewards(schedule, rewards):
-    """The parent's ``ContractSchedule.with_coverage_rewards``."""
+def rung_with_coverage_rewards(schedule, rewards):
+    """``ContractSchedule.with_coverage_rewards`` as it was, on the per-rung record."""
     if len(rewards) != len(schedule.items):
         raise ValueError("reward vector length mismatch")
     items = tuple(
@@ -1276,19 +1276,19 @@ def parent_with_coverage_rewards(schedule, rewards):
     )
     thetas = [item.theta for item in items]
     audit = _audit([aux.upsilon for aux in schedule.ladder], thetas, rewards, AUDIT_TOLERANCE)
-    return ParentSchedule(schedule.subregion_id, schedule.ladder, items, audit)
+    return RungMenu(schedule.subregion_id, schedule.ladder, items, audit)
 
 
-def assert_columns_are_the_records(menu: ContractSchedule, parent: ParentSchedule):
-    assert menu.subregion_id == parent.subregion_id
-    assert menu.ladder == tuple(aux.uav_id for aux in parent.ladder)
-    assert menu.upsilons == tuple(aux.upsilon for aux in parent.ladder)
-    assert menu.costs == tuple(aux.costs for aux in parent.ladder)
-    assert menu.thetas == tuple(item.theta for item in parent.items)
-    assert menu.coverage_rewards == tuple(item.coverage_reward for item in parent.items)
-    assert {item.fixed_reward for item in parent.items} == {menu.fixed_reward}
-    assert menu.audit == parent.audit
-    for aux, item in zip(parent.ladder, parent.items):
+def assert_columns_are_the_records(menu: ContractSchedule, records: RungMenu):
+    assert menu.subregion_id == records.subregion_id
+    assert menu.ladder == tuple(aux.uav_id for aux in records.ladder)
+    assert menu.upsilons == tuple(aux.upsilon for aux in records.ladder)
+    assert menu.costs == tuple(aux.costs for aux in records.ladder)
+    assert menu.thetas == tuple(item.theta for item in records.items)
+    assert menu.coverage_rewards == tuple(item.coverage_reward for item in records.items)
+    assert {item.fixed_reward for item in records.items} == {menu.fixed_reward}
+    assert menu.audit == records.audit
+    for aux, item in zip(records.ladder, records.items):
         assert menu.rank_of(aux.uav_id) == aux.rank
         assert type(menu.item_for(aux.uav_id)) is ContractItem
         assert menu.item_for(aux.uav_id) == item
@@ -1329,7 +1329,7 @@ def generated_markets(draw):
 class TestColumnsAreTheRecords:
     @settings(max_examples=60, deadline=None)
     @given(scenario=generated_markets())
-    def test_published_and_paid_menus_equal_the_parent_build(self, scenario):
+    def test_published_and_paid_menus_equal_the_per_rung_build(self, scenario):
         try:
             report = run_match(scenario)
             log = report.match.calibration_log
@@ -1342,10 +1342,10 @@ class TestColumnsAreTheRecords:
             if menu is None:
                 continue
             reward_hat = scenario.reward_hats[sub.id]
-            parent = parent_build_schedule(announced, sub, scenario.economy, reward_hat)
-            assert_columns_are_the_records(menu, parent)
+            records = rung_build_schedule(announced, sub, scenario.economy, reward_hat)
+            assert_columns_are_the_records(menu, records)
             # the menu as paid: the last calibrated vector, re-audited
             events = [event for event in log if event.subregion_id == sub.id]
             if events:
-                parent = parent_with_coverage_rewards(parent, events[-1].after)
-            assert_columns_are_the_records(report.schedules[sub.id], parent)
+                records = rung_with_coverage_rewards(records, events[-1].after)
+            assert_columns_are_the_records(report.schedules[sub.id], records)
