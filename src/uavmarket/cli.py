@@ -31,8 +31,16 @@ EXIT_VERIFY_FAILED = 2
 EXIT_UNRESOLVED_TIE = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1, the code of any bad option."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uavmarket",
         description="Contract design and stable assignment simulator for UAV task markets.",
     )

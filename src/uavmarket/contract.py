@@ -10,7 +10,8 @@ rewards are set by a backward recursion that leaves the costliest type
 exactly at break-even. Every step after the sort reads only the
 ladder's upsilon column. A menu, ``ContractSchedule``, holds its ladder
 as aligned columns, one entry per rank, and one fixed reward; the one
-``ContractItem`` a matched pair is paid is built on demand.
+``ContractItem`` a matched pair is paid, and the menu's self-selection
+audit, are computed from those columns on demand.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +48,7 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class ContractSchedule:
-    """The published menu for one subregion as aligned columns, plus its audit.
+    """The published menu for one subregion as aligned columns.
 
     Entry ``i`` of each column belongs to the type at rank ``i + 1``:
     ``ladder`` holds the announcers' ids, cheapest first, ``upsilons``
@@ -63,7 +65,6 @@ class ContractSchedule:
     thetas: tuple[float, ...]
     coverage_rewards: tuple[float, ...]
     fixed_reward: float
-    audit: AuditReport
 
     def __post_init__(self):
         columns = ("ladder", "upsilons", "costs", "thetas", "coverage_rewards")
@@ -85,6 +86,11 @@ class ContractSchedule:
         ranks = dict(zip(reversed(self.ladder), range(len(self.ladder), 0, -1)))
         object.__setattr__(self, "_ranks", ranks)
 
+    @cached_property
+    def audit(self) -> AuditReport:
+        """The menu's self-selection audit, computed from its columns on first read."""
+        return _audit(self.upsilons, self.thetas, self.coverage_rewards, AUDIT_TOLERANCE)
+
     def rank_of(self, uav_id: str) -> int | None:
         return self._ranks.get(uav_id)
 
@@ -96,11 +102,8 @@ class ContractSchedule:
         return ContractItem(self.thetas[i], self.coverage_rewards[i], self.fixed_reward)
 
     def with_coverage_rewards(self, rewards: Sequence[float]) -> "ContractSchedule":
-        """Same menu with a replaced reward vector, re-audited."""
-        if len(rewards) != len(self.ladder):
-            raise ValueError("reward vector length mismatch")
-        audit = _audit(self.upsilons, self.thetas, rewards, AUDIT_TOLERANCE)
-        return dataclasses.replace(self, coverage_rewards=rewards, audit=audit)
+        """Same menu with a replaced reward column, checked as any menu is and not yet audited."""
+        return dataclasses.replace(self, coverage_rewards=rewards)
 
 
 def marginal_cost(alpha: float, beta: float, phi: float) -> float:
@@ -214,15 +217,15 @@ def build_schedule(
     econ: EconomyParams,
     reward_hat: float = 0.0,
 ) -> ContractSchedule:
-    """Full pipeline: ladder, coverage targets, pooling, rewards, audit.
+    """Full pipeline: ladder, coverage targets, pooling, rewards.
 
     ``reward_hat`` is the menu's fixed reward, the same on every item.
+    The audit is left to the first reader of ``ContractSchedule.audit``.
     """
     ids, upsilons, costs = sort_ladder(announcements, econ.phi)
     coverages = iron_schedule(optimal_coverage(upsilons, sub.data_volume, econ))
     rewards = reward_schedule(upsilons, coverages)
-    audit = _audit(upsilons, coverages, rewards, AUDIT_TOLERANCE)
-    return ContractSchedule(sub.id, ids, upsilons, costs, coverages, rewards, reward_hat, audit)
+    return ContractSchedule(sub.id, ids, upsilons, costs, coverages, rewards, reward_hat)
 
 
 def _audit(

@@ -149,7 +149,7 @@ class Market:
         )
 
     def final_schedules(self) -> dict[str, ContractSchedule]:
-        """Schedules with calibrated reward vectors baked in and re-audited."""
+        """Schedules with the calibrated reward vectors baked in."""
         out = {}
         for sub_id, schedule in self.schedules.items():
             rewards = self.coverage_rewards(sub_id)

@@ -112,9 +112,9 @@ def prepare(scenario: Scenario) -> RunReport:
     marginal cost or upload rate on its UAV, a data scale
     ``mu * data_volume`` that is not a finite normal float on its
     subregion, a menu's top reward on the reward policy, and the owner
-    revenue at a menu's top coverage on the economy. A bad marginal cost
-    is reported first, at the first UAV and subregion in announcement
-    order.
+    revenue at a menu's top coverage on the economy. Each pair's marginal
+    cost is priced as it announces, so a bad one is reported at the first
+    UAV and subregion in announcement order, before any menu is built.
     """
     econ = scenario.economy
     subs = scenario.subregions
@@ -122,12 +122,10 @@ def prepare(scenario: Scenario) -> RunReport:
     announcements: dict[str, dict[str, CostVector]] = {s.id: {} for s in subs}
     schedules: dict[str, ContractSchedule] = {}
     columns = None  # built for the first physical UAV, if there is one
-    try:
-        for i, uav in enumerate(scenario.uavs):
-            if not isinstance(uav, UavProfile):
-                for sub in subs:
-                    announcements[sub.id][uav.id] = uav.costs[sub.id]
-                continue
+    for i, uav in enumerate(scenario.uavs):
+        physical = isinstance(uav, UavProfile)
+        announcing = subs
+        if physical:
             if columns is None:
                 columns = SubregionColumns.of(subs)
             try:
@@ -136,60 +134,42 @@ def prepare(scenario: Scenario) -> RunReport:
                 )
             except ValueError as exc:
                 raise ScenarioError([(f"$.uavs[{i}]", str(exc))]) from None
-            # a pair that fails the screen never announces, so its cost
-            # vector is derived only once it passes
-            for sub in itertools.compress(subs, report.passes):
-                try:
-                    announcements[sub.id][uav.id] = derive_cost_vector(sub, uav, scenario.fl)
-                except ValueError as exc:
-                    problem = (f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")
-                    raise ScenarioError([problem]) from None
-        for j, sub in enumerate(subs):
-            if not announcements[sub.id]:
-                continue  # nobody responded; the subregion stays without a menu
-            # the closed-form coverage and the owner's objective divide by it
-            scale = econ.mu * sub.data_volume
-            if not sys.float_info.min <= scale < math.inf:
-                raise ScenarioError([(
-                    f"$.subregions[{j}]",
-                    f"economy.mu * data_volume is {scale!r}, outside the normal float range",
-                )])
-            schedule = schedules[sub.id] = build_schedule(
-                announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
-            )
-            top_reward = schedule.coverage_rewards[0] + schedule.fixed_reward  # rank 1: the largest
-            revenue = econ.sigma * model_accuracy([(schedule.thetas[0], sub.data_volume)], econ.mu)
-            for path, what, value in (
-                ("$.reward_hat_policy", "the top total reward", top_reward),
-                ("$.economy", "the owner revenue at the top coverage", revenue),
-            ):
-                if not math.isfinite(value):
-                    raise ScenarioError([(path, f"subregion {sub.id!r}: {what} is not finite")])
-    except (ScenarioError, ValueError) as exc:
-        # marginal costs are only priced while the ladders are sorted, so
-        # the pairs announced so far are rescanned for a failing one
-        raise _marginal_cost_error(scenario, announcements) or exc from None
+            announcing = itertools.compress(subs, report.passes)
+        # a pair that fails the screen never announces, so its cost vector
+        # is derived, and its marginal cost priced, only once it passes
+        for sub in announcing:
+            try:
+                costs = derive_cost_vector(sub, uav, scenario.fl) if physical else uav.costs[sub.id]
+                marginal_cost(costs.alpha, costs.beta, econ.phi)
+            except ValueError as exc:
+                raise ScenarioError([(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")]) from None
+            announcements[sub.id][uav.id] = costs
+    for j, sub in enumerate(subs):
+        if not announcements[sub.id]:
+            continue  # nobody responded; the subregion stays without a menu
+        # the closed-form coverage and the owner's objective divide by it
+        scale = econ.mu * sub.data_volume
+        if not sys.float_info.min <= scale < math.inf:
+            raise ScenarioError([(
+                f"$.subregions[{j}]",
+                f"economy.mu * data_volume is {scale!r}, outside the normal float range",
+            )])
+        schedule = schedules[sub.id] = build_schedule(
+            announcements[sub.id], sub, econ, scenario.reward_hats[sub.id]
+        )
+        top_reward = schedule.coverage_rewards[0] + schedule.fixed_reward  # rank 1: the largest
+        revenue = econ.sigma * model_accuracy([(schedule.thetas[0], sub.data_volume)], econ.mu)
+        for path, what, value in (
+            ("$.reward_hat_policy", "the top total reward", top_reward),
+            ("$.economy", "the owner revenue at the top coverage", revenue),
+        ):
+            if not math.isfinite(value):
+                raise ScenarioError([(path, f"subregion {sub.id!r}: {what} is not finite")])
     if not math.isfinite(sum(m.coverage_rewards[0] + m.fixed_reward for m in schedules.values())):
         raise ScenarioError([("$.reward_hat_policy", "the menus' top total rewards sum to inf")])
     return RunReport(
         scenario=scenario, feasibility=feasibility, published=schedules, schedules=schedules
     )
-
-
-def _marginal_cost_error(
-    scenario: Scenario, announcements: Mapping[str, Mapping[str, CostVector]]
-) -> ScenarioError | None:
-    """The first announced pair, UAV by UAV, whose marginal cost cannot be priced."""
-    for i, uav in enumerate(scenario.uavs):
-        for sub in scenario.subregions:
-            costs = announcements[sub.id].get(uav.id)
-            if costs is None:
-                continue
-            try:
-                marginal_cost(costs.alpha, costs.beta, scenario.economy.phi)
-            except ValueError as exc:
-                return ScenarioError([(f"$.uavs[{i}]", f"subregion {sub.id!r}: {exc}")])
-    return None
 
 
 def run_contract(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:

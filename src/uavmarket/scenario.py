@@ -426,6 +426,8 @@ def scenario_from_dict(data: Any) -> Scenario:
     if node is not None:
         mode = node.string("mode", "fixed")
         if mode == "fixed":
+            if "value" in node.mapping and "values" in node.mapping:
+                node.error("give value or values, not both")
             value = _reward_number(node, "value")
             values = _reward_values(node, subs)
             if values is not None:

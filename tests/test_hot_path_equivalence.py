@@ -15,7 +15,8 @@ menu, ironing returns monotone coverages without pooling, the ladder
 prices each pair inline and falls back to ``marginal_cost`` only for its
 message, and the audit takes the columns the menu build holds. A menu is
 one record of aligned columns, which must equal, published and paid, the
-per-rung records the build made before. Each must agree exactly (``==``, not approximately) with the straightforward
+per-rung records the build made before, and its audit is read off those
+columns, however the menu was made. Each must agree exactly (``==``, not approximately) with the straightforward
 computation it replaces, so that fixture outputs and every audit flag
 stay bit-identical.
 """
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uavmarket.contract as contract_module
 from conftest import coverage_payoff, demo_subregion, load_benchmark
 from uavmarket.contract import (
     AUDIT_TOLERANCE,
@@ -73,7 +75,7 @@ from uavmarket.matching import (
     gs_match,
     stability_audit,
 )
-from uavmarket.pipeline import prepare, run_contract, run_match
+from uavmarket.pipeline import prepare, run_contract, run_match, run_sweep
 from uavmarket.scenario import fixture_path, load_scenario, scenario_from_dict
 from uavmarket.verification import grid_oracle_coverage, ic_matrix
 
@@ -970,6 +972,44 @@ class TestDeferredAcceptance:
         assert calls <= 2000
 
 
+def counted_audits(monkeypatch) -> list:
+    """Wrap ``contract._audit`` so that each call appends to the list returned."""
+    calls = []
+    audit = contract_module._audit
+
+    def counted(*args):
+        calls.append(args)
+        return audit(*args)
+
+    monkeypatch.setattr(contract_module, "_audit", counted)
+    return calls
+
+
+class TestAuditOnlyWhenRead:
+    def test_a_match_audits_no_menu(self, monkeypatch):
+        calls = counted_audits(monkeypatch)
+        report = run_match(load_scenario(fixture_path("table3.scn")))
+        assert report.match.calibration_log  # paid menus differ from the published ones
+        gen = load_benchmark("gen")
+        run_match(scenario_from_dict(gen.direct(40, 40, 0)))
+        assert calls == []
+
+    def test_a_sweep_audits_no_menu(self, monkeypatch):
+        calls = counted_audits(monkeypatch)
+        doc = json.loads(fixture_path("table3.scn").read_text(encoding="utf-8"))
+        rows = run_sweep(doc, "uavs.0.base.0", [100.0, 1100.0])
+        assert rows and calls == []
+
+    def test_each_menu_is_audited_once_however_often_it_is_read(self, monkeypatch):
+        calls = counted_audits(monkeypatch)
+        report = run_contract(load_scenario(fixture_path("fig6.scn")))
+        assert calls == []
+        for _ in range(2):
+            audits = [schedule.audit for schedule in report.schedules.values()]
+        assert len(calls) == len(report.schedules) == 6
+        assert all(audit.ic_ok for audit in audits)
+
+
 @st.composite
 def coverage_menus(draw):
     """The upsilon column of a 1..40 rung ladder, its subregion and economy, and a grid size."""
@@ -1328,8 +1368,8 @@ def generated_markets(draw):
 
 class TestColumnsAreTheRecords:
     @settings(max_examples=60, deadline=None)
-    @given(scenario=generated_markets())
-    def test_published_and_paid_menus_equal_the_per_rung_build(self, scenario):
+    @given(scenario=generated_markets(), data=st.data())
+    def test_published_and_paid_menus_equal_the_per_rung_build(self, scenario, data):
         try:
             report = run_match(scenario)
             log = report.match.calibration_log
@@ -1348,4 +1388,14 @@ class TestColumnsAreTheRecords:
             events = [event for event in log if event.subregion_id == sub.id]
             if events:
                 records = rung_with_coverage_rewards(records, events[-1].after)
-            assert_columns_are_the_records(report.schedules[sub.id], records)
+            paid = report.schedules[sub.id]
+            assert_columns_are_the_records(paid, records)
+            # the published menu's audit is already cached here, and the
+            # tampered copy still audits its own rewards: none is stale
+            rewards = list(menu.coverage_rewards)
+            rank = data.draw(st.integers(0, len(rewards) - 1))
+            rewards[rank] = data.draw(st.floats(0.0, 2.0 * max(rewards) + 1.0))
+            tampered = dataclasses.replace(menu, coverage_rewards=rewards)
+            for schedule in (menu, paid, tampered):
+                columns = schedule.upsilons, schedule.thetas, schedule.coverage_rewards
+                assert_same_report(schedule.audit, reference_audit(*columns, AUDIT_TOLERANCE))

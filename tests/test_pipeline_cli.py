@@ -324,6 +324,52 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["contract", "match", "verify"])
+    def test_fixed_value_and_values_together_exit_one(self, tmp_path, capsys, command):
+        # neither may silently win: with every entry of values at 0.0, the
+        # menus would pay no fixed reward and value would go unread
+        doc = json.loads(fixture_path("fig6.scn").read_text(encoding="utf-8"))
+        zeros = {sub["id"]: 0.0 for sub in doc["subregions"]}
+        doc["reward_hat_policy"] = {"mode": "fixed", "value": 35.0, "values": zeros}
+        bad = tmp_path / "both.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([command, "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "invalid scenario:\n  $.reward_hat_policy: give value or values, not both\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--out", "o", "--grid-points", "abc"],
+             "argument --grid-points: invalid int value: 'abc'"),
+            (["match", "--out", "o"], "the following arguments are required: --scenario"),
+            (["sweep", "--out", "o", "--param", "economy.sigma", "--from", "1", "--to", "2",
+              "--steps", "x"], "argument --steps: invalid int value: 'x'"),
+        ],
+        ids=["verify-grid-points", "match-no-scenario", "sweep-steps"],
+    )
+    def test_usage_error_exits_one_with_the_usage_text(self, tmp_path, capsys, argv, message):
+        # exit 2 is a verification failure; a bad option is invalid input
+        if argv[0] != "match":
+            argv = [*argv, "--scenario", str(fixture_path("fig6.scn"))]
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        captured = capsys.readouterr()
+        assert done.value.code == 1
+        assert captured.err.startswith(f"usage: uavmarket {argv[0]} [-h] --scenario SCENARIO")
+        assert captured.err.endswith(f"\nuavmarket {argv[0]}: error: {message}\n")
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["match", "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: uavmarket match [-h]")
+
+    @pytest.mark.parametrize("command", ["contract", "match", "verify"])
     @pytest.mark.parametrize(
         "override,message",
         [
@@ -375,9 +421,8 @@ class TestCli:
         assert captured.out == ""
 
     def test_earlier_marginal_cost_is_reported_before_a_later_pair_cost(self, tmp_path, capsys):
-        # uavs[0] announces an overflowing marginal cost, which is only
-        # priced when the menus are sorted; uavs[2]'s cost vector fails
-        # while announcements are still being gathered
+        # uavs[0] announces an overflowing marginal cost; uavs[2]'s cost
+        # vector fails later, while announcements are still being gathered
         doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
         far = doc["uavs"][1]
         far["base"] = [1.7e308, 1.7e308, 1.7e308]
@@ -394,6 +439,37 @@ class TestCli:
         assert code == 1
         assert "$.uavs[0]: subregion 's1': marginal cost" in captured.err
         assert "$.uavs[2]" not in captured.err
+
+    @pytest.mark.parametrize(
+        "marginal_cost_first,message",
+        [
+            (True, "alpha, beta, and phi must be > 0"),
+            (False, "cost vector field psi must be finite and >= 0"),
+        ],
+        ids=["marginal-cost-first", "cost-vector-first"],
+    )
+    def test_a_physical_uav_reports_its_first_failing_subregion(
+        self, tmp_path, capsys, marginal_cost_first, message
+    ):
+        # u1 flies at 100 m/s on 20 W and passes every screen. Over a
+        # 5e-324 m sweep its alpha underflows to 0: the cost vector holds
+        # but the marginal cost is refused. At a centre 1.7e308 m away its
+        # psi overflows: the cost vector itself is refused.
+        doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))
+        for sub in doc["subregions"]:
+            del sub["deadline"]
+        u1 = doc["uavs"][0]
+        del u1["energy_capacity"]
+        u1["velocity"] = 100.0
+        first, later = doc["subregions"] if marginal_cost_first else doc["subregions"][::-1]
+        first["full_distance"] = 5e-324
+        later["center"] = [1.7e308, 1.7e308, 1.7e308]
+        bad = tmp_path / "order.scn"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["match", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"invalid scenario:\n  $.uavs[0]: subregion 's1': {message}\n"
 
     def test_far_uav_that_fails_screening_is_not_an_error(self):
         doc = json.loads(fixture_path("physical.scn").read_text(encoding="utf-8"))

@@ -101,7 +101,7 @@ GUARDS = {
     "with_coverage_rewards_length": (
         lambda: two_rung_menu().with_coverage_rewards([1.0]),
         ValueError,
-        "reward vector length mismatch",
+        "menu columns must have equal length",
     ),
     "reward_schedule_columns": (
         lambda: reward_schedule([13.5, 20.0], [0.5]),

@@ -13,7 +13,7 @@ A menu, ``ContractSchedule``, holds each rung's upsilon, theta and
 coverage reward as columns. It refuses an upsilon as the ladder rung
 record did (``> 0``), and also NaN and inf, and a theta or a total
 reward exactly as ``ContractItem`` does, so that ``item_for`` never
-raises.
+raises. Its audit is derived from those columns, never given.
 """
 
 import copy
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dataclass_records as old
-from uavmarket.contract import AuditReport, ContractSchedule
+from uavmarket.contract import ContractSchedule
 from uavmarket.core import CostVector
 from uavmarket.economics import ContractItem
 
@@ -94,13 +94,10 @@ def test_cost_vector_is_the_dataclass(args):
     assert_like_reference(CostVector, old.CostVector, args, args)
 
 
-AUDIT = AuditReport(True, True, True, 0.0, 1)
-
-
 def one_rung_menu(upsilon=1.0, theta=0.5, coverage_reward=1.0, fixed_reward=0.0, costs=None):
     costs = CostVector(1.0, 1.0, 0.0, 0.0) if costs is None else costs
     return ContractSchedule(
-        "s1", ("u",), (upsilon,), (costs,), (theta,), (coverage_reward,), fixed_reward, AUDIT
+        "s1", ("u",), (upsilon,), (costs,), (theta,), (coverage_reward,), fixed_reward
     )
 
 
@@ -116,7 +113,7 @@ def test_a_menu_refuses_an_upsilon_as_the_rung_did_and_nan_and_inf(uav_id, upsil
         expected = None
     vector = CostVector(*costs)
     menu = construct(
-        ContractSchedule, ("s1", (uav_id,), (upsilon,), (vector,), (0.5,), (1.0,), 0.0, AUDIT)
+        ContractSchedule, ("s1", (uav_id,), (upsilon,), (vector,), (0.5,), (1.0,), 0.0)
     )
     if expected is not None:
         assert menu == expected
@@ -191,6 +188,15 @@ def test_an_item_and_a_menu_keep_an_inf_total_reward():
     # so that pipeline.prepare can report it at $.reward_hat_policy
     assert ContractItem(0.5, math.inf, 1.0).total_reward == math.inf
     assert one_rung_menu(coverage_reward=math.inf).item_for("u").total_reward == math.inf
+
+
+def test_a_menu_takes_no_audit():
+    # the audit is derived from the columns, so none can contradict them
+    costs = CostVector(1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        ContractSchedule(
+            "s1", ("u",), (1.0,), (costs,), (0.5,), (1.0,), 0.0, audit=one_rung_menu().audit
+        )
 
 
 def test_replace_and_make_go_through_the_checks():

@@ -546,6 +546,10 @@ REFUSALS = {
         edit(minimal_doc, {"reward_hat_policy": {"value": -1.0}}),
         [("$.reward_hat_policy.value", "must be >= 0")],
     ),
+    "reward_hat_value_and_values": (
+        edit(minimal_doc, {"reward_hat_policy": {"value": 35.0, "values": {"s1": 0.0}}}),
+        [("$.reward_hat_policy", "give value or values, not both")],
+    ),
     "reward_hat_values_not_a_map": (
         edit(minimal_doc, {"reward_hat_policy": {"values": [1.0]}}),
         [("$.reward_hat_policy.values", "expected a map of subregion id to number")],
