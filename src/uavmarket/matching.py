@@ -6,7 +6,9 @@ remaining candidates are tied on marginal cost, the subregion calibrates
 its published rewards downward until all but one tied candidate would
 rather take an outside option; the reduced rewards stick and are what the
 eventual partner is paid. A tie still intact at zero rewards goes to the
-first tied candidate in ladder order.
+first tied candidate in ladder order. The live ``Market`` holds one reward
+column per menu, which each calibration step replaces, and every UAV's
+list is built in one walk over the menus' rungs.
 
 Unmatched outcomes are first-class results, not errors.
 """
@@ -77,6 +79,14 @@ class CalibrationPolicy:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be a positive integer")
 
+    def step(self, rewards: Sequence[float]) -> tuple[float, ...]:
+        """The reward column one calibration step below ``rewards``."""
+        if self.delta_mode == "relative":
+            return tuple(r * (1.0 - self.delta_value) for r in rewards)
+        delta = self.delta_value
+        # same value as max(0.0, r - delta), -0.0 and nan included
+        return tuple(r - delta if r - delta > 0.0 else 0.0 for r in rewards)
+
 
 @dataclass(frozen=True)
 class CalibrationEvent:
@@ -105,21 +115,19 @@ class Market:
     """Live pricing view used while a match runs.
 
     Holds the built schedules, whose ``costs`` column carries each
-    announcer's cost vector, and the current (possibly calibrated-down)
-    reward vectors. Utilities are always computed against the current
-    vectors, so every participant sees a reduction as soon as it happens.
+    announcer's cost vector, and ``rewards``, one reward column per menu:
+    the menu's own ``coverage_rewards`` until a calibration step replaces
+    it. Utilities are always computed against the current columns, so
+    every participant sees a reduction as soon as it happens.
     """
 
     def __init__(self, schedules: Mapping[str, ContractSchedule], econ: EconomyParams):
         self.schedules = dict(schedules)
         self.econ = econ
-        self._rewards: dict[str, list[float]] = {
-            sub_id: list(s.coverage_rewards) for sub_id, s in self.schedules.items()
+        self.rewards: dict[str, tuple[float, ...]] = {
+            sub_id: s.coverage_rewards for sub_id, s in self.schedules.items()
         }
         self.calibration_log: list[CalibrationEvent] = []
-
-    def coverage_rewards(self, sub_id: str) -> tuple[float, ...]:
-        return tuple(self._rewards[sub_id])
 
     def utility(self, uav_id: str, sub_id: str) -> float:
         """Hypothetical payoff of ``uav_id`` serving ``sub_id`` at current rewards."""
@@ -129,30 +137,13 @@ class Market:
             raise KeyError(f"uav {uav_id!r} is not on the ladder of {sub_id!r}")
         i = rank - 1
         theta, costs = schedule.thetas[i], schedule.costs[i]
-        return payoff(theta, self._rewards[sub_id][i], schedule.fixed_reward, costs, self.econ.phi)
-
-    def reduce_rewards(self, sub_id: str, policy: CalibrationPolicy) -> None:
-        vector = self._rewards[sub_id]
-        if policy.delta_mode == "relative":
-            self._rewards[sub_id] = [r * (1.0 - policy.delta_value) for r in vector]
-        else:
-            delta = policy.delta_value
-            # same value as max(0.0, r - delta), -0.0 and nan included
-            self._rewards[sub_id] = [r - delta if r - delta > 0.0 else 0.0 for r in vector]
-
-    def at_floor(self, sub_id: str) -> bool:
-        return all(r == 0.0 for r in self._rewards[sub_id])
-
-    def record_calibration(self, sub_id: str, before: tuple[float, ...]) -> None:
-        self.calibration_log.append(
-            CalibrationEvent(sub_id, before, self.coverage_rewards(sub_id))
-        )
+        return payoff(theta, self.rewards[sub_id][i], schedule.fixed_reward, costs, self.econ.phi)
 
     def final_schedules(self) -> dict[str, ContractSchedule]:
-        """Schedules with the calibrated reward vectors baked in."""
+        """Schedules with the calibrated reward columns baked in."""
         out = {}
         for sub_id, schedule in self.schedules.items():
-            rewards = self.coverage_rewards(sub_id)
+            rewards = self.rewards[sub_id]
             if rewards == schedule.coverage_rewards:
                 out[sub_id] = schedule
             else:
@@ -169,28 +160,30 @@ def build_subregion_preferences(schedule: ContractSchedule) -> PreferenceList:
     return PreferenceList(schedule.subregion_id, schedule.ladder, schedule.upsilons)
 
 
-def build_uav_preferences(uav_id: str, market: Market) -> PreferenceList:
-    """Subregions ranked by the payoff the UAV would get if matched there.
+def build_uav_preferences(market: Market, uav_ids: Iterable[str]) -> dict[str, PreferenceList]:
+    """Each UAV's subregions, ranked by the payoff it would get if matched there.
 
     Built under the assumption of being matched, since a UAV cannot know
     the outcome in advance. Subregions where the hypothetical payoff is
     negative are dropped: staying unmatched pays zero and dominates them.
-    Descending payoff; ties keep subregion declaration order.
+    Descending payoff; ties keep subregion declaration order. One walk
+    over every menu's rungs at the market's current rewards prices each
+    listed pair once; the lists come back in ``uav_ids`` order, the order
+    in which deferred acceptance resolves proposals.
     """
-    entries = []
+    entries: dict[str, list[tuple[str, float]]] = {uav_id: [] for uav_id in uav_ids}
+    phi = market.econ.phi
     for sub_id, schedule in market.schedules.items():
-        if schedule.rank_of(uav_id) is None:
-            continue
-        u = market.utility(uav_id, sub_id)
-        if u < 0.0:
-            continue
-        entries.append((sub_id, u))
-    entries.sort(key=lambda e: -e[1])
-    return PreferenceList(
-        owner=uav_id,
-        ranked=tuple(s for s, _ in entries),
-        scores=tuple(u for _, u in entries),
-    )
+        fixed = schedule.fixed_reward
+        rungs = zip(schedule.ladder, schedule.thetas, market.rewards[sub_id], schedule.costs)
+        for uav_id, theta, reward, costs in rungs:
+            if uav_id in entries and not (u := payoff(theta, reward, fixed, costs, phi)) < 0.0:
+                entries[uav_id].append((sub_id, u))
+    prefs = {}
+    for uav_id, listed in entries.items():
+        listed.sort(key=lambda e: -e[1])
+        prefs[uav_id] = PreferenceList(uav_id, [s for s, _ in listed], [u for _, u in listed])
+    return prefs
 
 
 def rewards_calibration(
@@ -202,14 +195,16 @@ def rewards_calibration(
 ) -> str:
     """Separate candidates tied at a subregion's lowest marginal cost.
 
-    The subregion's reward vector is stepped downward; after every step
-    each remaining candidate's payoff here is compared with its outside
-    option (its best alternative, floored at the zero payoff of staying
-    unmatched), and candidates whose outside option weakly dominates drop
-    out. The survivor is proposed to and the reduced vector remains in
-    force. If the vector hits zero with the tie intact, or one step loses
-    every candidate at once, the first candidate left (with the best
-    margin) wins. Raises after ``policy.max_rounds`` steps.
+    The subregion's column in ``market.rewards`` is stepped downward by
+    ``policy.step``; after every step each remaining candidate's payoff
+    here is compared with its outside option (its best alternative,
+    floored at the zero payoff of staying unmatched), and candidates whose
+    outside option weakly dominates drop out. The survivor is proposed to
+    and the reduced column remains in force. If it hits zero with the tie
+    intact, or one step loses every candidate at once, the first candidate
+    left (with the best margin) wins. Raises after ``policy.max_rounds``
+    steps, or at a step that would change no reward. A changed column is
+    logged as one ``CalibrationEvent`` on the market.
 
     ``tied`` must come in ladder order. Ties are exact and ``sort_ladder``
     orders equal marginal costs by lower traversal cost, then lower upload
@@ -219,7 +214,7 @@ def rewards_calibration(
     if len(candidates) == 1:
         return candidates[0]
     outside = {u: max(outside_utility(u), 0.0) for u in candidates}
-    before = market.coverage_rewards(sub_id)
+    before = rewards = market.rewards[sub_id]
     rounds = 0
     survivor: str | None = None
     while survivor is None:
@@ -234,15 +229,17 @@ def rewards_calibration(
             survivor = next(u for u in candidates if margins[u] == best)
         else:
             candidates = alive
-            if market.at_floor(sub_id):
+            if all(r == 0.0 for r in rewards):
                 survivor = candidates[0]
                 break
-            if rounds >= policy.max_rounds:
+            stepped = policy.step(rewards)
+            # a step too small to move any reward would repeat until max_rounds
+            if rounds >= policy.max_rounds or stepped == rewards:
                 raise UnresolvedTieError(sub_id, rounds)
-            market.reduce_rewards(sub_id, policy)
+            market.rewards[sub_id] = rewards = stepped
             rounds += 1
-    if market.coverage_rewards(sub_id) != before:
-        market.record_calibration(sub_id, before)
+    if rewards != before:
+        market.calibration_log.append(CalibrationEvent(sub_id, before, rewards))
     return survivor
 
 

@@ -193,9 +193,8 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
         sub_id: build_subregion_preferences(schedule)
         for sub_id, schedule in report.published.items()
     }
-    published_uav_prefs = report.published_uav_prefs = {
-        uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs
-    }
+    uav_ids = [uav.id for uav in scenario.uavs]
+    published_uav_prefs = report.published_uav_prefs = build_uav_preferences(market, uav_ids)
     state = report.match = gs_match(
         sub_prefs, published_uav_prefs, scenario.calibration, market
     )
@@ -206,7 +205,7 @@ def run_match(scenario: Scenario, out_dir: str | Path | None = None) -> RunRepor
     # event the published lists are already the final ones
     report.uav_prefs = published_uav_prefs
     if state.calibration_log:
-        report.uav_prefs = {uav.id: build_uav_preferences(uav.id, market) for uav in scenario.uavs}
+        report.uav_prefs = build_uav_preferences(market, uav_ids)
     report.blocking_pairs = stability_audit(state, sub_prefs, report.uav_prefs)
 
     # an unmatched subregion gets zero coverage and pays nothing

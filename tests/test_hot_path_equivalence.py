@@ -1,8 +1,10 @@
 """The fast market paths against plain reference computations.
 
 ``contract._audit`` checks self-selection with one array broadcast;
-``Market.utility`` prices a pair from the item's parts; ``rank_of`` is a
-dict lookup; the screen and the cost derivation read the training rounds
+``Market.utility`` prices a pair from the item's parts; every UAV's list
+is built in one walk over the menus' rungs, and a calibration step is
+``CalibrationPolicy.step`` on one reward column; ``rank_of`` is a dict
+lookup; the screen and the cost derivation read the training rounds
 and the propulsion power computed once per task and per UAV, from one
 per-pair body, ``core._pair_terms``, which the screen runs on numpy
 columns to check one UAV against every subregion at once; the loader
@@ -28,6 +30,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,6 +68,7 @@ from uavmarket.core import (
 from uavmarket.economics import ContractItem, EconomyParams
 from uavmarket.errors import UnresolvedTieError
 from uavmarket.matching import (
+    CalibrationEvent,
     CalibrationPolicy,
     Market,
     MatchState,
@@ -263,6 +267,46 @@ def markets(draw):
     return Market(schedules, econ), announced
 
 
+# ``build_uav_preferences`` and ``Market.reduce_rewards`` as they were
+# before the market held one reward column per menu: one list per UAV,
+# each menu probed with ``rank_of`` and each pair priced by
+# ``Market.utility``, and a step that rewrote the live rewards in place.
+# Kept verbatim apart from the names and from the step storing a tuple in
+# ``market.rewards``.
+
+
+def reference_uav_preferences(uav_id: str, market: Market) -> PreferenceList:
+    entries = []
+    for sub_id, schedule in market.schedules.items():
+        if schedule.rank_of(uav_id) is None:
+            continue
+        u = market.utility(uav_id, sub_id)
+        if u < 0.0:
+            continue
+        entries.append((sub_id, u))
+    entries.sort(key=lambda e: -e[1])
+    return PreferenceList(
+        owner=uav_id,
+        ranked=tuple(s for s, _ in entries),
+        scores=tuple(u for _, u in entries),
+    )
+
+
+def reference_reduce_rewards(market: Market, sub_id: str, policy: CalibrationPolicy) -> None:
+    vector = market.rewards[sub_id]
+    if policy.delta_mode == "relative":
+        market.rewards[sub_id] = tuple(r * (1.0 - policy.delta_value) for r in vector)
+    else:
+        delta = policy.delta_value
+        # same value as max(0.0, r - delta), -0.0 and nan included
+        market.rewards[sub_id] = tuple(r - delta if r - delta > 0.0 else 0.0 for r in vector)
+
+
+def reference_lists(market: Market, uav_ids) -> dict[str, PreferenceList]:
+    """Every UAV's list, built one UAV at a time."""
+    return {u: reference_uav_preferences(u, market) for u in uav_ids}
+
+
 def assert_utilities_match_items(market, announced):
     uav_ids = sorted({u for by_uav in announced.values() for u in by_uav}) + ["absent"]
     for uav_id in uav_ids:
@@ -273,7 +317,7 @@ def assert_utilities_match_items(market, announced):
                 with pytest.raises(KeyError):
                     market.utility(uav_id, sub_id)
                 continue
-            live_reward = market.coverage_rewards(sub_id)[rank - 1]
+            live_reward = market.rewards[sub_id][rank - 1]
             item = schedule.item_for(uav_id)._replace(coverage_reward=live_reward)
             expected = uav_utility(item, announced[sub_id][uav_id], market.econ)
             assert market.utility(uav_id, sub_id) == expected
@@ -298,7 +342,7 @@ class TestMarketUtility:
         sub_ids = list(market.schedules)
         for index, mode, delta in steps:
             policy = CalibrationPolicy(delta_mode=mode, delta_value=delta)
-            market.reduce_rewards(sub_ids[index % len(sub_ids)], policy)
+            reference_reduce_rewards(market, sub_ids[index % len(sub_ids)], policy)
             assert_utilities_match_items(market, announced)
 
 
@@ -707,7 +751,9 @@ class TestLoadTimeResolution:
 # Deferred acceptance and the calibration tie rule as they were before the
 # outside option stopped at the first published score it cannot beat, the
 # still-open test became a set lookup and each round priced each
-# candidate once. Kept verbatim apart from the names.
+# candidate once. Kept verbatim apart from the names and from reading and
+# stepping ``market.rewards`` through ``reference_reduce_rewards``, never
+# through ``CalibrationPolicy.step``.
 
 
 def reference_rewards_calibration(
@@ -743,7 +789,7 @@ def reference_rewards_calibration(
     def fallback_key(uav: str):
         return (costs[uav].psi, costs[uav].zeta, order[uav])
 
-    before = market.coverage_rewards(sub_id)
+    before = market.rewards[sub_id]
     rounds = 0
     survivor: str | None = None
     while survivor is None:
@@ -759,15 +805,15 @@ def reference_rewards_calibration(
             )
         else:
             candidates = alive
-            if market.at_floor(sub_id):
+            if all(r == 0.0 for r in market.rewards[sub_id]):
                 survivor = min(candidates, key=fallback_key)
                 break
             if rounds >= policy.max_rounds:
                 raise UnresolvedTieError(sub_id, rounds)
-            market.reduce_rewards(sub_id, policy)
+            reference_reduce_rewards(market, sub_id, policy)
             rounds += 1
-    if market.coverage_rewards(sub_id) != before:
-        market.record_calibration(sub_id, before)
+    if market.rewards[sub_id] != before:
+        market.calibration_log.append(CalibrationEvent(sub_id, before, market.rewards[sub_id]))
     return survivor
 
 
@@ -924,21 +970,24 @@ def tie_markets(draw):
     return schedules, econ, uav_ids, policy
 
 
-def run_tie_market(match, schedules, econ, uav_ids, policy):
-    """One market pass as ``run_match`` makes it, with ``match`` as the engine."""
+def run_tie_market(match, lists, schedules, econ, uav_ids, policy):
+    """One market pass as ``run_match`` makes it, with ``match`` as the engine.
+
+    ``lists(market, uav_ids)`` builds the UAVs' lists, published and final.
+    """
     market = Market(schedules, econ)
     sub_prefs = {s: build_subregion_preferences(schedule) for s, schedule in schedules.items()}
-    published = {u: build_uav_preferences(u, market) for u in uav_ids}
+    published = lists(market, uav_ids)
     try:
         state = match(sub_prefs, published, policy, market)
     except UnresolvedTieError as exc:
         return market, published, ("unresolved", str(exc))
-    final = {u: build_uav_preferences(u, market) for u in uav_ids}
+    final = lists(market, uav_ids)
     return market, published, (
         state.assignment,
         [(e.subregion_id, e.before, e.after) for e in state.calibration_log],
         stability_audit(state, sub_prefs, final),
-        {s: market.coverage_rewards(s) for s in schedules},
+        dict(market.rewards),
     )
 
 
@@ -946,8 +995,8 @@ class TestDeferredAcceptance:
     @settings(max_examples=300, deadline=None)
     @given(instance=tie_markets())
     def test_matches_the_full_outside_scan_on_tie_heavy_markets(self, instance):
-        market, published, outcome = run_tie_market(gs_match, *instance)
-        _, _, expected = run_tie_market(reference_gs_match, *instance)
+        market, published, outcome = run_tie_market(gs_match, build_uav_preferences, *instance)
+        _, _, expected = run_tie_market(reference_gs_match, reference_lists, *instance)
         assert outcome == expected
         # the pruning's premise: no live payoff exceeds its published score
         for uav, pref in published.items():
@@ -956,7 +1005,8 @@ class TestDeferredAcceptance:
 
     def test_a_tie_market_job_prices_each_pair_a_bounded_number_of_times(self, monkeypatch):
         # 3655 Market.utility calls when every tied candidate's outside
-        # option priced its whole list; 1827 once the scan stops early
+        # option priced its whole list; 1827 once the scan stops early;
+        # 1027 once the UAVs' lists are priced in one walk over the rungs
         calls = 0
         utility = Market.utility
 
@@ -969,7 +1019,91 @@ class TestDeferredAcceptance:
         corpus = Path(__file__).resolve().parent / "corpus"
         report = run_match(load_scenario(corpus / "ties-abs-0.scn"))
         assert report.match.calibration_log
-        assert calls <= 2000
+        assert calls <= 1100
+
+
+@st.composite
+def priced_markets(draw):
+    """A fresh market, its UAV ids in a drawn order plus one that announced nowhere, and its step.
+
+    The market is a benchmark family's at 1..12 per side or a tie-heavy one;
+    either comes with a relative or an absolute step. Its menus come in a
+    drawn order, so that declaration order and id order differ.
+    """
+    if draw(st.booleans()):
+        scenario = draw(generated_markets())
+        schedules, econ = prepare(scenario).published, scenario.economy
+        uav_ids, policy = [uav.id for uav in scenario.uavs], scenario.calibration
+    else:
+        schedules, econ, uav_ids, policy = draw(tie_markets())
+    schedules = dict(draw(st.permutations(list(schedules.items()))))
+    uav_ids = draw(st.permutations(uav_ids + ["absent"]))
+    return Market(schedules, econ), uav_ids, policy
+
+
+def as_plain(prefs: dict[str, PreferenceList]) -> list:
+    return [(uav, pref.owner, pref.ranked, pref.scores) for uav, pref in prefs.items()]
+
+
+special_rewards = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.049]),
+    st.floats(),
+)
+
+
+class TestOneWalkPreferences:
+    @settings(max_examples=150, deadline=None)
+    @given(priced=priced_markets(), steps=st.lists(st.integers(0, 11), max_size=6))
+    def test_equals_the_per_uav_build_before_and_after_calibration_steps(self, priced, steps):
+        market, uav_ids, policy = priced
+        assert as_plain(build_uav_preferences(market, uav_ids)) == as_plain(
+            reference_lists(market, uav_ids)
+        )
+        sub_ids = list(market.schedules)
+        for index in steps if sub_ids else ():
+            sub_id = sub_ids[index % len(sub_ids)]
+            market.rewards[sub_id] = policy.step(market.rewards[sub_id])
+            assert as_plain(build_uav_preferences(market, uav_ids)) == as_plain(
+                reference_lists(market, uav_ids)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rewards=st.lists(special_rewards, max_size=8),
+        policy=st.one_of(
+            st.builds(
+                CalibrationPolicy,
+                st.just("relative"),
+                st.one_of(st.sampled_from([1e-17, 0.01, 0.5, 1.0]), st.floats(1e-300, 1.0)),
+            ),
+            st.builds(
+                CalibrationPolicy,
+                st.just("absolute"),
+                st.one_of(st.sampled_from([1e-300, 5e-324, 0.05, 3.0]), st.floats(5e-324, 1e6)),
+            ),
+        ),
+    )
+    def test_the_step_rule_equals_the_market_step_it_replaced_bit_for_bit(self, rewards, policy):
+        market = SimpleNamespace(rewards={"s1": tuple(rewards)})
+        reference_reduce_rewards(market, "s1", policy)
+        assert repr(policy.step(rewards)) == repr(market.rewards["s1"])
+
+    def test_the_lists_are_built_without_a_utility_or_rank_lookup(self, monkeypatch):
+        gen = load_benchmark("gen")
+        markets = []
+        for scenario in (
+            load_scenario(fixture_path("table3.scn")),
+            scenario_from_dict(gen.physical(30, 30, 0)),
+        ):
+            market = Market(prepare(scenario).published, scenario.economy)
+            markets.append((market, [uav.id for uav in scenario.uavs]))
+        calls = []
+        monkeypatch.setattr(Market, "utility", lambda *args: calls.append(args))
+        monkeypatch.setattr(ContractSchedule, "rank_of", lambda *args: calls.append(args))
+        for market, uav_ids in markets:
+            prefs = build_uav_preferences(market, uav_ids)
+            assert list(prefs) == uav_ids and any(pref.ranked for pref in prefs.values())
+        assert calls == []
 
 
 def counted_audits(monkeypatch) -> list:

@@ -1,5 +1,7 @@
 """Deferred-acceptance engine, calibration, and stability audit tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -87,13 +89,15 @@ class TestPreferenceBuilders:
     def test_uav_preferences_rank_by_payoff_and_drop_negative(self):
         psi = {("a", "s1"): 10.0, ("a", "s2"): 40.0, ("b", "s1"): 10.0, ("b", "s2"): 10.0}
         market = tie_market(psi, reward_hat=3.0)
-        pref = build_uav_preferences("a", market)
+        pref = build_uav_preferences(market, ["a"])["a"]
         assert pref.ranked == ("s1", "s2")
         assert pref.scores[0] > pref.scores[1] >= 0.0
         # a's traversal cost at s2 high enough to go negative
         market = tie_market({**psi, ("a", "s2"): 500.0}, reward_hat=3.0)
-        pref = build_uav_preferences("a", market)
-        assert pref.ranked == ("s1",)
+        prefs = build_uav_preferences(market, ["b", "a"])
+        assert list(prefs) == ["b", "a"]  # the order asked for
+        assert prefs["a"].ranked == ("s1",)
+        assert prefs["b"].ranked == ("s1", "s2")
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -169,10 +173,10 @@ def no_outside(uav):
 class TestRewardsCalibration:
     def test_single_candidate_untouched(self):
         market = tie_market({("a", "s1"): 10.0})
-        before = market.coverage_rewards("s1")
+        before = market.rewards["s1"]
         survivor = rewards_calibration("s1", ["a"], market, CalibrationPolicy(), no_outside)
         assert survivor == "a"
-        assert market.coverage_rewards("s1") == before
+        assert market.rewards["s1"] == before
         assert market.calibration_log == []
 
     def test_better_outside_option_leaves_first(self):
@@ -182,7 +186,7 @@ class TestRewardsCalibration:
             {("a", "s1"): 2.0, ("b", "s1"): 4.0, ("a", "s2"): 5.0, ("b", "s2"): 400.0},
             reward_hat=2.0,
         )
-        before = market.coverage_rewards("s1")
+        before = market.rewards["s1"]
         outside = {
             "a": market.utility("a", "s2"),
             "b": market.utility("b", "s2"),
@@ -192,7 +196,7 @@ class TestRewardsCalibration:
             "s1", ["a", "b"], market, CalibrationPolicy(), outside.__getitem__
         )
         assert survivor == "b"
-        after = market.coverage_rewards("s1")
+        after = market.rewards["s1"]
         assert all(x < y for x, y in zip(after, before))
         assert len(market.calibration_log) == 1
         event = market.calibration_log[0]
@@ -207,7 +211,7 @@ class TestRewardsCalibration:
         policy = CalibrationPolicy(delta_mode="absolute", delta_value=1.0, max_rounds=500)
         survivor = rewards_calibration("s1", ["b", "a"], market, policy, no_outside)
         assert survivor == "b"  # identical costs: first offered wins
-        assert all(r == 0.0 for r in market.coverage_rewards("s1"))
+        assert all(r == 0.0 for r in market.rewards["s1"])
 
     def test_relative_mode_unresolvable_tie_raises(self):
         market = tie_market(
@@ -217,17 +221,32 @@ class TestRewardsCalibration:
         with pytest.raises(UnresolvedTieError, match="s1"):
             rewards_calibration("s1", ["a", "b"], market, policy, no_outside)
 
+    @pytest.mark.parametrize(
+        "mode,delta", [("relative", 1e-17), ("absolute", 1e-300)], ids=["relative", "absolute"]
+    )
+    def test_a_step_that_changes_no_reward_raises_at_once(self, mode, delta):
+        # 1 - 1e-17 == 1.0 and r - 1e-300 == r: every step would repeat the last
+        market = tie_market({("a", "s1"): 10.0, ("b", "s1"): 10.0}, reward_hat=50.0)
+        before = market.rewards["s1"]
+        policy = CalibrationPolicy(delta_mode=mode, delta_value=delta, max_rounds=10**7)
+        started = time.perf_counter()
+        with pytest.raises(UnresolvedTieError, match="after 0 calibration rounds"):
+            rewards_calibration("s1", ["a", "b"], market, policy, no_outside)
+        assert time.perf_counter() - started < 5.0
+        assert market.rewards["s1"] is before
+        assert market.calibration_log == []
+
     def test_other_subregions_untouched(self):
         market = tie_market(
             {("a", "s1"): 10.0, ("b", "s1"): 12.0, ("a", "s2"): 5.0, ("b", "s2"): 400.0},
             reward_hat=2.0,
         )
-        before_s2 = market.coverage_rewards("s2")
+        before_s2 = market.rewards["s2"]
         rewards_calibration(
             "s1", ["a", "b"], market, CalibrationPolicy(),
             {"a": market.utility("a", "s2"), "b": market.utility("b", "s2")}.__getitem__,
         )
-        assert market.coverage_rewards("s2") == before_s2
+        assert market.rewards["s2"] == before_s2
 
     def test_gs_match_calibrates_head_ties(self):
         # same layout as above, driven through the full engine
@@ -236,11 +255,11 @@ class TestRewardsCalibration:
             reward_hat=2.0,
         )
         sub_prefs = {s: build_subregion_preferences(market.schedules[s]) for s in ("s1", "s2")}
-        uav_prefs = {u: build_uav_preferences(u, market) for u in ("a", "b")}
+        uav_prefs = build_uav_preferences(market, ("a", "b"))
         state = gs_match(sub_prefs, uav_prefs, CalibrationPolicy(), market)
         assert state.assignment == {"a": "s2", "b": "s1"}
         assert {e.subregion_id for e in state.calibration_log} <= {"s1", "s2"}
-        final_prefs = {u: build_uav_preferences(u, market) for u in ("a", "b")}
+        final_prefs = build_uav_preferences(market, ("a", "b"))
         assert stability_audit(state, sub_prefs, final_prefs) == []
 
     @pytest.mark.parametrize(
@@ -260,27 +279,28 @@ class TestRewardsCalibration:
         sub_prefs = {"s1": build_subregion_preferences(market.schedules["s1"])}
         assert sub_prefs["s1"].ranked == ("b", "a")
         assert sub_prefs["s1"].scores[0] == sub_prefs["s1"].scores[1]
-        uav_prefs = {u: build_uav_preferences(u, market) for u in ("a", "b")}
+        uav_prefs = build_uav_preferences(market, ("a", "b"))
         policy = CalibrationPolicy(delta_mode="absolute", delta_value=1.0, max_rounds=500)
         state = gs_match(sub_prefs, uav_prefs, policy, market)
         assert state.assignment == {"b": "s1"}
-        assert market.at_floor("s1")
+        assert all(r == 0.0 for r in market.rewards["s1"])
         assert [e.subregion_id for e in state.calibration_log] == ["s1"]
 
 
 class TestMarket:
     def test_final_schedules_bake_in_reductions(self):
         market = tie_market({("a", "s1"): 10.0, ("b", "s1"): 12.0})
-        market.reduce_rewards("s1", CalibrationPolicy(delta_mode="absolute", delta_value=0.5))
+        policy = CalibrationPolicy(delta_mode="absolute", delta_value=0.5)
+        market.rewards["s1"] = policy.step(market.rewards["s1"])
         final = market.final_schedules()["s1"]
-        assert final.coverage_rewards == market.coverage_rewards("s1")
+        assert final.coverage_rewards == market.rewards["s1"]
         assert final.audit is not None
         assert market.schedules["s1"].coverage_rewards != final.coverage_rewards
 
     def test_absolute_reduction_floors_at_zero(self):
         market = tie_market({("a", "s1"): 10.0})
-        market.reduce_rewards("s1", CalibrationPolicy(delta_mode="absolute", delta_value=1e9))
-        assert market.at_floor("s1")
+        policy = CalibrationPolicy(delta_mode="absolute", delta_value=1e9)
+        assert policy.step(market.rewards["s1"]) == (0.0,)
 
 
 class TestStabilityAudit:

@@ -21,6 +21,7 @@ through ``run_match`` and compares the two results:
     each closed-form coverage depends on its own marginal cost only.
     Removing one UAV therefore keeps every remaining rung's theta, bit
     for bit, and the reward of every rung costlier than the removed one.
+    (e') also runs on ``benchmarks/gen.py``'s direct and physical families.
 
 A file whose ties stay unresolved must stay unresolved, with the same
 message.
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_benchmark
 from uavmarket.errors import UnresolvedTieError
 from uavmarket.pipeline import prepare, run_match
 from uavmarket.scenario import fixture_path, scenario_from_dict
@@ -39,9 +41,16 @@ from uavmarket.scenario import fixture_path, scenario_from_dict
 CORPUS = Path(__file__).resolve().parent / "corpus"
 FIXTURES = ("demo_grid.scn", "fig6.scn", "fig7.scn", "fig8.scn", "physical.scn", "table3.scn")
 FILES = sorted(CORPUS.glob("*.scn")) + [fixture_path(name) for name in FIXTURES]
+# benchmark family documents, as (family, n_uavs, n_subs, seed)
+GENERATED = [("direct", 40, 40, seed) for seed in (0, 1)]
+GENERATED += [("physical", 30, 30, seed) for seed in (0, 1)]
 
 
-def document(path: Path) -> dict:
+def document(path: Path | tuple) -> dict:
+    """A bundled file's document, or a generated one for a ``GENERATED`` case."""
+    if isinstance(path, tuple):
+        family, *args = path
+        return load_benchmark("gen").FAMILIES[family](*args)
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -172,7 +181,11 @@ def test_a_uav_that_fails_every_screen_adds_one_unmatched_row_and_nothing_else(p
         assert lines("after", file) == lines("before", file)
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    FILES + [pytest.param(case, id="gen.{}-{}x{}-{}".format(*case)) for case in GENERATED],
+    ids=lambda p: p.name,
+)
 def test_removing_a_uav_keeps_every_theta_and_the_rewards_of_the_costlier_rungs(path):
     doc = document(path)
     before = prepare(scenario_from_dict(doc)).published

@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI tests over the bundled fixtures."""
 
 import json
+import time
 
 import pytest
 
@@ -711,6 +712,25 @@ class TestCli:
         code = main(["match", "--scenario", str(scn), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "tie unresolved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode,delta", [("relative", 1e-17), ("absolute", 1e-300)], ids=["relative", "absolute"]
+    )
+    def test_a_calibration_step_that_changes_no_reward_exits_three_at_once(
+        self, tmp_path, capsys, mode, delta
+    ):
+        doc = json.loads(fixture_path("table3.scn").read_text(encoding="utf-8"))
+        doc["calibration"] = {"delta_mode": mode, "delta_value": delta, "max_rounds": 10**7}
+        scn = tmp_path / "stuck.scn"
+        scn.write_text(json.dumps(doc), encoding="utf-8")
+        started = time.perf_counter()
+        code = main(["match", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "tie unresolved after 0 calibration rounds" in captured.err
+        assert "Traceback" not in captured.err
+        assert elapsed < 5.0
 
     def test_verify_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         import uavmarket.cli as cli
